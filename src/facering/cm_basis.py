@@ -22,7 +22,6 @@ from .complexes import (
     EMPTY,
     Balancing,
     BooleanComplex,
-    label_selected,
     require_valid_balancing,
 )
 from .errors import BasisInvalid, FieldMismatch, InputError, OrderNotCompatible
@@ -42,9 +41,27 @@ def facet_vector(complex: BooleanComplex, face: int | str,
     """0/1 incidence of the face with each facet, in facet order."""
     if not complex.is_pure():
         raise InputError("facet vectors need a pure complex")
-    f = complex.resolve(face)
+    return _incidence(complex, complex.resolve(face), complex.facets, field)
+
+
+def _incidence(complex: BooleanComplex, face: int, facets: Sequence[int],
+               field: FieldSpec) -> FacetVector:
+    """0/1 incidence of the face with each of ``facets``."""
     one, zero = field.one(), field.zero()
-    return tuple(one if complex.leq(f, eps) else zero for eps in complex.facets)
+    return tuple(one if complex.leq(face, eps) else zero for eps in facets)
+
+
+def selected_facets(complex: BooleanComplex, balancing: Balancing,
+                    labels: frozenset[int]) -> list[int]:
+    """Facets of ``label_selected(complex, balancing, labels)`` as indices of
+    the complex, without building the subcomplex.
+
+    On a pure balanced complex these are exactly the faces whose label set is
+    ``labels`` (restricted to the labels in use), in index order; for the
+    empty set that is the empty face.
+    """
+    key = labels & balancing.labels
+    return [f for f in range(len(complex)) if balancing.label_set(f) == key]
 
 
 def default_processing_order(complex: BooleanComplex,
@@ -77,9 +94,14 @@ def validate_processing_order(complex: BooleanComplex, balancing: Balancing,
 
 @dataclass
 class _SelectedData:
-    """Incidence data of the basis members inside one label-selected subcomplex."""
+    """Incidence data of the basis members inside one label-selected subcomplex.
 
-    subcomplex: BooleanComplex
+    ``facets`` lists the facets of that subcomplex as indices of the parent
+    complex (see :func:`selected_facets`); ``span`` holds the members' 0/1
+    incidence rows against them.
+    """
+
+    facets: list[int]
     members: list[int]
     span: RowSpan
 
@@ -104,25 +126,30 @@ class CellBasis:
 
     def selected(self, labels: Iterable[int]) -> _SelectedData:
         """Members with label set inside ``labels``, with their facet vectors
-        row-reduced inside the label-selected subcomplex."""
+        row-reduced inside the label-selected subcomplex.
+
+        The subcomplex is never built: its facets are the faces whose label
+        set equals ``labels`` (:func:`selected_facets`), and the members'
+        incidence rows against them come from the parent's order relation.
+        """
         key = frozenset(labels)
         cached = self._selected.get(key)
         if cached is not None:
             return cached
         members = [m for m in self.members if self.label_set(m) <= key]
-        sub = label_selected(self.complex, self.balancing, key)
-        if len(members) != len(sub.facets):
+        facets = selected_facets(self.complex, self.balancing, key)
+        if len(members) != len(facets):
             raise BasisInvalid(
                 f"label set {sorted(key)}: {len(members)} members against "
-                f"{len(sub.facets)} facets of the selected subcomplex")
-        span = RowSpan(self.field, len(sub.facets))
+                f"{len(facets)} facets of the selected subcomplex")
+        span = RowSpan(self.field, len(facets))
         for m in members:
-            rep = span.insert(m, facet_vector(sub, self.complex.ids[m], self.field))
+            rep = span.insert(m, _incidence(self.complex, m, facets, self.field))
             if rep is not None:
                 raise BasisInvalid(
                     f"label set {sorted(key)}: facet vectors of the selected "
                     f"members are linearly dependent")
-        data = _SelectedData(sub, members, span)
+        data = _SelectedData(facets, members, span)
         self._selected[key] = data
         return data
 
@@ -206,15 +233,15 @@ def verify_basis(complex: BooleanComplex, balancing: Balancing,
         for s in itertools.combinations(range(1, n + 1), r):
             key = frozenset(s)
             chosen = [m for m in members if balancing.label_set(m) <= key]
-            sub = label_selected(complex, balancing, key)
-            square = len(chosen) == len(sub.facets)
+            facets = selected_facets(complex, balancing, key)
+            square = len(chosen) == len(facets)
             nonsingular = False
             if square:
-                span = RowSpan(field, len(sub.facets))
+                span = RowSpan(field, len(facets))
                 nonsingular = all(
-                    span.insert(m, facet_vector(sub, complex.ids[m], field))
+                    span.insert(m, _incidence(complex, m, facets, field))
                     is None for m in chosen)
-            per[s] = {"members": len(chosen), "facets": len(sub.facets),
+            per[s] = {"members": len(chosen), "facets": len(facets),
                       "square": square, "nonsingular": nonsingular}
             valid = valid and square and nonsingular
     return BasisReport(valid, per)
@@ -270,7 +297,7 @@ def represent_on_cell_basis(complex: BooleanComplex, balancing: Balancing,
         exps, top = _collapse(complex, balancing, mono)
         labels = balancing.label_set(top)
         data = basis.selected(labels)
-        vec = facet_vector(data.subcomplex, complex.ids[top], field)
+        vec = _incidence(complex, top, data.facets, field)
         combo = data.span.represent(vec)
         if combo is None:
             raise BasisInvalid(

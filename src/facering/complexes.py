@@ -355,9 +355,14 @@ def build_from_poset(faces: Iterable[Mapping], facet_order: Sequence[str] | None
     empty face, which is always implicit).
     """
     ids, covers = [], []
-    for entry in faces:
+    for i, entry in enumerate(faces):
+        if not isinstance(entry, Mapping) or "id" not in entry:
+            raise InputError(f'face {i} must be an object with an "id"')
+        cs = entry.get("covers", [])
+        if not isinstance(cs, (list, tuple)):
+            raise InputError(f'"covers" of face {entry["id"]!r} must be a list')
         ids.append(str(entry["id"]))
-        covers.append([str(c) for c in entry.get("covers", [])])
+        covers.append([str(c) for c in cs])
     if not ids:
         raise EmptyInput("a complex needs at least one face")
     return BooleanComplex(ids, covers, facet_order)

@@ -50,19 +50,38 @@ def complex_from_document(doc: Any) -> BooleanComplex:
         facets = doc.get("facets")
         if not isinstance(facets, list):
             raise InputError('simplicial documents need a "facets" list')
+        for i, facet in enumerate(facets):
+            if not isinstance(facet, list):
+                raise InputError(f"facet {i} must be a list of vertices")
         return build_from_facets(facets)
     if kind == "poset":
         faces = doc.get("faces")
         if not isinstance(faces, list):
             raise InputError('poset documents need a "faces" list')
-        return build_from_poset(faces, doc.get("facet_order"))
+        facet_order = doc.get("facet_order")
+        if facet_order is not None and not isinstance(facet_order, list):
+            raise InputError('"facet_order" must be a list of face ids')
+        return build_from_poset(faces, facet_order)
     raise InputError(f"unknown complex kind {kind!r}")
 
 
 def balancing_from_document(complex: BooleanComplex, doc: Any) -> Balancing:
     if not isinstance(doc, dict) or not isinstance(doc.get("labels"), dict):
         raise InputError('balancing documents need a "labels" map')
-    return Balancing(complex, {str(k): int(v) for k, v in doc["labels"].items()})
+    return Balancing(complex, {str(k): _label(k, v)
+                               for k, v in doc["labels"].items()})
+
+
+def _label(face: str, value: Any) -> int:
+    """An integer label, given as a JSON integer or a decimal string."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise InputError(f"label of {face!r} must be an integer, got {value!r}")
 
 
 def group_from_document(complex: BooleanComplex, doc: Any,
@@ -71,16 +90,19 @@ def group_from_document(complex: BooleanComplex, doc: Any,
         raise InputError('group documents need a "generators" list')
     generators = []
     for i, entry in enumerate(doc["generators"]):
+        if not isinstance(entry, dict):
+            raise InputError(f"generator {i} must be an object")
         if "map" in entry:
-            generators.append(automorphism_from_face_map(
-                complex, {str(k): str(v) for k, v in entry["map"].items()},
-                generator_index=i))
+            key, build = "map", automorphism_from_face_map
         elif "vertex_map" in entry:
-            generators.append(automorphism_from_vertex_map(
-                complex, {str(k): str(v) for k, v in entry["vertex_map"].items()},
-                generator_index=i))
+            key, build = "vertex_map", automorphism_from_vertex_map
         else:
             raise InputError(f'generator {i} needs a "map" or "vertex_map"')
+        if not isinstance(entry[key], dict):
+            raise InputError(f'"{key}" of generator {i} must be an object')
+        generators.append(build(
+            complex, {str(k): str(v) for k, v in entry[key].items()},
+            generator_index=i))
     return close_group(complex, generators, cap)
 
 

@@ -24,6 +24,7 @@ from .complexes import (
 )
 from .errors import (
     ComplexMismatch,
+    DomainError,
     GroupTooLarge,
     InputError,
     NotAnAutomorphism,
@@ -389,5 +390,7 @@ def odd_cross_term_witness(d: int) -> CrossTermWitness:
     staircase = Partition(range(d, 0, -1))
     witness = CrossTermWitness(mono, coeff.value, shape, staircase,
                                strictly_dominates(staircase, shape))
-    assert witness.odd, "the distinguished cross-term coefficient must be odd"
+    if not witness.odd:
+        raise DomainError(
+            f"the distinguished cross-term coefficient {coeff.value} is not odd")
     return witness

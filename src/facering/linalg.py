@@ -5,47 +5,107 @@ row, the coefficients that produced it from the inserted vectors.  Membership
 tests therefore come with the unique representation of the queried vector on
 the inserted ones, read off without re-solving.  Pivots are the first nonzero
 column; arithmetic is exact, there are no thresholds.
+
+Internally every row is a sparse dict ``{column: raw scalar}`` holding only
+its nonzero entries, and the coefficients on the inserted vectors are raw
+scalars too.  A raw scalar is a residue in ``[0, p)`` over GF(p).  Over Q it
+is a Python ``int`` while the value is integral and a ``Fraction`` otherwise,
+so the 0/1 facet vectors of the Cohen-Macaulay test eliminate in integer
+arithmetic.  Q and GF(p) share one elimination loop.  Dense
+:class:`FieldElement` sequences come in, and field elements go out, only at
+the public methods.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Hashable, Sequence
 
-from .coeff import FieldElement, FieldSpec, invert
+from .coeff import FieldElement, FieldSpec
+from .errors import FieldMismatch
 
-Vector = list[FieldElement]
+Raw = int | Fraction
+SparseRow = dict[int, Raw]
+
+
+def _normal(x: Raw, p: int | None) -> Raw:
+    """Canonical raw scalar: a residue mod p, or over Q an int when integral."""
+    if p is not None:
+        return x % p
+    if type(x) is Fraction and x.denominator == 1:
+        return x.numerator
+    return x
+
+
+def _inverse(x: Raw, p: int | None) -> Raw:
+    if p is not None:
+        return pow(x, -1, p)
+    if x == 1 or x == -1:
+        return x
+    return _normal(1 / Fraction(x), None)
+
+
+def _eliminate(target: SparseRow, c: Raw, row: SparseRow, p: int | None) -> None:
+    """``target -= c * row`` in place, dropping entries that become zero."""
+    for j, x in row.items():
+        y = _normal(target.get(j, 0) - c * x, p)
+        if y:
+            target[j] = y
+        else:
+            # c * x is nonzero, so a zero result means j was present
+            del target[j]
 
 
 class RowSpan:
     def __init__(self, field: FieldSpec, width: int):
         self.field = field
         self.width = width
-        # each row: (pivot column, vector with leading 1, {tag: coefficient})
-        self.rows: list[tuple[int, Vector, dict[Hashable, FieldElement]]] = []
+        # each row: (pivot column, sparse row with leading 1, {tag: coefficient})
+        self.rows: list[tuple[int, SparseRow, dict[Hashable, Raw]]] = []
 
     @property
     def dim(self) -> int:
         return len(self.rows)
 
-    def _reduce(self, vec: Sequence[FieldElement]):
-        """Eliminate existing pivots from ``vec``.
+    def _sparse(self, vec: Sequence[FieldElement]) -> SparseRow:
+        if len(vec) != self.width:
+            raise ValueError("vector width mismatch")
+        field = self.field
+        out: SparseRow = {}
+        for j, x in enumerate(vec):
+            v = x.value
+            if v:
+                if x.spec is not field and x.spec != field:
+                    raise FieldMismatch(f"mixed fields {field} and {x.spec}")
+                out[j] = _normal(v, field.p)
+        return out
 
-        Returns the residual and the combination of inserted vectors removed,
-        so that ``vec = sum(combo[t] * inserted[t]) + residual``.
+    def _element(self, x: Raw) -> FieldElement:
+        # over Q the value must be a Fraction: coeff.invert computes 1 / value
+        if self.field.p is None:
+            return FieldElement(self.field, Fraction(x))
+        return FieldElement(self.field, x)
+
+    def _reduce(self, vec: SparseRow) -> dict[Hashable, Raw]:
+        """Eliminate existing pivots from ``vec`` in place.
+
+        Returns the combination of inserted vectors removed, so that
+        ``original = sum(combo[t] * inserted[t]) + residual``.  Entries that
+        cancel to zero stay in the combination, keeping first-use order.
         """
-        v = list(vec)
-        combo: dict[Hashable, FieldElement] = {}
+        p = self.field.p
+        combo: dict[Hashable, Raw] = {}
         for pivot, row, rcombo in self.rows:
-            c = v[pivot]
-            if c.is_zero:
+            c = vec.get(pivot)
+            if c is None:
                 continue
-            for j in range(self.width):
-                if not row[j].is_zero:
-                    v[j] = v[j] - c * row[j]
+            _eliminate(vec, c, row, p)
             for tag, x in rcombo.items():
-                acc = combo.get(tag, self.field.zero()) + c * x
-                combo[tag] = acc
-        return v, combo
+                combo[tag] = _normal(combo.get(tag, 0) + c * x, p)
+        return combo
+
+    def _wrap(self, combo: dict[Hashable, Raw]) -> dict[Hashable, FieldElement]:
+        return {t: self._element(c) for t, c in combo.items() if c}
 
     def insert(self, tag: Hashable, vec: Sequence[FieldElement]):
         """Add a tagged vector to the span.
@@ -54,60 +114,48 @@ class RowSpan:
         the representation ``{tag: coeff}`` of the vector on the previously
         inserted ones if it was already in the span.
         """
-        if len(vec) != self.width:
-            raise ValueError("vector width mismatch")
-        residual, combo = self._reduce(vec)
-        pivot = next((j for j in range(self.width) if not residual[j].is_zero), None)
-        if pivot is None:
-            return {t: c for t, c in combo.items() if not c.is_zero}
-        inv = invert(residual[pivot])
-        row = [inv * x for x in residual]
-        rcombo = {t: -(inv * c) for t, c in combo.items() if not c.is_zero}
-        rcombo[tag] = rcombo.get(tag, self.field.zero()) + inv
-        self.rows.append((pivot, row, {t: c for t, c in rcombo.items()
-                                       if not c.is_zero}))
+        residual = self._sparse(vec)
+        combo = self._reduce(residual)
+        if not residual:
+            return self._wrap(combo)
+        p = self.field.p
+        pivot = min(residual)
+        inv = _inverse(residual[pivot], p)
+        row = {j: _normal(inv * x, p) for j, x in residual.items()}
+        rcombo = {t: _normal(-(inv * c), p) for t, c in combo.items() if c}
+        rcombo[tag] = _normal(rcombo.get(tag, 0) + inv, p)
+        self.rows.append((pivot, row, {t: c for t, c in rcombo.items() if c}))
         return None
 
     def represent(self, vec: Sequence[FieldElement]):
         """Representation of ``vec`` on the inserted vectors, or None if outside."""
-        residual, combo = self._reduce(vec)
-        if any(not x.is_zero for x in residual):
+        residual = self._sparse(vec)
+        combo = self._reduce(residual)
+        if residual:
             return None
-        return {t: c for t, c in combo.items() if not c.is_zero}
+        return self._wrap(combo)
 
     def contains(self, vec: Sequence[FieldElement]) -> bool:
-        residual, _ = self._reduce(vec)
-        return all(x.is_zero for x in residual)
-
-    def snapshot(self) -> list[Vector]:
-        return [list(row) for _, row, _ in self.rows]
+        residual = self._sparse(vec)
+        self._reduce(residual)
+        return not residual
 
 
 def rref(rows: Sequence[Sequence[FieldElement]], field: FieldSpec,
-         width: int) -> list[Vector]:
+         width: int) -> list[list[FieldElement]]:
     """Canonical reduced row echelon form (rows sorted by pivot column)."""
     span = RowSpan(field, width)
     for i, r in enumerate(rows):
         span.insert(i, r)
-    echelon = [(pivot, list(row)) for pivot, row, _ in span.rows]
-    echelon.sort(key=lambda pr: pr[0])
+    echelon = sorted(((pivot, dict(row)) for pivot, row, _ in span.rows),
+                     key=lambda pr: pr[0])
     # back-substitute so that every pivot column is zero elsewhere
     for i in range(len(echelon) - 1, -1, -1):
         pivot, row = echelon[i]
         for k in range(i):
-            c = echelon[k][1][pivot]
-            if c.is_zero:
-                continue
             target = echelon[k][1]
-            for j in range(width):
-                if not row[j].is_zero:
-                    target[j] = target[j] - c * row[j]
-    return [row for _, row in echelon]
-
-
-def matrix_rank(rows: Sequence[Sequence[FieldElement]], field: FieldSpec,
-                width: int) -> int:
-    span = RowSpan(field, width)
-    for i, r in enumerate(rows):
-        span.insert(i, r)
-    return span.dim
+            c = target.get(pivot)
+            if c is not None:
+                _eliminate(target, c, row, field.p)
+    return [[span._element(row.get(j, 0)) for j in range(width)]
+            for _, row in echelon]

@@ -214,3 +214,40 @@ def test_pretty_and_json_flags(docs, capsys):
     code = run(["basis", "--input", docs["double_edge"], "--sd", "--pretty"])
     assert code == 0
     assert capsys.readouterr().out.startswith("{\n")
+
+
+MALFORMED = {
+    "face-without-id": (
+        {"kind": "poset", "faces": [{"id": "v"}, {"covers": []}]},
+        None, None),
+    "non-integer-label": (DOUBLE_EDGE, {"labels": {"v": "one", "w": 2}}, None),
+    "generator-not-an-object": (DOUBLE_EDGE, None, {"generators": [7]}),
+    "facet-not-a-list": (
+        {"kind": "simplicial", "facets": [["0", "1"], True]}, None, None),
+    "covers-not-a-list": (
+        {"kind": "poset", "faces": [{"id": "v", "covers": 5}]}, None, None),
+    "facet-order-not-a-list": (dict(DOUBLE_EDGE, facet_order=3), None, None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_documents_exit_2(name, tmp_path, capsys):
+    complex_doc, balancing, group = MALFORMED[name]
+    path = tmp_path / "complex.json"
+    path.write_text(json.dumps(complex_doc))
+    argv = ["check-cm", "--input", str(path), "--sd"]
+    if balancing is not None:
+        bal = tmp_path / "balancing.json"
+        bal.write_text(json.dumps(balancing))
+        argv = ["check-cm", "--input", str(path), "--balancing", str(bal)]
+    if group is not None:
+        grp = tmp_path / "group.json"
+        grp.write_text(json.dumps(group))
+        argv = ["equivariant-iso", "--input", str(path), "--group", str(grp),
+                "--degree-bound", "2"]
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err

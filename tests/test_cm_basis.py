@@ -1,10 +1,12 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
 from facering import (
     Balancing,
+    FieldSpec,
     RingElement,
     barycentric_subdivision,
     build_from_facets,
@@ -12,12 +14,14 @@ from facering import (
     facet_vector,
     fine_vectors,
     graded_monomials,
+    label_selected,
     represent_on_cell_basis,
     subspace_M_S,
     verify_basis,
 )
 from facering.cm_basis import (
     evaluate_cell_representation,
+    selected_facets,
     validate_processing_order,
 )
 from facering.errors import BasisInvalid, InputError, OrderNotCompatible
@@ -421,3 +425,99 @@ def test_rowspan_representation_roundtrip():
         assert rep is not None
         for tag, c in coeffs.items():
             assert rep.get(tag, RATIONAL.zero()) == c or (c.is_zero and tag not in rep)
+
+
+def _dense_solve(vectors, vec, p):
+    """Reference: coefficients c with sum c[i] * vectors[i] == vec by dense
+    Gauss-Jordan elimination on raw values, or None when vec is outside."""
+    def div(a, b):
+        return a / b if p is None else a * pow(b, -1, p) % p
+
+    def sub(a, b):
+        return a - b if p is None else (a - b) % p
+
+    n = len(vectors)
+    m = [[vectors[i][j] for i in range(n)] + [vec[j]] for j in range(len(vec))]
+    row = 0
+    pivots = []
+    for col in range(n):
+        r = next((r for r in range(row, len(m)) if m[r][col] != 0), None)
+        if r is None:
+            continue
+        m[row], m[r] = m[r], m[row]
+        m[row] = [div(x, m[row][col]) for x in m[row]]
+        for k in range(len(m)):
+            if k != row and m[k][col] != 0:
+                f = m[k][col]
+                m[k] = [sub(a, f * b) for a, b in zip(m[k], m[row])]
+        pivots.append(col)
+        row += 1
+    if any(m[r][n] != 0 for r in range(row, len(m))):
+        return None
+    coeffs = [0] * n
+    for r, col in enumerate(pivots):
+        coeffs[col] = m[r][n]
+    return coeffs
+
+
+@pytest.mark.parametrize("field", [RATIONAL, GF2, FieldSpec.gf(32003)], ids=str)
+def test_rowspan_matches_dense_reference(field):
+    rng = random.Random(23)
+    p = field.p
+    non_integral = 0
+
+    def scalar():
+        if p is None:
+            return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        return rng.randrange(p)
+
+    for _ in range(40):
+        width = rng.randint(1, 6)
+        span = RowSpan(field, width)
+        independent = []  # (tag, raw vector) in insertion order
+        for tag in range(rng.randint(1, 9)):
+            if independent and rng.random() < 0.4:
+                # a combination of earlier vectors, so dependence is common
+                vec = [0] * width
+                for _, v in independent:
+                    c = scalar()
+                    vec = [a + c * b if p is None else (a + c * b) % p
+                           for a, b in zip(vec, v)]
+            else:
+                vec = [scalar() if rng.random() < 0.6 else 0
+                       for _ in range(width)]
+            non_integral += sum(1 for x in vec
+                                if p is None and Fraction(x).denominator != 1)
+            elements = [field.from_fraction(Fraction(x)) for x in vec]
+            expected = _dense_solve([v for _, v in independent], vec, p)
+            assert span.contains(elements) == (expected is not None)
+            rep = span.represent(elements)
+            got = span.insert(tag, elements)
+            assert got == rep
+            if expected is None:
+                assert got is None
+                independent.append((tag, vec))
+                continue
+            assert got == {t: field.from_fraction(Fraction(c))
+                           for (t, _), c in zip(independent, expected) if c != 0}
+            if p is None:
+                assert all(type(c.value) is Fraction for c in got.values())
+        assert span.dim == len(independent)
+    if p is None:
+        assert non_integral > 0
+
+
+@pytest.mark.parametrize("case", ["sd-tetrahedron", "disk"])
+def test_selected_facets_are_label_selected_facets(case, disk, disk_balancing):
+    if case == "disk":
+        c, bal = disk, disk_balancing
+    else:
+        sd = barycentric_subdivision(build_from_facets([["0", "1", "2", "3"]]))
+        c, bal = sd.target, sd.balancing
+    basis = compute_basis(c, bal, RATIONAL).basis
+    for r in range(bal.n + 1):
+        for s in itertools.combinations(range(1, bal.n + 1), r):
+            sub = label_selected(c, bal, s)
+            expected = [c.index_of[sub.ids[f]] for f in sub.facets]
+            assert selected_facets(c, bal, frozenset(s)) == expected
+            assert basis.selected(s).facets == expected

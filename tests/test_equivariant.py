@@ -21,6 +21,7 @@ from facering.equivariant import (
     verify_map,
 )
 from facering.errors import (
+    DomainError,
     GroupTooLarge,
     NotAnAutomorphism,
     OrderNotInvertible,
@@ -289,6 +290,21 @@ def test_cross_term_d4():
     assert w.coefficient == 3
     assert w.shape == Partition((3, 3, 3, 1))
     assert w.strictly_dominated and w.odd
+
+
+def test_cross_term_even_coefficient_raises(monkeypatch):
+    # doubling every parameter makes the coefficient 3 * 2^d; the parity check
+    # must raise rather than assert, so that it survives python -O
+    import facering.equivariant as eq
+
+    original = eq.rank_row_parameter
+
+    def doubled(complex, j, field):
+        return original(complex, j, field) * field.from_integer(2)
+
+    monkeypatch.setattr(eq, "rank_row_parameter", doubled)
+    with pytest.raises(DomainError, match="not odd"):
+        odd_cross_term_witness(2)
 
 
 def test_theta_product_staircase_terms_d2():
