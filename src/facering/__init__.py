@@ -8,11 +8,10 @@ Cohen-Macaulayness test with cell-basis construction, and construction and
 group-averaging of equivariant parameter-ring module isomorphisms.
 """
 
-from .coeff import FieldElement, FieldSpec, from_integer, invert, is_unit_integer
+from .coeff import FieldElement, FieldSpec, invert, is_unit_integer
 from .complexes import (
     Balancing,
     BooleanComplex,
-    Face,
     SdMap,
     barycentric_subdivision,
     build_from_facets,
@@ -24,7 +23,6 @@ from .partitions import Dominance, Partition, compare_dominance, sh, sh_inverse
 from .face_ring import (
     ParameterPolynomial,
     RingElement,
-    eval_parameter_poly,
     fine_vectors,
     graded_monomials,
     label_row_parameter,

@@ -29,6 +29,7 @@ from .face_ring import (
     Mono,
     ParameterPolynomial,
     RingElement,
+    add_terms,
     mono_label_multidegree,
 )
 from .linalg import RowSpan, rref
@@ -290,9 +291,7 @@ def represent_on_cell_basis(complex: BooleanComplex, balancing: Balancing,
         raise InputError("element must live in the face ring of this complex")
     if element.field != field or basis.field != field:
         raise FieldMismatch("element, basis, and field must agree")
-    n = balancing.n
-    out: dict[int, ParameterPolynomial] = {
-        b: ParameterPolynomial.zero(n, field) for b in basis.members}
+    out: dict[int, dict] = {b: {} for b in basis.members}
     for mono, coeff in element.sorted_terms():
         exps, top = _collapse(complex, balancing, mono)
         labels = balancing.label_set(top)
@@ -307,21 +306,21 @@ def represent_on_cell_basis(complex: BooleanComplex, balancing: Balancing,
             lifted = list(exps)
             for j in sorted(labels - basis.label_set(member)):
                 lifted[j - 1] += 1
-            out[member] = out[member] + ParameterPolynomial.monomial(
-                n, field, lifted, coeff * c)
-    return out
+            add_terms(out[member], [(tuple(lifted), coeff * c)])
+    return {b: ParameterPolynomial(balancing.n, field, t) for b, t in out.items()}
 
 
 def evaluate_cell_representation(complex: BooleanComplex, balancing: Balancing,
                                  coefficients: dict[int, ParameterPolynomial],
                                  ) -> RingElement:
     """Expand sum of q_b(label rows) * z_b back into the face ring."""
-    some = next(iter(coefficients.values()))
-    total = RingElement.zero(complex, some.field, False)
+    field = next(iter(coefficients.values())).field
+    terms: dict[Mono, FieldElement] = {}
     for member in sorted(coefficients):
         poly = coefficients[member]
         if poly.is_zero:
             continue
-        z = RingElement.monomial(complex, poly.field, ((member, 1),))
-        total = total + poly.evaluate(complex, "omega", balancing) * z
-    return total
+        z = RingElement.monomial(complex, field, ((member, 1),))
+        add_terms(terms, (poly.evaluate(complex, "omega", balancing)
+                          * z).terms.items())
+    return RingElement(complex, field, False, terms)

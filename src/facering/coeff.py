@@ -149,9 +149,6 @@ class FieldElement:
             v %= self.spec.p
         return FieldElement(self.spec, v)
 
-    def __truediv__(self, other: "FieldElement") -> "FieldElement":
-        return self * invert(other)
-
     def scale_int(self, n: int) -> "FieldElement":
         v = self.value * n
         if self.spec.p is not None:
@@ -172,11 +169,6 @@ class FieldElement:
 
     def __str__(self) -> str:
         return str(self.value)
-
-
-def from_integer(spec: FieldSpec, n: int) -> FieldElement:
-    """Canonical image of the integer ``n`` in the field."""
-    return spec.from_integer(n)
 
 
 def invert(x: FieldElement) -> FieldElement:

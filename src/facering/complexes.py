@@ -3,9 +3,12 @@
 A boolean complex is stored through its augmented face poset: the unique
 empty face (always index 0, id ``""``) plus the nonempty faces.  Construction
 validates the simplicial-poset axioms: the poset is ranked, and every lower
-interval is a boolean lattice.  Instances are immutable after construction;
-all derived structure (downsets, upsets, atom sets, facet list, chain counts)
-is built eagerly, so instances are safe for shared concurrent reads.
+interval is a boolean lattice.  All derived structure (downsets, upsets, atom
+sets, facet list, chain counts) is built eagerly and never changes.  The
+memo caches for ring arithmetic and the subdivision are the only mutable
+state: they are append-only, and each key is assigned once, with its
+finished value, so concurrent readers may repeat work but never see a
+partial result.
 
 Faces are referenced by stable integer indices internally; string ids appear
 only at the I/O boundary and in error messages.  The facet order is fixed at
@@ -31,13 +34,6 @@ from .errors import (
 )
 
 EMPTY = 0  # index of the empty face in every complex
-
-
-@dataclass(frozen=True)
-class Face:
-    index: int
-    id: str
-    rank: int
 
 
 class BooleanComplex:
@@ -102,7 +98,8 @@ class BooleanComplex:
         self.dim: int = max(self.rank) - 1
         self.maximal_chain_count: int = self._count_maximal_chains()
 
-        # memo tables for ring arithmetic; append-only, single results per key
+        # memo tables for ring arithmetic; append-only, each key assigned once
+        # with its finished value
         self._straighten_cache: dict = {}
         self._param_cache: dict = {}
         self._sd_cache: "SdMap | None" = None
@@ -208,10 +205,6 @@ class BooleanComplex:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def face(self, ref: int | str) -> Face:
-        i = self.resolve(ref)
-        return Face(i, self.ids[i], self.rank[i])
-
     def resolve(self, ref: int | str) -> int:
         if isinstance(ref, str):
             if ref not in self.index_of:
@@ -250,12 +243,7 @@ class BooleanComplex:
     def lub_set(self, a: int, b: int) -> list[int]:
         """Minimal common upper bounds of two faces (possibly empty)."""
         ub = self.up[a] & self.up[b]
-        out = []
-        for g in self._mask_members(ub):
-            if all(d == g or not (ub >> d & 1)
-                   for d in self._mask_members(self.down[g])):
-                out.append(g)
-        return sorted(out)
+        return [g for g in self._mask_members(ub) if self.down[g] & ub == 1 << g]
 
     def meet(self, a: int, b: int) -> int:
         """Greatest common lower bound, defined whenever a common upper bound exists."""

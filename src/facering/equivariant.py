@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .coeff import FieldSpec, from_integer, invert, is_unit_integer
+from .coeff import FieldSpec, invert, is_unit_integer
 from .complexes import (
     EMPTY,
     BooleanComplex,
@@ -33,6 +33,7 @@ from .errors import (
 from .face_ring import (
     Mono,
     RingElement,
+    add_terms,
     canonical_mono,
     graded_monomials,
     mono_shape,
@@ -179,10 +180,6 @@ def close_group(complex: BooleanComplex, generators: Iterable[Automorphism],
     return Group(complex, tuple(sorted(seen.values(), key=lambda a: a.perm)))
 
 
-def trivial_group(complex: BooleanComplex) -> Group:
-    return close_group(complex, [])
-
-
 def act(sigma: Automorphism, element: RingElement) -> RingElement:
     """Permute the faces in every monomial; coefficients are unchanged."""
     if sigma.complex is not element.complex:
@@ -226,25 +223,26 @@ class Morphism:
         the face-ring parameters against the images."""
         if element.complex is not self.ctx.sd.source or not element.discrete:
             raise ComplexMismatch("expected an element of the subdivision ring")
-        out = RingElement.zero(self.ctx.sd.source, self.ctx.field, False)
+        terms: dict[Mono, object] = {}
         for mono, coeff in element.terms.items():
-            out = out + self._apply_mono(mono).scale(coeff)
-        return out
+            add_terms(terms, self._apply_mono(mono).scale(coeff).terms.items())
+        return RingElement(self.ctx.sd.source, self.ctx.field, False, terms)
 
     def _apply_mono(self, mono: Mono) -> RingElement:
         cached = self._mono_cache.get(mono)
         if cached is None:
-            single = RingElement(self.ctx.sd.source, self.ctx.field, True,
-                                 {mono: self.ctx.field.one()})
+            source, field = self.ctx.sd.source, self.ctx.field
+            single = RingElement(source, field, True, {mono: field.one()})
             cell = self.ctx.to_cell_form(single)
             rep = represent_on_cell_basis(self.ctx.sd.target,
                                           self.basis.balancing,
-                                          self.ctx.field, self.basis, cell)
-            cached = RingElement.zero(self.ctx.sd.source, self.ctx.field, False)
+                                          field, self.basis, cell)
+            terms: dict[Mono, object] = {}
             for member, poly in rep.items():
                 if not poly.is_zero:
-                    cached = cached + (poly.evaluate(self.ctx.sd.source, "theta")
-                                       * self.images[member])
+                    add_terms(terms, (poly.evaluate(source, "theta")
+                                      * self.images[member]).terms.items())
+            cached = RingElement(source, field, False, terms)
             self._mono_cache[mono] = cached
         return cached
 
@@ -265,14 +263,16 @@ def average(morphism: Morphism, group: Group) -> Morphism:
     if not is_unit_integer(field, group.order):
         raise OrderNotInvertible(
             f"group order {group.order} is zero in {field}")
-    scale = invert(from_integer(field, group.order))
+    scale = invert(field.from_integer(group.order))
     images: dict[int, RingElement] = {}
     for member in morphism.basis.members:
         b = morphism.member_element(member)
-        acc = RingElement.zero(ctx.sd.source, field, False)
+        terms: dict[Mono, object] = {}
         for sigma in group:
-            acc = acc + act(sigma, morphism.apply(act(sigma.inverse(), b)))
-        images[member] = acc.scale(scale)
+            add_terms(terms, act(sigma, morphism.apply(
+                act(sigma.inverse(), b))).terms.items())
+        images[member] = RingElement(ctx.sd.source, field, False,
+                                     terms).scale(scale)
     return Morphism(ctx, morphism.basis, images)
 
 

@@ -33,10 +33,6 @@ class LowerIntervalNotBoolean(InvalidComplex):
     """A lower interval of the augmented face poset is not a boolean lattice."""
 
 
-class MultipleMinimalElements(InvalidComplex):
-    """The augmented poset would have a minimal element other than the empty face."""
-
-
 class EmptyInput(InvalidComplex):
     pass
 

@@ -8,10 +8,12 @@ ring (such products vanish), which is how the ring of the barycentric
 subdivision is carried on the poset of the original complex.
 
 A standard monomial is a tuple of (face index, exponent) pairs sorted by
-rank; the empty tuple is the monomial 1.  All operations are pure functions
-of immutable inputs.  Straightening results and parameter-monomial
+rank; the empty tuple is the monomial 1.  Operations return new elements and
+never modify their inputs.  Straightening results and parameter-monomial
 expansions are memoized on the complex with rational coefficients and scaled
-into the requested field, so caches are field-independent.
+into the requested field, so caches are field-independent.  The memo caches
+are append-only and each key is assigned once, with its finished value:
+concurrent readers may repeat work but never see a partial result.
 """
 
 from __future__ import annotations
@@ -72,18 +74,17 @@ def mono_label_multidegree(complex: BooleanComplex, balancing: Balancing,
     return tuple(vec)
 
 
-def shape(complex: BooleanComplex, mono: Mono) -> Partition:
-    return mono_shape(complex, mono)
-
-
-def degree(complex: BooleanComplex, mono: Mono) -> int:
-    return mono_degree(complex, mono)
-
-
-def multidegree(complex: BooleanComplex, balancing: Balancing,
-                mono: Mono) -> tuple[int, ...]:
-    require_valid_balancing(complex, balancing)
-    return mono_label_multidegree(complex, balancing, mono)
+def add_terms(acc: dict, pairs: Iterable[tuple]) -> dict:
+    """Add (key, coefficient) pairs into ``acc`` in place, dropping every key
+    whose coefficient cancels to zero; returns ``acc``."""
+    for key, c in pairs:
+        old = acc.get(key)
+        total = c if old is None else old + c
+        if total:
+            acc[key] = total
+        else:
+            acc.pop(key, None)
+    return acc
 
 
 class RingElement:
@@ -141,14 +142,8 @@ class RingElement:
 
     def __add__(self, other: "RingElement") -> "RingElement":
         self._check(other)
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            acc = terms.get(m, self.field.zero()) + c
-            if acc.is_zero:
-                terms.pop(m, None)
-            else:
-                terms[m] = acc
-        return RingElement(self.complex, self.field, self.discrete, terms)
+        return RingElement(self.complex, self.field, self.discrete,
+                           add_terms(dict(self.terms), other.terms.items()))
 
     def __sub__(self, other: "RingElement") -> "RingElement":
         return self + (-other)
@@ -171,24 +166,13 @@ class RingElement:
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 c = c1 * c2
-                merged = canonical_mono(self.complex,
-                                        tuple(m1) + tuple(m2))
-                if self.discrete:
-                    if not mono_is_chain(self.complex, merged):
-                        continue
-                    acc = out.get(merged, self.field.zero()) + c
-                    if acc.is_zero:
-                        out.pop(merged, None)
-                    else:
-                        out[merged] = acc
-                else:
-                    for mono, mult in _straighten_counts(
-                            self.complex, merged).items():
-                        acc = out.get(mono, self.field.zero()) + c.scale_int(mult)
-                        if acc.is_zero:
-                            out.pop(mono, None)
-                        else:
-                            out[mono] = acc
+                merged = canonical_mono(self.complex, m1 + m2)
+                if not self.discrete:
+                    add_terms(out, ((mono, c.scale_int(mult)) for mono, mult
+                                    in _straighten_counts(self.complex,
+                                                          merged).items()))
+                elif mono_is_chain(self.complex, merged):
+                    add_terms(out, [(merged, c)])
         return RingElement(self.complex, self.field, self.discrete, out)
 
     def __rmul__(self, other):
@@ -198,14 +182,9 @@ class RingElement:
 
     def map_faces(self, perm: Sequence[int]) -> "RingElement":
         """Relabel every monomial along a rank-preserving face permutation."""
-        terms: dict[Mono, FieldElement] = {}
-        for m, c in self.terms.items():
-            new = canonical_mono(self.complex, ((perm[f], e) for f, e in m))
-            acc = terms.get(new, self.field.zero()) + c
-            if acc.is_zero:
-                terms.pop(new, None)
-            else:
-                terms[new] = acc
+        terms = add_terms({}, (
+            (canonical_mono(self.complex, ((perm[f], e) for f, e in m)), c)
+            for m, c in self.terms.items()))
         return RingElement(self.complex, self.field, self.discrete, terms)
 
     def convert(self, field: FieldSpec) -> "RingElement":
@@ -243,68 +222,60 @@ def term_sort_key(complex: BooleanComplex, mono: Mono):
 # -- straightening ------------------------------------------------------------------
 
 
-def _pick_incomparable_pair(complex: BooleanComplex, support: Sequence[int]):
-    """Default strategy: the incomparable pair of lowest combined rank."""
-    best = None
-    for i in range(len(support)):
-        for j in range(i + 1, len(support)):
-            a, b = support[i], support[j]
-            if not complex.comparable(a, b):
-                key = (complex.rank[a] + complex.rank[b], a, b)
-                if best is None or key < best[0]:
-                    best = (key, a, b)
-    return None if best is None else (best[1], best[2])
-
-
-def _rewrite_product(complex: BooleanComplex, counts: dict[int, int],
-                     a: int, b: int) -> list[dict[int, int]]:
+def _rewrite_product(complex: BooleanComplex, mono: Mono,
+                     a: int, b: int) -> list[Mono]:
     """Replace one factor x_a * x_b via the straightening relation.
 
-    Returns the list of child multisets (empty when a, b have no common
+    Returns the canonical child monomials (none when a, b have no common
     upper bound, so the term dies).
     """
     lub = complex.lub_set(a, b)
     if not lub:
         return []
-    meet = complex.meet(a, b)
-    base = dict(counts)
-    for f in (a, b):
-        base[f] -= 1
-        if base[f] == 0:
-            del base[f]
-    if meet != EMPTY:
-        base[meet] = base.get(meet, 0) + 1
-    children = []
-    for g in lub:
-        child = dict(base)
-        child[g] = child.get(g, 0) + 1
-        children.append(child)
-    return children
+    base = [(f, e - (f == a) - (f == b)) for f, e in mono]
+    base.append((complex.meet(a, b), 1))
+    return [canonical_mono(complex, base + [(g, 1)]) for g in lub]
 
 
-def _straighten_counts(complex: BooleanComplex, mono: Mono) -> dict[Mono, int]:
-    """Integer-coefficient normal form of a raw exponent multiset.
+def _straighten_counts(complex: BooleanComplex, mono: Mono,
+                       pick: Callable | None = None,
+                       memo: dict | None = None) -> dict[Mono, int]:
+    """Integer-coefficient normal form of a canonical exponent multiset.
 
-    Memoized on the complex; coefficients of the rewrite are nonnegative
-    integers, so one cache serves every coefficient field.  Terminates
-    because each rewrite strictly lowers the term's shape in dominance
-    order.
+    Depth first over an explicit stack of (monomial, children) frames, so
+    deep powers cannot exhaust the interpreter stack.  ``pick(pairs)``
+    chooses which incomparable support pair to rewrite; by default a pair
+    without common upper bound (the term dies at once), else the pair of
+    lowest combined rank.  ``memo`` defaults to the complex's cache, and a
+    key is written only once its result is complete.  Rewrite coefficients
+    are nonnegative integers, so one cache serves every coefficient field.
+    Terminates because each rewrite strictly lowers the term's shape in
+    dominance order.
     """
-    cached = complex._straighten_cache.get(mono)
-    if cached is not None:
-        return cached
-    counts = dict(mono)
-    pair = _pick_incomparable_pair(complex, sorted(counts))
-    if pair is None:
-        result = {canonical_mono(complex, counts.items()): 1}
-    else:
-        result = {}
-        for child in _rewrite_product(complex, counts, *pair):
-            key = canonical_mono(complex, child.items())
-            for m, k in _straighten_counts(complex, key).items():
-                result[m] = result.get(m, 0) + k
-    complex._straighten_cache[mono] = result
-    return result
+    memo = complex._straighten_cache if memo is None else memo
+    if pick is None:
+        up, rank = complex.up, complex.rank
+        pick = lambda pairs: min(pairs, key=lambda p: (
+            bool(up[p[0]] & up[p[1]]), rank[p[0]] + rank[p[1]], p))
+    stack: list[tuple[Mono, list[Mono] | None]] = [(mono, None)]
+    while stack:
+        m, children = stack.pop()
+        if m in memo:
+            continue
+        if children is not None:
+            memo[m] = add_terms({}, (mk for c in children
+                                     for mk in memo[c].items()))
+            continue
+        support = sorted(f for f, _ in m)
+        pairs = [(a, b) for i, a in enumerate(support) for b in support[i + 1:]
+                 if not complex.comparable(a, b)]
+        if not pairs:
+            memo[m] = {m: 1}
+            continue
+        children = _rewrite_product(complex, m, *pick(pairs))
+        stack.append((m, children))
+        stack.extend((c, None) for c in children if c not in memo)
+    return memo[mono]
 
 
 def straighten(complex: BooleanComplex, raw: Iterable[tuple[int | str, int]],
@@ -328,45 +299,25 @@ def straighten(complex: BooleanComplex, raw: Iterable[tuple[int | str, int]],
         if not mono_is_chain(complex, mono):
             return RingElement.zero(complex, field, True)
         return RingElement(complex, field, True, {mono: coeff})
-    out: dict[Mono, FieldElement] = {}
-    for m, k in _straighten_counts(complex, mono).items():
-        c = coeff.scale_int(k)
-        if not c.is_zero:
-            out[m] = c
-    return RingElement(complex, field, False, out)
+    return RingElement(complex, field, False,
+                       {m: coeff.scale_int(k)
+                        for m, k in _straighten_counts(complex, mono).items()})
 
 
 def straighten_with_strategy(complex: BooleanComplex,
                              raw: Iterable[tuple[int, int]],
                              field: FieldSpec,
                              choose: Callable) -> RingElement:
-    """Uncached straightening with a caller-supplied incomparable-pair picker.
+    """Straightening with a caller-supplied incomparable-pair picker and a
+    fresh memo.
 
     ``choose(pairs)`` receives the list of incomparable support pairs and
     returns one of them.  Used to exercise confluence: every strategy must
     produce the same element.
     """
-    mono = canonical_mono(complex, raw)
-    work: list[tuple[dict[int, int], int]] = [(dict(mono), 1)]
-    out: dict[Mono, FieldElement] = {}
-    while work:
-        counts, mult = work.pop()
-        support = sorted(counts)
-        pairs = [(a, b)
-                 for i, a in enumerate(support) for b in support[i + 1:]
-                 if not complex.comparable(a, b)]
-        if not pairs:
-            key = canonical_mono(complex, counts.items())
-            acc = out.get(key, field.zero()) + field.from_integer(mult)
-            if acc.is_zero:
-                out.pop(key, None)
-            else:
-                out[key] = acc
-            continue
-        a, b = choose(pairs)
-        for child in _rewrite_product(complex, counts, a, b):
-            work.append((child, mult))
-    return RingElement(complex, field, False, out)
+    counts = _straighten_counts(complex, canonical_mono(complex, raw), choose, {})
+    return RingElement(complex, field, False,
+                       {m: field.from_integer(k) for m, k in counts.items()})
 
 
 # -- parameters ---------------------------------------------------------------------
@@ -476,14 +427,8 @@ class ParameterPolynomial:
     def __add__(self, other: "ParameterPolynomial") -> "ParameterPolynomial":
         if self.n != other.n or self.field != other.field:
             raise FieldMismatch("parameter polynomials are incompatible")
-        terms = dict(self.terms)
-        for a, c in other.terms.items():
-            acc = terms.get(a, self.field.zero()) + c
-            if acc.is_zero:
-                terms.pop(a, None)
-            else:
-                terms[a] = acc
-        return ParameterPolynomial(self.n, self.field, terms)
+        return ParameterPolynomial(self.n, self.field,
+                                   add_terms(dict(self.terms), other.terms.items()))
 
     def __neg__(self) -> "ParameterPolynomial":
         return ParameterPolynomial(self.n, self.field,
@@ -498,12 +443,12 @@ class ParameterPolynomial:
 
     def evaluate(self, complex: BooleanComplex, variant: str,
                  balancing: Balancing | None = None) -> RingElement:
-        discrete = variant == "gamma"
-        out = RingElement.zero(complex, self.field, discrete)
+        terms: dict[Mono, FieldElement] = {}
         for a, c in sorted(self.terms.items()):
-            out = out + parameter_monomial(complex, a, variant, self.field,
-                                           balancing).scale(c)
-        return out
+            expansion = parameter_monomial(complex, a, variant, self.field,
+                                           balancing)
+            add_terms(terms, ((m, c * x) for m, x in expansion.terms.items()))
+        return RingElement(complex, self.field, variant == "gamma", terms)
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], FieldElement]]:
         return sorted(self.terms.items(),
@@ -533,12 +478,6 @@ class ParameterPolynomial:
 
     def __repr__(self) -> str:
         return f"<ParameterPolynomial {self}>"
-
-
-def eval_parameter_poly(complex: BooleanComplex, poly: ParameterPolynomial,
-                        variant: str,
-                        balancing: Balancing | None = None) -> RingElement:
-    return poly.evaluate(complex, variant, balancing)
 
 
 # -- graded enumeration --------------------------------------------------------------
@@ -640,12 +579,7 @@ def project_to_face(complex: BooleanComplex, beta: int | str,
         for f, e in mono:
             for v in complex.vertices_of(f):
                 vec[pos[v]] += e
-        key = tuple(vec)
-        acc = image.get(key, element.field.zero()) + coeff
-        if acc.is_zero:
-            image.pop(key, None)
-        else:
-            image[key] = acc
+        add_terms(image, [(tuple(vec), coeff)])
     return tuple(verts), image
 
 

@@ -11,7 +11,6 @@ comparison below.
 from __future__ import annotations
 
 import enum
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .errors import InputError, TooManyParts
@@ -57,10 +56,6 @@ class Dominance(enum.Enum):
     STRICTLY_BELOW = "strictly_below"
     INCOMPARABLE = "incomparable"
     DIFFERENT_WEIGHT = "different_weight"
-
-
-def add(lam: Partition, mu: Partition) -> Partition:
-    return lam + mu
 
 
 def sh(vec: Sequence[int]) -> Partition:
@@ -129,6 +124,10 @@ def partitions_of(d: int, max_part: int | None = None):
             yield Partition((first,) + tuple(rest))
 
 
-@lru_cache(maxsize=None)
 def count_partitions(d: int) -> int:
-    return sum(1 for _ in partitions_of(d))
+    """Number of partitions of d, by the coin-change recurrence over part sizes."""
+    ways = [1] + [0] * d
+    for part in range(1, d + 1):
+        for total in range(part, d + 1):
+            ways[total] += ways[total - part]
+    return ways[d]

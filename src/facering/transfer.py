@@ -20,7 +20,7 @@ from dataclasses import dataclass, field as dc_field
 from .coeff import FieldSpec
 from .complexes import SdMap
 from .errors import BasisInvalid, ComplexMismatch, InputError
-from .face_ring import Mono, ParameterPolynomial, RingElement
+from .face_ring import Mono, ParameterPolynomial, RingElement, add_terms
 from .cm_basis import CellBasis, represent_on_cell_basis
 from .partitions import count_partitions
 
@@ -89,11 +89,8 @@ class TransferContext:
     def from_cell_form(self, element: RingElement) -> RingElement:
         if element.complex is not self.sd.target or element.discrete:
             raise ComplexMismatch("expected a cell-form element")
-        terms: dict[Mono, object] = {}
-        for m, c in element.terms.items():
-            key = self.multichain_of_cell_mono(m)
-            acc = terms.get(key)
-            terms[key] = c if acc is None else acc + c
+        terms = add_terms({}, ((self.multichain_of_cell_mono(m), c)
+                               for m, c in element.terms.items()))
         return RingElement(self.sd.source, element.field, True, terms)
 
     def member_image(self, member: int) -> RingElement:
@@ -129,9 +126,7 @@ def express_on_transferred_basis(ctx: TransferContext, sd_basis: CellBasis,
         raise ComplexMismatch("expected an element of the face ring")
     if sd_basis.complex is not ctx.sd.target:
         raise ComplexMismatch("basis must live on the subdivision complex")
-    n = sd_basis.balancing.n
-    totals = {b: ParameterPolynomial.zero(n, ctx.field)
-              for b in sd_basis.members}
+    totals: dict[int, dict] = {b: {} for b in sd_basis.members}
     remainders: list[RingElement] = []
     cap = 1 + sum(count_partitions(d)
                   for d in sorted(element.degree_components()))
@@ -145,12 +140,16 @@ def express_on_transferred_basis(ctx: TransferContext, sd_basis: CellBasis,
         cell = ctx.to_cell_form(ctx.garsia_inverse(remainder))
         rep = represent_on_cell_basis(ctx.sd.target, sd_basis.balancing,
                                       ctx.field, sd_basis, cell)
-        evaluated = RingElement.zero(ctx.sd.source, ctx.field, False)
+        evaluated: dict[Mono, object] = {}
         for member, poly in rep.items():
-            totals[member] = totals[member] + poly
+            add_terms(totals[member], poly.terms.items())
             if not poly.is_zero:
-                evaluated = evaluated + (poly.evaluate(ctx.sd.source, "theta")
-                                         * ctx.member_image(member))
-        remainder = remainder - evaluated
+                add_terms(evaluated, (poly.evaluate(ctx.sd.source, "theta")
+                                      * ctx.member_image(member)).terms.items())
+        remainder = remainder - RingElement(ctx.sd.source, ctx.field, False,
+                                            evaluated)
         remainders.append(remainder)
-    return TransferRepresentation(totals, remainders)
+    n = sd_basis.balancing.n
+    return TransferRepresentation(
+        {b: ParameterPolynomial(n, ctx.field, t) for b, t in totals.items()},
+        remainders)

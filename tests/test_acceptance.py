@@ -21,7 +21,6 @@ from facering import (
     build_phi,
     close_group,
     compute_basis,
-    eval_parameter_poly,
     facet_vector,
     fine_vectors,
     graded_monomials,
@@ -80,15 +79,15 @@ def test_criterion_1_straightening_golden(double_edge):
 
 def test_criterion_2_parameter_expansions(double_edge):
     with criterion(2, "parameter expansion goldens"):
-        gamma_mono = eval_parameter_poly(
-            double_edge, poly(2, {(2, 1): 1}), "gamma")
+        gamma_mono = poly(2, {(2, 1): 1}).evaluate(
+            double_edge, "gamma")
         assert gamma_mono == (
             el(double_edge, [("v", 2), ("alpha", 1)], discrete=True)
             + el(double_edge, [("v", 2), ("beta", 1)], discrete=True)
             + el(double_edge, [("w", 2), ("alpha", 1)], discrete=True)
             + el(double_edge, [("w", 2), ("beta", 1)], discrete=True))
-        theta_mono = eval_parameter_poly(
-            double_edge, poly(2, {(2, 1): 1}), "theta")
+        theta_mono = poly(2, {(2, 1): 1}).evaluate(
+            double_edge, "theta")
         assert theta_mono == (
             el(double_edge, [("v", 2), ("alpha", 1)])
             + el(double_edge, [("v", 2), ("beta", 1)])
@@ -96,8 +95,8 @@ def test_criterion_2_parameter_expansions(double_edge):
             + el(double_edge, [("w", 2), ("beta", 1)])
             + el(double_edge, [("alpha", 2)], coeff=2)
             + el(double_edge, [("beta", 2)], coeff=2))
-        mod_two = eval_parameter_poly(
-            double_edge, poly(2, {(2, 1): 1}, GF2), "theta")
+        mod_two = poly(2, {(2, 1): 1}, GF2).evaluate(
+            double_edge, "theta")
         assert mod_two == (
             el(double_edge, [("v", 2), ("alpha", 1)], field=GF2)
             + el(double_edge, [("v", 2), ("beta", 1)], field=GF2)
@@ -295,17 +294,16 @@ def test_criterion_10_property_suites(double_edge, double_edge_balancing,
         for exps in itertools.product(range(3), repeat=2):
             if not 0 < sum(a * (j + 1) for j, a in enumerate(exps)) <= 6:
                 continue
-            gamma_mono = eval_parameter_poly(
-                double_edge, poly(2, dict([(exps, 1)])), "gamma")
+            gamma_mono = poly(2, dict([(exps, 1)])).evaluate(
+                double_edge, "gamma")
             assert sorted(gamma_mono.terms) == sorted(
                 graded_monomials(double_edge, shape=sh(exps)))
             assert all(c.is_one for c in gamma_mono.terms.values())
         for exps in itertools.product(range(3), repeat=3):
             if not 0 < sum(exps) <= 4:
                 continue
-            omega_mono = eval_parameter_poly(
-                disk, poly(3, dict([(exps, 1)])), "omega",
-                balancing=disk_balancing)
+            omega_mono = poly(3, dict([(exps, 1)])).evaluate(
+                disk, "omega", balancing=disk_balancing)
             assert sorted(omega_mono.terms) == sorted(graded_monomials(
                 disk, multidegree=exps, balancing=disk_balancing))
             assert all(c.is_one for c in omega_mono.terms.values())

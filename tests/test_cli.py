@@ -65,6 +65,13 @@ def test_straighten(docs, capsys):
     assert capsys.readouterr().out.strip() == "x[alpha] + x[beta]"
 
 
+def test_straighten_deep_power(docs, capsys):
+    code = run(["straighten", "--input", docs["double_edge"],
+                "--expr", "x[v]^3000*x[w]^3000"])
+    assert code == 0
+    assert capsys.readouterr().out.strip() == "x[alpha]^3000 + x[beta]^3000"
+
+
 def test_straighten_discrete_and_cell_letters(docs, capsys):
     code = run(["straighten", "--input", docs["double_edge"],
                 "--expr", "y[v]*y[w]"])

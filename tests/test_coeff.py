@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from facering.coeff import FieldSpec, from_integer, invert, is_unit_integer
+from facering.coeff import FieldSpec, invert, is_unit_integer
 from facering.errors import FieldMismatch, InputError
 
 Q = FieldSpec.rational()
@@ -12,15 +12,15 @@ F5 = FieldSpec.gf(5)
 
 
 def test_from_integer_examples():
-    assert from_integer(Q, 3).value == Fraction(3)
-    assert from_integer(F2, 3).value == 1
-    assert from_integer(F5, -1).value == 4
+    assert Q.from_integer(3).value == Fraction(3)
+    assert F2.from_integer(3).value == 1
+    assert F5.from_integer(-1).value == 4
 
 
 def test_invert_examples():
     two_thirds = Q.from_fraction(Fraction(2, 3))
     assert invert(two_thirds).value == Fraction(3, 2)
-    assert invert(from_integer(F5, 3)).value == 2
+    assert invert(F5.from_integer(3)).value == 2
     with pytest.raises(ZeroDivisionError):
         invert(Q.zero())
     with pytest.raises(ZeroDivisionError):

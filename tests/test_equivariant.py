@@ -17,7 +17,6 @@ from facering.equivariant import (
     automorphism_from_face_map,
     automorphism_from_vertex_map,
     simplex_complex,
-    trivial_group,
     verify_map,
 )
 from facering.errors import (
@@ -65,7 +64,7 @@ def asl(c, pairs, coeff=1, field=RATIONAL):
 def test_close_group_orders(double_edge, edge_swap, s3_group):
     assert close_group(double_edge, [edge_swap]).order == 2
     assert s3_group.order == 6
-    assert trivial_group(double_edge).order == 1
+    assert close_group(double_edge, []).order == 1
 
 
 def test_group_closure_properties(s3_group):
@@ -183,7 +182,7 @@ def test_garsia_is_fully_equivariant(double_edge, double_edge_sd, swap_group):
 
 
 def test_average_with_trivial_group(double_edge, de_phi):
-    averaged = average(de_phi, trivial_group(double_edge))
+    averaged = average(de_phi, close_group(double_edge, []))
     assert averaged.images == de_phi.images
 
 

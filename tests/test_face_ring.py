@@ -7,7 +7,6 @@ from facering import (
     Balancing,
     Partition,
     RingElement,
-    eval_parameter_poly,
     fine_vectors,
     graded_monomials,
     label_row_parameter,
@@ -27,7 +26,7 @@ from facering.face_ring import (
 )
 from facering.partitions import sh, strictly_dominates
 
-from conftest import GF2, RATIONAL
+from conftest import GF2, RATIONAL, make_double_edge
 
 
 def el(c, pairs, field=RATIONAL, coeff=1, discrete=False):
@@ -54,6 +53,16 @@ def test_straighten_chain_is_identity(double_edge):
 
 def test_straighten_no_upper_bound_is_zero(disjoint_edges):
     assert el(disjoint_edges, [("a", 1), ("b", 1)]).is_zero
+
+
+def test_deep_power_memo_stays_linear():
+    # x_v^k * x_w^k = x_alpha^k + x_beta^k; every term holding both edges dies
+    # at once, so the memo grows linearly in k, and no recursion is involved
+    c = make_double_edge()
+    k = 1000
+    got = el(c, [("v", k), ("w", k)])
+    assert got == el(c, [("alpha", k)]) + el(c, [("beta", k)])
+    assert len(c._straighten_cache) < 5 * k
 
 
 def test_empty_face_acts_as_one(double_edge):
@@ -167,7 +176,7 @@ def test_label_row_parameter(disk, disk_balancing):
 
 def test_gamma_monomial_expansion(double_edge):
     poly = ParameterPolynomial.monomial(2, RATIONAL, (2, 1))
-    got = eval_parameter_poly(double_edge, poly, "gamma")
+    got = poly.evaluate(double_edge, "gamma")
     expected = (el(double_edge, [("v", 2), ("alpha", 1)], discrete=True)
                 + el(double_edge, [("v", 2), ("beta", 1)], discrete=True)
                 + el(double_edge, [("w", 2), ("alpha", 1)], discrete=True)
@@ -177,7 +186,7 @@ def test_gamma_monomial_expansion(double_edge):
 
 def test_constant_parameter_poly(double_edge):
     poly = ParameterPolynomial.monomial(2, RATIONAL, (0, 0))
-    assert eval_parameter_poly(double_edge, poly, "theta") \
+    assert poly.evaluate(double_edge, "theta") \
         == RingElement.one(double_edge, RATIONAL)
 
 
@@ -185,7 +194,7 @@ def test_theta_monomial_matches_product(double_edge):
     poly = ParameterPolynomial.monomial(2, RATIONAL, (2, 1))
     theta1 = rank_row_parameter(double_edge, 1, RATIONAL)
     theta2 = rank_row_parameter(double_edge, 2, RATIONAL)
-    assert eval_parameter_poly(double_edge, poly, "theta") \
+    assert poly.evaluate(double_edge, "theta") \
         == theta1 * theta1 * theta2
 
 
@@ -228,7 +237,7 @@ def test_gamma_monomials_cover_shape_component(double_edge, triangle):
             if sum(exps) == 0 or sum(e * (j + 1) for j, e in enumerate(exps)) > 6:
                 continue
             poly = ParameterPolynomial.monomial(n, RATIONAL, exps)
-            got = eval_parameter_poly(c, poly, "gamma")
+            got = poly.evaluate(c, "gamma")
             lam = sh(exps)
             expected = graded_monomials(c, shape=lam)
             assert sorted(got.terms) == sorted(expected)
@@ -244,7 +253,7 @@ def test_theta_monomials_dominate_shape_component(double_edge, triangle):
             if sum(exps) == 0 or sum(e * (j + 1) for j, e in enumerate(exps)) > 6:
                 continue
             poly = ParameterPolynomial.monomial(n, RATIONAL, exps)
-            got = eval_parameter_poly(c, poly, "theta")
+            got = poly.evaluate(c, "theta")
             lam = sh(exps)
             top = set(graded_monomials(c, shape=lam))
             for m, coeff in got.terms.items():
@@ -263,7 +272,7 @@ def test_omega_monomials_cover_multidegree(disk, disk_balancing, double_edge_sd)
             if not 0 < sum(exps) <= 4:
                 continue
             poly = ParameterPolynomial.monomial(n, RATIONAL, exps)
-            got = eval_parameter_poly(c, poly, "omega", balancing=bal)
+            got = poly.evaluate(c, "omega", balancing=bal)
             expected = graded_monomials(c, multidegree=exps, balancing=bal)
             assert sorted(got.terms) == sorted(expected)
             assert all(coeff.is_one for coeff in got.terms.values())
@@ -275,7 +284,7 @@ def test_homogeneous_terms_sit_under_distinct_facets(disk, disk_balancing):
         if not 0 < sum(exps) <= 5:
             continue
         poly = ParameterPolynomial.monomial(3, RATIONAL, exps)
-        got = eval_parameter_poly(disk, poly, "omega", balancing=disk_balancing)
+        got = poly.evaluate(disk, "omega", balancing=disk_balancing)
         for eps in disk.facets:
             under = [m for m in got.terms
                      if all(disk.leq(f, eps) for f, _ in m)]

@@ -104,4 +104,5 @@ def test_dominance_partial_order_exhaustive():
 
 
 def test_partition_counts():
-    assert [count_partitions(d) for d in range(8)] == [1, 1, 2, 3, 5, 7, 11, 15]
+    assert [count_partitions(d) for d in [*range(8), 100]] == [
+        1, 1, 2, 3, 5, 7, 11, 15, 190569292]
