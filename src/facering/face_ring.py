@@ -364,23 +364,31 @@ def parameter_monomial(complex: BooleanComplex, exponents: Sequence[int],
     the discrete ring), ``omega`` (label rows on a balanced complex).
     Expansions are memoized over the rationals and converted.
     """
-    key = (_variant_key(variant, balancing), tuple(exponents))
-    cached = complex._param_cache.get(key)
-    if cached is None:
-        discrete = variant == "gamma"
-        exps = list(exponents)
-        j = next((i for i in range(len(exps)) if exps[i] > 0), None)
+    vkey = _variant_key(variant, balancing)
+    cache = complex._param_cache
+    discrete = variant == "gamma"
+    # Each key's expansion is the next key's (first nonzero exponent lowered
+    # by one) times that parameter.  Walk down the keys to the first one
+    # memoized, or to the monomial 1, then multiply back up in a loop, so no
+    # exponent is deep enough to exhaust the interpreter stack.
+    exps = list(exponents)
+    pending: list[tuple[tuple[int, ...], int]] = []
+    while (vkey, tuple(exps)) not in cache:
+        j = next((i for i, e in enumerate(exps) if e > 0), None)
         if j is None:
-            cached = RingElement.one(complex, RATIONAL, discrete)
+            cache[(vkey, tuple(exps))] = RingElement.one(complex, RATIONAL,
+                                                         discrete)
+            break
+        pending.append((tuple(exps), j))
+        exps[j] -= 1
+    cached = cache[(vkey, tuple(exps))]
+    for key, j in reversed(pending):
+        if variant == "omega":
+            param = label_row_parameter(complex, balancing, j + 1, RATIONAL)
         else:
-            exps[j] -= 1
-            lower = parameter_monomial(complex, exps, variant, RATIONAL, balancing)
-            if variant == "omega":
-                param = label_row_parameter(complex, balancing, j + 1, RATIONAL)
-            else:
-                param = rank_row_parameter(complex, j + 1, RATIONAL, discrete)
-            cached = lower * param
-        complex._param_cache[key] = cached
+            param = rank_row_parameter(complex, j + 1, RATIONAL, discrete)
+        cached = cached * param
+        cache[(vkey, key)] = cached
     return cached if field == RATIONAL else cached.convert(field)
 
 

@@ -29,7 +29,7 @@ from facering.face_ring import canonical_mono, mono_shape
 from facering.partitions import Partition, dominates, strictly_dominates
 from facering.transfer import TransferContext
 
-from conftest import GF2, RATIONAL
+from conftest import GF2, GF5, RATIONAL
 
 
 @pytest.fixture(scope="module")
@@ -318,3 +318,82 @@ def test_theta_product_staircase_terms_d2():
     assert got == expected
     for m in got:
         assert product.terms[m].is_one
+
+
+# -- verification on generators ----------------------------------------------------
+
+
+def reference_equivariant(apply_fn, source, field, group, bound):
+    """Equivariance checked the long way: apply the map to sigma.m for every
+    group element sigma; returns the verdict and the first failing degree."""
+    for d in range(bound + 1):
+        for m in graded_monomials(source, degree=d):
+            f = RingElement(source, field, True, {m: field.one()})
+            image = apply_fn(f)
+            for sigma in group:
+                if apply_fn(act(sigma, f)) != act(sigma, image):
+                    return False, d
+    return True, None
+
+
+def tetrahedron_with_s4():
+    from facering import barycentric_subdivision
+    c = simplex_complex(3)
+    group = close_group(c, [
+        automorphism_from_vertex_map(c, {"0": "1", "1": "0"}),
+        automorphism_from_vertex_map(c, {"0": "1", "1": "2", "2": "3", "3": "0"})])
+    return c, barycentric_subdivision(c), group
+
+
+def test_generator_check_matches_every_element_check(triangle, triangle_sd,
+                                                     s3_group):
+    from facering import verify_morphism
+    tetrahedron, tetrahedron_sd, s4_group = tetrahedron_with_s4()
+    for c, sd, group in [(triangle, triangle_sd, s3_group),
+                         (tetrahedron, tetrahedron_sd, s4_group)]:
+        assert 0 < len(group.generators) < group.order
+        basis = compute_basis(sd.target, sd.balancing, RATIONAL).basis
+        phi = build_phi(TransferContext(sd, RATIONAL), basis)
+        for morphism, expected in [(average(phi, group), True), (phi, False)]:
+            report = verify_morphism(morphism, group, degree_bound=4)
+            verdict, first = reference_equivariant(morphism.apply, c, RATIONAL,
+                                                   group, 4)
+            assert report.equivariant == verdict == expected
+            failing = [f["degree"] for f in report.failures
+                       if f["kind"] == "equivariance"]
+            assert (failing[0] if failing else None) == first
+            if not expected:
+                assert first == 3
+                # at most one entry per failing generator per degree
+                for d in set(failing):
+                    assert failing.count(d) <= len(group.generators)
+
+
+def test_generators_of_trivial_group(double_edge, edge_swap):
+    assert close_group(double_edge, []).generators == ()
+    identity = edge_swap.compose(edge_swap)
+    assert close_group(double_edge, [identity]).generators == ()
+    assert close_group(double_edge, [edge_swap, edge_swap]).generators \
+        == (edge_swap,)
+
+
+@pytest.mark.parametrize("field", [RATIONAL, GF5], ids=["rational", "gf:5"])
+def test_product_memo_matches_reference(triangle, triangle_sd, s3_group, field):
+    from facering.cm_basis import represent_on_cell_basis
+    ctx = TransferContext(triangle_sd, field)
+    basis = compute_basis(triangle_sd.target, triangle_sd.balancing, field).basis
+    morphism = average(build_phi(ctx, basis), s3_group)
+    bound = 0
+    for d in range(7):
+        monos = graded_monomials(triangle, degree=d)
+        bound += len(monos)
+        for m in monos:
+            f = RingElement(triangle, field, True, {m: field.one()})
+            rep = represent_on_cell_basis(triangle_sd.target, basis.balancing,
+                                          field, basis, ctx.to_cell_form(f))
+            expected = RingElement.zero(triangle, field)
+            for member, poly in rep.items():
+                expected = expected + (poly.evaluate(triangle, "theta")
+                                       * morphism.images[member])
+            assert morphism.apply(f) == expected
+        assert len(morphism._product_cache) <= bound

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -7,6 +8,7 @@ from facering import (
     Balancing,
     Partition,
     RingElement,
+    build_from_facets,
     fine_vectors,
     graded_monomials,
     label_row_parameter,
@@ -63,6 +65,41 @@ def test_deep_power_memo_stays_linear():
     got = el(c, [("v", k), ("w", k)])
     assert got == el(c, [("alpha", k)]) + el(c, [("beta", k)])
     assert len(c._straighten_cache) < 5 * k
+
+
+def test_deep_parameter_power_needs_no_recursion():
+    # theta_1^k on a point is x_0^k; the expansion walks its prefix chain in
+    # a loop, so a recursion limit below k is no obstacle
+    from facering.face_ring import parameter_monomial
+    c = build_from_facets([["0"]])
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    k = 2 * (depth + 100)
+    sys.setrecursionlimit(depth + 100)
+    try:
+        got = parameter_monomial(c, (k,), "theta", RATIONAL)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == el(c, [("0", k)])
+    assert len(c._param_cache) == k + 1
+
+
+def test_parameter_memo_keys_follow_the_prefix_chain():
+    # each expansion lowers the first nonzero exponent once, and every prefix
+    # on that chain is memoized
+    from facering.face_ring import parameter_monomial
+    c = make_double_edge()
+    theta1 = rank_row_parameter(c, 1, RATIONAL)
+    theta2 = rank_row_parameter(c, 2, RATIONAL)
+    assert parameter_monomial(c, (2, 1), "theta", RATIONAL) \
+        == theta2 * theta1 * theta1
+    assert set(c._param_cache) == {(("theta",), a) for a in
+                                   [(2, 1), (1, 1), (0, 1), (0, 0)]}
+    assert c._param_cache[(("theta",), (1, 1))] == theta2 * theta1
+    parameter_monomial(c, (3, 1), "theta", RATIONAL)
+    assert len(c._param_cache) == 5
 
 
 def test_empty_face_acts_as_one(double_edge):
