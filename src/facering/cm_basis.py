@@ -22,6 +22,7 @@ from .complexes import (
     EMPTY,
     Balancing,
     BooleanComplex,
+    mask_members,
     require_valid_balancing,
 )
 from .errors import BasisInvalid, FieldMismatch, InputError, OrderNotCompatible
@@ -34,22 +35,30 @@ from .face_ring import (
 )
 from .linalg import RowSpan, rref
 
-FacetVector = tuple[FieldElement, ...]
+Columns = tuple[int, dict[int, int]]
+
+
+def _columns(facets: Sequence[int]) -> Columns:
+    """Bitmask of ``facets`` and the column of each facet."""
+    return sum(1 << eps for eps in facets), {eps: j for j, eps in enumerate(facets)}
+
+
+def _incidence(complex: BooleanComplex, face: int,
+               columns: Columns) -> dict[int, int]:
+    """Sparse 0/1 incidence ``{column: 1}`` of the face with the facets of
+    ``columns``, read off the face's upset."""
+    mask, column = columns
+    return {column[eps]: 1 for eps in mask_members(complex.up[face] & mask)}
 
 
 def facet_vector(complex: BooleanComplex, face: int | str,
-                 field: FieldSpec) -> FacetVector:
+                 field: FieldSpec) -> tuple[FieldElement, ...]:
     """0/1 incidence of the face with each facet, in facet order."""
     if not complex.is_pure():
         raise InputError("facet vectors need a pure complex")
-    return _incidence(complex, complex.resolve(face), complex.facets, field)
-
-
-def _incidence(complex: BooleanComplex, face: int, facets: Sequence[int],
-               field: FieldSpec) -> FacetVector:
-    """0/1 incidence of the face with each of ``facets``."""
+    row = _incidence(complex, complex.resolve(face), _columns(complex.facets))
     one, zero = field.one(), field.zero()
-    return tuple(one if complex.leq(face, eps) else zero for eps in facets)
+    return tuple(one if j in row else zero for j in range(len(complex.facets)))
 
 
 def selected_facets(complex: BooleanComplex, balancing: Balancing,
@@ -79,17 +88,25 @@ def default_processing_order(complex: BooleanComplex,
 def validate_processing_order(complex: BooleanComplex, balancing: Balancing,
                               order: Sequence[int | str]) -> list[int]:
     """Check that an explicit order covers every face and refines containment
-    of label sets (strictly smaller label sets come first)."""
+    of label sets (strictly smaller label sets come first).
+
+    A violation names the pair of positions i < j with the smallest i, then j.
+    """
     idx = [complex.resolve(f) for f in order]
     if sorted(idx) != list(range(len(complex))):
         raise OrderNotCompatible("order must list every face exactly once")
-    for i in range(len(idx)):
-        for j in range(i + 1, len(idx)):
-            a, b = idx[i], idx[j]
-            if balancing.label_set(b) < balancing.label_set(a):
-                raise OrderNotCompatible(
-                    f"face {complex.ids[b]!r} must be processed before "
-                    f"{complex.ids[a]!r}: its label set is strictly smaller")
+    first: dict[frozenset[int], int] = {}
+    pairs: list[tuple[int, int]] = []
+    for j, b in enumerate(idx):
+        labels = balancing.label_set(b)
+        pairs += [(i, j) for s, i in first.items() if labels < s]
+        first.setdefault(labels, j)
+    if pairs:
+        i, j = min(pairs)
+        a, b = idx[i], idx[j]
+        raise OrderNotCompatible(
+            f"face {complex.ids[b]!r} must be processed before "
+            f"{complex.ids[a]!r}: its label set is strictly smaller")
     return idx
 
 
@@ -98,11 +115,12 @@ class _SelectedData:
     """Incidence data of the basis members inside one label-selected subcomplex.
 
     ``facets`` lists the facets of that subcomplex as indices of the parent
-    complex (see :func:`selected_facets`); ``span`` holds the members' 0/1
-    incidence rows against them.
+    complex (see :func:`selected_facets`), and ``columns`` gives their mask
+    and columns; ``span`` holds the members' 0/1 incidence rows against them.
     """
 
     facets: list[int]
+    columns: Columns
     members: list[int]
     span: RowSpan
 
@@ -118,8 +136,6 @@ class CellBasis:
         self.field = field
         self.members = tuple(members)
         self.span = span
-        self.facet_vectors = {m: facet_vector(complex, m, field)
-                              for m in self.members}
         self._selected: dict[frozenset[int], _SelectedData] = {}
 
     def label_set(self, member: int) -> frozenset[int]:
@@ -143,14 +159,15 @@ class CellBasis:
             raise BasisInvalid(
                 f"label set {sorted(key)}: {len(members)} members against "
                 f"{len(facets)} facets of the selected subcomplex")
+        columns = _columns(facets)
         span = RowSpan(self.field, len(facets))
         for m in members:
-            rep = span.insert(m, _incidence(self.complex, m, facets, self.field))
+            rep = span.insert(m, _incidence(self.complex, m, columns))
             if rep is not None:
                 raise BasisInvalid(
                     f"label set {sorted(key)}: facet vectors of the selected "
                     f"members are linearly dependent")
-        data = _SelectedData(facets, members, span)
+        data = _SelectedData(facets, columns, members, span)
         self._selected[key] = data
         return data
 
@@ -190,6 +207,7 @@ def compute_basis(complex: BooleanComplex, balancing: Balancing,
     else:
         idx_order = validate_processing_order(complex, balancing, order)
     m = len(complex.facets)
+    columns = _columns(complex.facets)
     full = frozenset(range(1, balancing.n + 1))
     span = RowSpan(field, m)
     members: list[int] = []
@@ -199,7 +217,7 @@ def compute_basis(complex: BooleanComplex, balancing: Balancing,
             break
         if trace is not None:
             trace(face, span)
-        rep = span.insert(face, facet_vector(complex, face, field))
+        rep = span.insert(face, _incidence(complex, face, columns))
         if rep is None:
             members.append(face)
             continue
@@ -238,10 +256,11 @@ def verify_basis(complex: BooleanComplex, balancing: Balancing,
             square = len(chosen) == len(facets)
             nonsingular = False
             if square:
+                columns = _columns(facets)
                 span = RowSpan(field, len(facets))
                 nonsingular = all(
-                    span.insert(m, _incidence(complex, m, facets, field))
-                    is None for m in chosen)
+                    span.insert(m, _incidence(complex, m, columns)) is None
+                    for m in chosen)
             per[s] = {"members": len(chosen), "facets": len(facets),
                       "square": square, "nonsingular": nonsingular}
             valid = valid and square and nonsingular
@@ -255,7 +274,8 @@ def subspace_M_S(complex: BooleanComplex, balancing: Balancing,
     component)."""
     require_valid_balancing(complex, balancing)
     key = frozenset(labels)
-    rows = [facet_vector(complex, f, field) for f in range(len(complex))
+    columns = _columns(complex.facets)
+    rows = [_incidence(complex, f, columns) for f in range(len(complex))
             if balancing.label_set(f) == key]
     return rref(rows, field, len(complex.facets))
 
@@ -296,8 +316,7 @@ def represent_on_cell_basis(complex: BooleanComplex, balancing: Balancing,
         exps, top = _collapse(complex, balancing, mono)
         labels = balancing.label_set(top)
         data = basis.selected(labels)
-        vec = _incidence(complex, top, data.facets, field)
-        combo = data.span.represent(vec)
+        combo = data.span.represent(_incidence(complex, top, data.columns))
         if combo is None:
             raise BasisInvalid(
                 f"generator of face {complex.ids[top]!r} is outside the span "

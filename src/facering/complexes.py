@@ -36,6 +36,14 @@ from .errors import (
 EMPTY = 0  # index of the empty face in every complex
 
 
+def mask_members(mask: int):
+    """Indices of the set bits of a face bitmask, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 class BooleanComplex:
     """Augmented face poset of a boolean complex, with derived caches.
 
@@ -56,33 +64,22 @@ class BooleanComplex:
             dup = next(i for i in self.ids if i in seen or seen.add(i))
             raise DuplicateFaceId(f"duplicate face id {dup!r}")
         self.index_of: dict[str, int] = {fid: i for i, fid in enumerate(self.ids)}
-        n_faces = len(self.ids)
 
         cover_idx: list[tuple[int, ...]] = [()]
-        for fid, cs in zip(ids, covers):
-            if not cs:
-                cover_idx.append((EMPTY,))
-            else:
-                row = []
-                for c in cs:
-                    if c not in self.index_of:
-                        raise UnknownFace(c)
-                    row.append(self.index_of[c])
-                cover_idx.append(tuple(sorted(set(row))))
+        for cs in covers:
+            for c in cs:
+                if c not in self.index_of:
+                    raise UnknownFace(c)
+            cover_idx.append(tuple(sorted({self.index_of[c] for c in cs}))
+                             or (EMPTY,))
         self.covers: tuple[tuple[int, ...], ...] = tuple(cover_idx)
 
-        self.rank: tuple[int, ...] = self._compute_ranks()
-        self.down: tuple[int, ...] = self._compute_downsets()
-        self.up: tuple[int, ...] = self._compute_upsets()
-        self.atoms: tuple[int, ...] = tuple(
-            self._mask_filter(self.down[f], lambda g: self.rank[g] == 1)
-            for f in range(n_faces))
+        self.rank, self.down, self.up = self._ranks_and_bounds()
+        vertex_mask = sum(1 << v for v in self.vertices())
+        self.atoms: tuple[int, ...] = tuple(d & vertex_mask for d in self.down)
         self._validate_boolean_intervals()
 
-        covered_by_something = set()
-        for f in range(n_faces):
-            covered_by_something.update(self.covers[f])
-        maximal = [f for f in range(n_faces) if f not in covered_by_something]
+        maximal = [f for f in range(len(self.ids)) if self.up[f] == 1 << f]
         if facet_order is not None:
             order = []
             for fid in facet_order:
@@ -127,70 +124,48 @@ class BooleanComplex:
             raise NotRanked(f"cover relations contain a cycle through {stuck}")
         return order
 
-    def _compute_ranks(self) -> tuple[int, ...]:
-        rank = [-1] * len(self.ids)
-        for f in self._topo_order():
+    def _ranks_and_bounds(self) -> tuple[tuple[int, ...], ...]:
+        """Ranks, and downsets and upsets as face bitmasks, from one pass up
+        the topological order and one pass down it."""
+        order = self._topo_order()
+        rank = [0] * len(order)
+        down = [1 << f for f in range(len(order))]
+        for f in order:
             if f == EMPTY:
-                rank[f] = 0
                 continue
             ranks_below = {rank[c] for c in self.covers[f]}
             if len(ranks_below) != 1:
                 raise NotRanked(
                     f"face {self.ids[f]!r} covers faces of unequal rank")
             rank[f] = ranks_below.pop() + 1
-        return tuple(rank)
-
-    def _compute_downsets(self) -> tuple[int, ...]:
-        down = [0] * len(self.ids)
-        for f in sorted(range(len(self.ids)), key=lambda g: self.rank[g]):
-            m = 1 << f
             for c in self.covers[f]:
-                m |= down[c]
-            down[f] = m
-        return tuple(down)
-
-    def _compute_upsets(self) -> tuple[int, ...]:
-        up = [1 << f for f in range(len(self.ids))]
-        for f in sorted(range(len(self.ids)), key=lambda g: -self.rank[g]):
+                down[f] |= down[c]
+        up = [1 << f for f in range(len(order))]
+        for f in reversed(order):
             for c in self.covers[f]:
                 up[c] |= up[f]
-        return tuple(up)
-
-    @staticmethod
-    def _mask_members(mask: int):
-        while mask:
-            low = mask & -mask
-            yield low.bit_length() - 1
-            mask ^= low
-
-    def _mask_filter(self, mask: int, keep) -> int:
-        out = 0
-        for f in self._mask_members(mask):
-            if keep(f):
-                out |= 1 << f
-        return out
+        return tuple(rank), tuple(down), tuple(up)
 
     def _validate_boolean_intervals(self) -> None:
+        """Check that every lower interval is a boolean lattice.
+
+        At every face f of rank r: f has r atoms, ``down f`` has 2^r faces,
+        and no two of them share an atom set, so ``b -> atoms b`` is a
+        bijection from ``down f`` onto the subsets of ``atoms f``.  Atom sets
+        then order faces with no check of their own: if ``atoms b`` is inside
+        ``atoms c`` with b, c <= f, the bijection at c gives b' <= c with the
+        atoms of b, and injectivity at f gives b = b', so b <= c.
+        """
         for f in range(len(self.ids)):
             r = self.rank[f]
-            members = list(self._mask_members(self.down[f]))
-            if bin(self.atoms[f]).count("1") != r or len(members) != 1 << r:
+            down = self.down[f]
+            if self.atoms[f].bit_count() != r or down.bit_count() != 1 << r:
                 raise LowerIntervalNotBoolean(
                     f"lower interval of face {self.ids[f]!r} is not a boolean "
                     f"lattice of rank {r}")
-            seen = set()
-            for b in members:
-                if self.atoms[b] in seen:
-                    raise LowerIntervalNotBoolean(
-                        f"two faces below {self.ids[f]!r} share a vertex set")
-                seen.add(self.atoms[b])
-            for b, c in itertools.combinations(members, 2):
-                below = self.leq(b, c) or self.leq(c, b)
-                contained = (self.atoms[b] | self.atoms[c]) in (self.atoms[b],
-                                                                self.atoms[c])
-                if below != contained:
-                    raise LowerIntervalNotBoolean(
-                        f"vertex sets below {self.ids[f]!r} do not order faces")
+            if len({self.atoms[b] for b in mask_members(down)}) != 1 << r:
+                raise LowerIntervalNotBoolean(
+                    f"two faces below {self.ids[f]!r} share a vertex set")
 
     def _count_maximal_chains(self) -> int:
         count = [0] * len(self.ids)
@@ -221,13 +196,13 @@ class BooleanComplex:
         return self.leq(a, b) or self.leq(b, a)
 
     def downset(self, f: int) -> list[int]:
-        return list(self._mask_members(self.down[f]))
+        return list(mask_members(self.down[f]))
 
     def vertices(self) -> list[int]:
         return [f for f in range(len(self.ids)) if self.rank[f] == 1]
 
     def vertices_of(self, f: int) -> list[int]:
-        return list(self._mask_members(self.atoms[f]))
+        return list(mask_members(self.atoms[f]))
 
     def faces_of_rank(self, r: int) -> list[int]:
         return [f for f in range(len(self.ids)) if self.rank[f] == r]
@@ -243,7 +218,7 @@ class BooleanComplex:
     def lub_set(self, a: int, b: int) -> list[int]:
         """Minimal common upper bounds of two faces (possibly empty)."""
         ub = self.up[a] & self.up[b]
-        return [g for g in self._mask_members(ub) if self.down[g] & ub == 1 << g]
+        return [g for g in mask_members(ub) if self.down[g] & ub == 1 << g]
 
     def meet(self, a: int, b: int) -> int:
         """Greatest common lower bound, defined whenever a common upper bound exists."""
@@ -252,7 +227,7 @@ class BooleanComplex:
                 f"faces {self.ids[a]!r} and {self.ids[b]!r} have no common "
                 f"upper bound")
         common = self.down[a] & self.down[b]
-        best = max(self._mask_members(common), key=lambda f: self.rank[f])
+        best = max(mask_members(common), key=lambda f: self.rank[f])
         # inside a boolean interval the common lower bounds form the downset
         # of the meet, so the maximum is unique
         return best
@@ -353,6 +328,8 @@ def build_from_poset(faces: Iterable[Mapping], facet_order: Sequence[str] | None
         covers.append([str(c) for c in cs])
     if not ids:
         raise EmptyInput("a complex needs at least one face")
+    if facet_order is not None:
+        facet_order = [str(f) for f in facet_order]
     return BooleanComplex(ids, covers, facet_order)
 
 
@@ -433,9 +410,8 @@ def barycentric_subdivision(complex: BooleanComplex) -> SdMap:
     def grow(chain: tuple[int, ...]) -> None:
         chains.append(chain)
         top = chain[-1]
-        for g in range(1, len(complex)):
-            if g != top and complex.leq(top, g):
-                grow(chain + (g,))
+        for g in mask_members(complex.up[top] ^ 1 << top):
+            grow(chain + (g,))
 
     for f in range(1, len(complex)):
         grow((f,))

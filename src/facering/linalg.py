@@ -11,21 +11,22 @@ its nonzero entries, and the coefficients on the inserted vectors are raw
 scalars too.  A raw scalar is a residue in ``[0, p)`` over GF(p).  Over Q it
 is a Python ``int`` while the value is integral and a ``Fraction`` otherwise,
 so the 0/1 facet vectors of the Cohen-Macaulay test eliminate in integer
-arithmetic.  Q and GF(p) share one elimination loop.  Dense
-:class:`FieldElement` sequences come in, and field elements go out, only at
-the public methods.
+arithmetic.  Q and GF(p) share one elimination loop.  The public methods take
+a vector either as a dense :class:`FieldElement` sequence or as a sparse
+mapping ``{column: raw scalar}``; field elements go out.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Hashable, Sequence
+from typing import Hashable, Mapping, Sequence
 
 from .coeff import FieldElement, FieldSpec
 from .errors import FieldMismatch
 
 Raw = int | Fraction
 SparseRow = dict[int, Raw]
+Vector = Sequence[FieldElement] | Mapping[int, Raw]
 
 
 def _normal(x: Raw, p: int | None) -> Raw:
@@ -67,10 +68,14 @@ class RowSpan:
     def dim(self) -> int:
         return len(self.rows)
 
-    def _sparse(self, vec: Sequence[FieldElement]) -> SparseRow:
+    def _sparse(self, vec: Vector) -> SparseRow:
+        field = self.field
+        if isinstance(vec, Mapping):
+            if vec and (min(vec) < 0 or max(vec) >= self.width):
+                raise ValueError("vector width mismatch")
+            return {j: y for j, x in vec.items() if (y := _normal(x, field.p))}
         if len(vec) != self.width:
             raise ValueError("vector width mismatch")
-        field = self.field
         out: SparseRow = {}
         for j, x in enumerate(vec):
             v = x.value
@@ -107,7 +112,7 @@ class RowSpan:
     def _wrap(self, combo: dict[Hashable, Raw]) -> dict[Hashable, FieldElement]:
         return {t: self._element(c) for t, c in combo.items() if c}
 
-    def insert(self, tag: Hashable, vec: Sequence[FieldElement]):
+    def insert(self, tag: Hashable, vec: Vector):
         """Add a tagged vector to the span.
 
         Returns ``None`` if the vector was independent (the span grew), or
@@ -127,7 +132,7 @@ class RowSpan:
         self.rows.append((pivot, row, {t: c for t, c in rcombo.items() if c}))
         return None
 
-    def represent(self, vec: Sequence[FieldElement]):
+    def represent(self, vec: Vector):
         """Representation of ``vec`` on the inserted vectors, or None if outside."""
         residual = self._sparse(vec)
         combo = self._reduce(residual)
@@ -135,13 +140,13 @@ class RowSpan:
             return None
         return self._wrap(combo)
 
-    def contains(self, vec: Sequence[FieldElement]) -> bool:
+    def contains(self, vec: Vector) -> bool:
         residual = self._sparse(vec)
         self._reduce(residual)
         return not residual
 
 
-def rref(rows: Sequence[Sequence[FieldElement]], field: FieldSpec,
+def rref(rows: Sequence[Vector], field: FieldSpec,
          width: int) -> list[list[FieldElement]]:
     """Canonical reduced row echelon form (rows sorted by pivot column)."""
     span = RowSpan(field, width)

@@ -1,6 +1,11 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, strategies as st
 
 from facering.cli import run
 
@@ -234,6 +239,8 @@ MALFORMED = {
     "covers-not-a-list": (
         {"kind": "poset", "faces": [{"id": "v", "covers": 5}]}, None, None),
     "facet-order-not-a-list": (dict(DOUBLE_EDGE, facet_order=3), None, None),
+    "facet-order-entry-a-list": (
+        dict(DOUBLE_EDGE, facet_order=[["alpha"], "beta"]), None, None),
 }
 
 
@@ -258,3 +265,38 @@ def test_malformed_documents_exit_2(name, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert "Traceback" not in captured.err
+
+
+# JSON values of every kind, small; the alphabet includes the separators that
+# subdivision and simplicial face ids are joined with
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3)
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text("ab_,", max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text("abid", max_size=2), inner, max_size=3),
+    max_leaves=6)
+FACE_ID = st.sampled_from(["a", "b", "c", "d"]) | JSON
+FACE = JSON | st.fixed_dictionaries(
+    {"id": FACE_ID}, optional={"covers": st.lists(FACE_ID, max_size=3) | JSON})
+COMPLEX_DOCUMENTS = (
+    st.fixed_dictionaries(
+        {"kind": st.just("poset"), "faces": st.lists(FACE, max_size=7) | JSON},
+        optional={"facet_order": st.lists(FACE_ID, max_size=3) | JSON})
+    | st.fixed_dictionaries(
+        {"kind": st.just("simplicial"),
+         "facets": st.lists(st.lists(FACE_ID, max_size=4) | JSON, max_size=3)
+         | JSON})
+    | st.fixed_dictionaries({"kind": JSON}) | JSON)
+
+
+@given(COMPLEX_DOCUMENTS)
+def test_malformed_documents_fuzz(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "complex.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(["check-cm", "--sd", "--input", path])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

@@ -20,6 +20,9 @@ from facering import (
     verify_basis,
 )
 from facering.cm_basis import (
+    _columns,
+    _incidence,
+    default_processing_order,
     evaluate_cell_representation,
     selected_facets,
     validate_processing_order,
@@ -59,6 +62,26 @@ def test_facet_vector_of_facet_is_unit(disk):
     for i, eps in enumerate(disk.facets):
         v = vec_values(facet_vector(disk, eps, RATIONAL))
         assert v == [1 if j == i else 0 for j in range(len(disk.facets))]
+
+
+@pytest.mark.parametrize("case", ["sd-tetrahedron", "disk"])
+def test_sparse_incidence_matches_dense_facet_vector(case, disk, disk_balancing):
+    if case == "disk":
+        c, bal = disk, disk_balancing
+    else:
+        sd = barycentric_subdivision(build_from_facets([["0", "1", "2", "3"]]))
+        c, bal = sd.target, sd.balancing
+    facet_lists = [c.facets] + [
+        selected_facets(c, bal, frozenset(s)) for r in range(bal.n + 1)
+        for s in itertools.combinations(range(1, bal.n + 1), r)]
+    for facets in facet_lists:
+        columns = _columns(facets)
+        for f in range(len(c)):
+            dense = [1 if c.leq(f, eps) else 0 for eps in facets]
+            row = _incidence(c, f, columns)
+            assert [row.get(j, 0) for j in range(len(facets))] == dense
+            if facets is c.facets:
+                assert vec_values(facet_vector(c, f, RATIONAL)) == dense
 
 
 def test_facet_vector_requires_pure():
@@ -114,6 +137,39 @@ def test_incompatible_order_rejected(disjoint_edges, disjoint_edges_balancing):
     with pytest.raises(OrderNotCompatible):
         compute_basis(disjoint_edges, disjoint_edges_balancing, RATIONAL,
                       order=["", "a", "b", "c", "d", "a,c"])
+
+
+def test_order_violation_matches_quadratic_reference():
+    sd = barycentric_subdivision(build_from_facets([["0", "1", "2", "3"]]))
+    c, bal = sd.target, sd.balancing
+
+    def reference(order):
+        for i in range(len(order)):
+            for j in range(i + 1, len(order)):
+                a, b = order[i], order[j]
+                if bal.label_set(b) < bal.label_set(a):
+                    return (f"face {c.ids[b]!r} must be processed before "
+                            f"{c.ids[a]!r}: its label set is strictly smaller")
+        return None
+
+    rng = random.Random(3)
+    compatible = default_processing_order(c, bal)
+    for trial in range(40):
+        order = list(compatible)
+        if trial % 2:
+            rng.shuffle(order)
+        else:
+            # a few swaps of a compatible order put the first violation late
+            for _ in range(trial // 8):
+                i, j = rng.sample(range(len(order)), 2)
+                order[i], order[j] = order[j], order[i]
+        expected = reference(order)
+        if expected is None:
+            assert validate_processing_order(c, bal, order) == order
+            continue
+        with pytest.raises(OrderNotCompatible) as info:
+            validate_processing_order(c, bal, order)
+        assert str(info.value) == expected
 
 
 def _random_compatible_order(c, balancing, rng):
@@ -474,6 +530,7 @@ def test_rowspan_matches_dense_reference(field):
     for _ in range(40):
         width = rng.randint(1, 6)
         span = RowSpan(field, width)
+        twin = RowSpan(field, width)  # fed the dict form of each vector
         independent = []  # (tag, raw vector) in insertion order
         for tag in range(rng.randint(1, 9)):
             if independent and rng.random() < 0.4:
@@ -489,11 +546,16 @@ def test_rowspan_matches_dense_reference(field):
             non_integral += sum(1 for x in vec
                                 if p is None and Fraction(x).denominator != 1)
             elements = [field.from_fraction(Fraction(x)) for x in vec]
+            # the same vector as a dict of raw scalars, zeros and integral
+            # Fractions included, must give the same answers
+            row = dict(enumerate(vec))
             expected = _dense_solve([v for _, v in independent], vec, p)
             assert span.contains(elements) == (expected is not None)
+            assert twin.contains(row) == (expected is not None)
             rep = span.represent(elements)
+            assert twin.represent(row) == rep
             got = span.insert(tag, elements)
-            assert got == rep
+            assert twin.insert(tag, row) == got == rep
             if expected is None:
                 assert got is None
                 independent.append((tag, vec))
@@ -502,7 +564,9 @@ def test_rowspan_matches_dense_reference(field):
                            for (t, _), c in zip(independent, expected) if c != 0}
             if p is None:
                 assert all(type(c.value) is Fraction for c in got.values())
-        assert span.dim == len(independent)
+        assert span.dim == twin.dim == len(independent)
+        with pytest.raises(ValueError):
+            twin.contains({width: 1})
     if p is None:
         assert non_integral > 0
 

@@ -1,9 +1,12 @@
+import itertools
 from math import comb, factorial
 
 import pytest
+from hypothesis import given, strategies as st
 
 from facering import (
     Balancing,
+    BooleanComplex,
     barycentric_subdivision,
     build_from_facets,
     build_from_poset,
@@ -14,6 +17,7 @@ from facering.complexes import EMPTY
 from facering.errors import (
     DuplicateFaceId,
     EmptyInput,
+    InvalidComplex,
     LowerIntervalNotBoolean,
     NoCommonUpperBound,
     NotRanked,
@@ -56,6 +60,99 @@ def test_unequal_cover_ranks_rejected():
             {"id": "e", "covers": ["a"]},
             {"id": "f", "covers": ["e", "a"]},
         ])
+
+
+def test_shared_vertex_set_rejected():
+    # two edges on {a, b} under one triangle: the counts at t are right
+    # (3 atoms, 8 faces), but the vertex sets below t are not distinct
+    with pytest.raises(LowerIntervalNotBoolean,
+                       match="two faces below 't' share a vertex set"):
+        build_from_poset([
+            {"id": "a"}, {"id": "b"}, {"id": "c"},
+            {"id": "e1", "covers": ["a", "b"]},
+            {"id": "e2", "covers": ["a", "b"]},
+            {"id": "e3", "covers": ["b", "c"]},
+            {"id": "t", "covers": ["e1", "e2", "e3"]},
+        ])
+
+
+# cover lists (indices of nonempty faces) of small boolean complexes: a
+# vertex, the double edge, a path, the filled triangle, and a triangle with
+# one doubled edge
+BOOLEAN_BASES = [
+    [[]],
+    [[], [], [0, 1], [0, 1]],
+    [[], [], [], [], [0, 1], [1, 2], [2, 3]],
+    [[], [], [], [0, 1], [1, 2], [0, 2], [3, 4, 5]],
+    [[], [], [], [0, 1], [0, 1], [1, 2], [0, 2], [3, 5, 6]],
+]
+
+
+@st.composite
+def hasse_diagrams(draw):
+    """Covers of at most 9 nonempty faces as indices in any order: random,
+    or a small boolean complex relabelled and given up to two cover flips."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 9))
+        return draw(st.lists(st.lists(st.integers(0, n - 1), max_size=3),
+                             min_size=n, max_size=n))
+    base = draw(st.sampled_from(BOOLEAN_BASES))
+    perm = draw(st.permutations(range(len(base))))
+    covers: list[list[int]] = [[] for _ in base]
+    for f, cs in enumerate(base):
+        covers[perm[f]] = [perm[c] for c in cs]
+    for _ in range(draw(st.integers(0, 2))):
+        f = draw(st.integers(0, len(covers) - 1))
+        g = draw(st.integers(0, len(covers) - 1))
+        if g in covers[f]:
+            covers[f].remove(g)
+        else:
+            covers[f].append(g)
+    return covers
+
+
+def _reference_rejection(covers):
+    """Exception class the original construction raises on these covers (None
+    when it accepts), with its all-pairs test that vertex sets order faces."""
+    n = len(covers) + 1
+    below = [set()] + [{c + 1 for c in cs} or {0} for cs in covers]
+    rank = {0: 0}
+    while len(rank) < n:
+        ready = [f for f in range(n) if f not in rank and below[f] <= rank.keys()]
+        if not ready:
+            return NotRanked  # a cycle
+        for f in ready:
+            ranks = {rank[c] for c in below[f]}
+            if len(ranks) != 1:
+                return NotRanked
+            rank[f] = ranks.pop() + 1
+    down = {}
+    for f in sorted(range(n), key=rank.get):
+        down[f] = {f}.union(*(down[c] for c in below[f]))
+    atoms = {f: frozenset(g for g in down[f] if rank[g] == 1) for f in range(n)}
+    for f in range(n):
+        r = rank[f]
+        if len(atoms[f]) != r or len(down[f]) != 2 ** r:
+            return LowerIntervalNotBoolean
+        if len({atoms[b] for b in down[f]}) != len(down[f]):
+            return LowerIntervalNotBoolean
+        for b, c in itertools.combinations(down[f], 2):
+            if (b in down[c] or c in down[b]) != (atoms[b] <= atoms[c]
+                                                  or atoms[c] <= atoms[b]):
+                return LowerIntervalNotBoolean
+    return None
+
+
+@given(hasse_diagrams())
+def test_validation_matches_all_pairs_reference(covers):
+    ids = [f"f{i}" for i in range(len(covers))]
+    expected = _reference_rejection(covers)
+    try:
+        BooleanComplex(ids, [[ids[c] for c in cs] for cs in covers])
+    except InvalidComplex as exc:
+        assert type(exc) is expected
+    else:
+        assert expected is None
 
 
 def test_duplicate_and_unknown_ids():
