@@ -8,7 +8,7 @@ Cohen-Macaulayness test with cell-basis construction, and construction and
 group-averaging of equivariant parameter-ring module isomorphisms.
 """
 
-from .coeff import FieldElement, FieldSpec, invert, is_unit_integer
+from .coeff import FieldSpec, inverse, is_unit_integer, normal
 from .complexes import (
     Balancing,
     BooleanComplex,

@@ -3,8 +3,9 @@
 Subcommands: check-cm, basis, straighten, transfer, represent,
 equivariant-iso, verify, fine-vectors, cross-term.  Exit codes: 0 on
 success (a "not Cohen-Macaulay" verdict is a result, not an error), 1 on
-domain errors, 2 on input or parse errors.  All output is deterministic
-given the inputs.
+domain errors or when stdout is closed before the output is written (a
+broken pipe, as in ``| head``), 2 on input or parse errors.  All output is
+deterministic given the inputs.
 """
 
 from __future__ import annotations
@@ -108,13 +109,20 @@ def _emit(args, payload) -> None:
     print(json.dumps(payload, indent=indent))
 
 
-def _load_inline_or_file(text: str):
+def _face_ids(text: str | None) -> list[str] | None:
+    """A JSON list of face ids, given inline or as a file path."""
+    if not text:
+        return None
     if os.path.exists(text):
-        return documents.load_json(text)
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"not valid JSON and not a file: {text!r} ({exc})")
+        ids = documents.load_json(text)
+    else:
+        try:
+            ids = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise InputError(f"not valid JSON and not a file: {text!r} ({exc})")
+    if not isinstance(ids, list):
+        raise InputError(f"expected a JSON list of face ids, got {text!r}")
+    return [str(f) for f in ids]
 
 
 def _balanced_context(args) -> tuple[BooleanComplex, Balancing]:
@@ -152,10 +160,8 @@ def _verdict_payload(complex: BooleanComplex, verdict: CMVerdict) -> dict:
 def _run_basis_command(args) -> int:
     field = FieldSpec.parse(args.field)
     complex, balancing = _balanced_context(args)
-    order = None
-    if args.order:
-        order = [str(f) for f in _load_inline_or_file(args.order)]
-    verdict = compute_basis(complex, balancing, field, order=order)
+    verdict = compute_basis(complex, balancing, field,
+                            order=_face_ids(args.order))
     _emit(args, _verdict_payload(complex, verdict))
     return 0
 
@@ -216,10 +222,8 @@ def _run_transfer(args) -> int:
 def _sd_basis_or_verdict(args, field: FieldSpec):
     base = _base_complex(args)
     sd = barycentric_subdivision(base)
-    order = None
-    if args.order:
-        order = [str(f) for f in _load_inline_or_file(args.order)]
-    verdict = compute_basis(sd.target, sd.balancing, field, order=order)
+    verdict = compute_basis(sd.target, sd.balancing, field,
+                            order=_face_ids(args.order))
     return base, sd, verdict
 
 
@@ -272,7 +276,7 @@ def _run_equivariant_iso(args) -> int:
 def _run_verify(args) -> int:
     field = FieldSpec.parse(args.field)
     complex, balancing = _balanced_context(args)
-    candidate = [str(f) for f in _load_inline_or_file(args.candidate)]
+    candidate = _face_ids(args.candidate)
     report = verify_basis(complex, balancing, field, candidate)
     payload = {
         "valid": report.valid,
@@ -343,7 +347,15 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away; point stdout at devnull so that the
+        # interpreter's final flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .coeff import FieldElement, FieldSpec
+from .coeff import FieldSpec, Raw
 from .complexes import (
     EMPTY,
     Balancing,
@@ -52,13 +52,16 @@ def _incidence(complex: BooleanComplex, face: int,
 
 
 def facet_vector(complex: BooleanComplex, face: int | str,
-                 field: FieldSpec) -> tuple[FieldElement, ...]:
-    """0/1 incidence of the face with each facet, in facet order."""
+                 field: FieldSpec) -> tuple[int, ...]:
+    """0/1 incidence of the face with each facet, in facet order.
+
+    0 and 1 are canonical scalars of every field, so the vector does not
+    depend on ``field``.
+    """
     if not complex.is_pure():
         raise InputError("facet vectors need a pure complex")
     row = _incidence(complex, complex.resolve(face), _columns(complex.facets))
-    one, zero = field.one(), field.zero()
-    return tuple(one if j in row else zero for j in range(len(complex.facets)))
+    return tuple(row.get(j, 0) for j in range(len(complex.facets)))
 
 
 def selected_facets(complex: BooleanComplex, balancing: Balancing,
@@ -180,7 +183,7 @@ class CMVerdict:
     cohen_macaulay: bool
     basis: CellBasis | None = None
     witness: int | None = None
-    representation: list[tuple[int, FieldElement]] | None = None
+    representation: list[tuple[int, Raw]] | None = None
 
     def __bool__(self) -> bool:
         return self.cohen_macaulay
@@ -268,7 +271,7 @@ def verify_basis(complex: BooleanComplex, balancing: Balancing,
 
 
 def subspace_M_S(complex: BooleanComplex, balancing: Balancing,
-                 field: FieldSpec, labels: Iterable[int]) -> list[list[FieldElement]]:
+                 field: FieldSpec, labels: Iterable[int]) -> list[list[Raw]]:
     """Canonical row-space basis of the span of the facet vectors of the faces
     whose label set equals S (the image of their span inside the facet
     component)."""
@@ -334,7 +337,7 @@ def evaluate_cell_representation(complex: BooleanComplex, balancing: Balancing,
                                  ) -> RingElement:
     """Expand sum of q_b(label rows) * z_b back into the face ring."""
     field = next(iter(coefficients.values())).field
-    terms: dict[Mono, FieldElement] = {}
+    terms: dict[Mono, Raw] = {}
     for member in sorted(coefficients):
         poly = coefficients[member]
         if poly.is_zero:

@@ -1,9 +1,12 @@
 """Exact coefficient fields: the rationals and prime fields GF(p).
 
-Every coefficient in the package is a :class:`FieldElement`.  Rational values
-are stored as ``fractions.Fraction`` (always in lowest terms with positive
-denominator); prime-field values are residues in ``[0, p)``.  There is no
-floating point and no tolerance anywhere: equality of elements is exact.
+Every coefficient in the package is a raw scalar in the canonical form that
+:func:`normal` produces: over GF(p) an ``int`` residue in ``[0, p)``; over Q
+an ``int`` while the value is integral and a ``fractions.Fraction`` (lowest
+terms, positive denominator) otherwise.  Straightening coefficients are
+nonnegative integers, so over Q almost every coefficient is an ``int``.
+Canonical scalars compare and hash exactly, and ``str`` prints them as
+``3`` or ``-3/2``.  There is no floating point and no tolerance anywhere.
 """
 
 from __future__ import annotations
@@ -11,7 +14,37 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import FieldMismatch, InputError
+from .errors import InputError
+
+Raw = int | Fraction
+
+
+def normal(x: Raw, p: int | None) -> Raw:
+    """Canonical form of ``x`` in Q (``p is None``) or GF(p).
+
+    A ``Fraction`` maps into GF(p) through the inverse of its denominator;
+    ``ZeroDivisionError`` when p divides that denominator.
+    """
+    if type(x) is int:
+        return x if p is None else x % p
+    den = x.denominator
+    if p is None:
+        return x.numerator if den == 1 else x
+    if den % p == 0:
+        raise ZeroDivisionError(f"denominator {den} is not invertible mod {p}")
+    return x.numerator * pow(den, -1, p) % p
+
+
+def inverse(x: Raw, p: int | None) -> Raw:
+    """Canonical multiplicative inverse of a canonical scalar;
+    ``ZeroDivisionError`` on zero."""
+    if not x:
+        raise ZeroDivisionError("division by zero in coefficient field")
+    if p is not None:
+        return pow(x, -1, p)
+    if x == 1 or x == -1:
+        return x
+    return normal(1 / Fraction(x), None)
 
 
 def _is_prime(p: int) -> bool:
@@ -68,116 +101,16 @@ class FieldSpec:
     def is_rational(self) -> bool:
         return self.p is None
 
-    def zero(self) -> "FieldElement":
-        return self.from_integer(0)
-
-    def one(self) -> "FieldElement":
-        return self.from_integer(1)
-
-    def from_integer(self, n: int) -> "FieldElement":
-        if self.p is None:
-            return FieldElement(self, Fraction(n))
-        return FieldElement(self, n % self.p)
-
-    def from_fraction(self, q: Fraction) -> "FieldElement":
-        if self.p is None:
-            return FieldElement(self, q)
-        den = q.denominator % self.p
-        if den == 0:
-            raise ZeroDivisionError(
-                f"denominator {q.denominator} is not invertible mod {self.p}")
-        return FieldElement(self, q.numerator * pow(den, -1, self.p) % self.p)
-
-    def parse_coefficient(self, text: str) -> "FieldElement":
-        """Parse ``3`` or ``3/2`` into a field element."""
+    def parse_coefficient(self, text: str) -> Raw:
+        """Parse ``3`` or ``3/2`` into a canonical scalar of this field."""
         try:
             q = Fraction(text)
         except (ValueError, ZeroDivisionError):
             raise InputError(f"bad coefficient {text!r}") from None
-        return self.from_fraction(q)
+        return normal(q, self.p)
 
     def __str__(self) -> str:
         return "rational" if self.p is None else f"gf:{self.p}"
-
-
-@dataclass(frozen=True, slots=True)
-class FieldElement:
-    """Immutable element of a :class:`FieldSpec`; safe to share freely."""
-
-    spec: FieldSpec
-    value: Fraction | int
-
-    def _check(self, other: "FieldElement") -> None:
-        if self.spec != other.spec:
-            raise FieldMismatch(f"mixed fields {self.spec} and {other.spec}")
-
-    def __bool__(self) -> bool:
-        return self.value != 0
-
-    @property
-    def is_zero(self) -> bool:
-        return self.value == 0
-
-    @property
-    def is_one(self) -> bool:
-        return self.value == 1
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        v = self.value + other.value
-        if self.spec.p is not None:
-            v %= self.spec.p
-        return FieldElement(self.spec, v)
-
-    def __sub__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        v = self.value - other.value
-        if self.spec.p is not None:
-            v %= self.spec.p
-        return FieldElement(self.spec, v)
-
-    def __neg__(self) -> "FieldElement":
-        v = -self.value
-        if self.spec.p is not None:
-            v %= self.spec.p
-        return FieldElement(self.spec, v)
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        v = self.value * other.value
-        if self.spec.p is not None:
-            v %= self.spec.p
-        return FieldElement(self.spec, v)
-
-    def scale_int(self, n: int) -> "FieldElement":
-        v = self.value * n
-        if self.spec.p is not None:
-            v %= self.spec.p
-        return FieldElement(self.spec, v)
-
-    def convert(self, spec: FieldSpec) -> "FieldElement":
-        """Canonical image of this element in another field.
-
-        Only rational -> anything and identity conversions are meaningful;
-        residues cannot be moved between distinct prime fields.
-        """
-        if spec == self.spec:
-            return self
-        if self.spec.is_rational:
-            return spec.from_fraction(self.value)  # type: ignore[arg-type]
-        raise FieldMismatch(f"cannot convert {self.spec} element to {spec}")
-
-    def __str__(self) -> str:
-        return str(self.value)
-
-
-def invert(x: FieldElement) -> FieldElement:
-    """Multiplicative inverse; raises ``ZeroDivisionError`` on zero."""
-    if x.is_zero:
-        raise ZeroDivisionError("division by zero in coefficient field")
-    if x.spec.p is None:
-        return FieldElement(x.spec, 1 / x.value)
-    return FieldElement(x.spec, pow(x.value, -1, x.spec.p))
 
 
 def is_unit_integer(spec: FieldSpec, n: int) -> bool:

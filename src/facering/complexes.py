@@ -6,9 +6,9 @@ validates the simplicial-poset axioms: the poset is ranked, and every lower
 interval is a boolean lattice.  All derived structure (downsets, upsets, atom
 sets, facet list, chain counts) is built eagerly and never changes.  The
 memo caches for ring arithmetic and the subdivision are the only mutable
-state: they are append-only, and each key is assigned once, with its
-finished value, so concurrent readers may repeat work but never see a
-partial result.
+state: they are append-only, and each key is stored once, with its finished
+value, by ``dict.setdefault``.  Concurrent readers may repeat work, but they
+never see a partial result, and all of them get the first stored value.
 
 Faces are referenced by stable integer indices internally; string ids appear
 only at the I/O boundary and in error messages.  The facet order is fixed at
@@ -95,11 +95,11 @@ class BooleanComplex:
         self.dim: int = max(self.rank) - 1
         self.maximal_chain_count: int = self._count_maximal_chains()
 
-        # memo tables for ring arithmetic; append-only, each key assigned once
-        # with its finished value
+        # memo tables for ring arithmetic and the subdivision; append-only,
+        # each key stored once with its finished value by setdefault
         self._straighten_cache: dict = {}
         self._param_cache: dict = {}
-        self._sd_cache: "SdMap | None" = None
+        self._sd_cache: dict[str, SdMap] = {}
 
     # -- construction helpers -------------------------------------------------
 
@@ -403,8 +403,8 @@ def barycentric_subdivision(complex: BooleanComplex) -> SdMap:
     ordered by (length, top-down member indices), which also fixes the facet
     order.
     """
-    if complex._sd_cache is not None:
-        return complex._sd_cache
+    if "sd" in complex._sd_cache:
+        return complex._sd_cache["sd"]
     chains: list[tuple[int, ...]] = []
 
     def grow(chain: tuple[int, ...]) -> None:
@@ -432,8 +432,7 @@ def barycentric_subdivision(complex: BooleanComplex) -> SdMap:
               for f in range(1, len(complex))}
     balancing = Balancing(target, labels)
     sd = SdMap(complex, target, chain_of, face_of_chain, balancing)
-    complex._sd_cache = sd
-    return sd
+    return complex._sd_cache.setdefault("sd", sd)
 
 
 # -- label-selected subcomplexes ---------------------------------------------------

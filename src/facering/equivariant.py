@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .coeff import FieldSpec, invert, is_unit_integer
+from .coeff import FieldSpec, inverse, is_unit_integer, normal
 from .complexes import (
     EMPTY,
     BooleanComplex,
@@ -232,8 +232,7 @@ class Morphism:
     def member_element(self, member: int) -> RingElement:
         """The basis member as an element of the subdivision's ring."""
         mono = tuple((f, 1) for f in self.ctx.sd.chain_of[member])
-        return RingElement(self.ctx.sd.source, self.ctx.field, True,
-                           {mono: self.ctx.field.one()})
+        return RingElement(self.ctx.sd.source, self.ctx.field, True, {mono: 1})
 
     def apply(self, element: RingElement) -> RingElement:
         """Represent on the stored basis, then evaluate the coefficients with
@@ -249,7 +248,7 @@ class Morphism:
         cached = self._mono_cache.get(mono)
         if cached is None:
             source, field = self.ctx.sd.source, self.ctx.field
-            single = RingElement(source, field, True, {mono: field.one()})
+            single = RingElement(source, field, True, {mono: 1})
             cell = self.ctx.to_cell_form(single)
             rep = represent_on_cell_basis(self.ctx.sd.target,
                                           self.basis.balancing,
@@ -291,7 +290,7 @@ def average(morphism: Morphism, group: Group) -> Morphism:
     if not is_unit_integer(field, group.order):
         raise OrderNotInvertible(
             f"group order {group.order} is zero in {field}")
-    scale = invert(field.from_integer(group.order))
+    scale = inverse(normal(group.order, field.p), field.p)
     images: dict[int, RingElement] = {}
     for member in morphism.basis.members:
         b = morphism.member_element(member)
@@ -335,7 +334,7 @@ def verify_map(apply_fn: Callable[[RingElement], RingElement],
         monos = graded_monomials(source, degree=d)
         images: dict[Mono, RingElement] = {}
         for mono in monos:
-            f = RingElement(source, field, True, {mono: field.one()})
+            f = RingElement(source, field, True, {mono: 1})
             images[mono] = apply_fn(f)
         for sigma in group.generators:
             for mono in monos:
@@ -350,9 +349,7 @@ def verify_map(apply_fn: Callable[[RingElement], RingElement],
         span = RowSpan(field, len(monos))
         rank = 0
         for mono in monos:
-            row = [field.zero()] * len(monos)
-            for m, c in images[mono].terms.items():
-                row[index[m]] = c
+            row = {index[m]: c for m, c in images[mono].terms.items()}
             if span.insert(mono, row) is None:
                 rank += 1
         if rank != len(monos):
@@ -378,14 +375,14 @@ def verify_morphism(morphism: Morphism, group: Group,
 @dataclass
 class CrossTermWitness:
     monomial: Mono
-    coefficient: object  # exact rational, integral
+    coefficient: int
     shape: Partition
     staircase: Partition
     strictly_dominated: bool
 
     @property
     def odd(self) -> bool:
-        return int(self.coefficient) % 2 == 1
+        return self.coefficient % 2 == 1
 
 
 def simplex_complex(d: int) -> BooleanComplex:
@@ -413,12 +410,12 @@ def odd_cross_term_witness(d: int) -> CrossTermWitness:
         prefix = face_id_of_vertex_set([str(k) for k in range(i + 1)])
         support.append((complex.resolve(prefix), 1))
     mono = canonical_mono(complex, support)
-    coeff = product.terms.get(mono, field.zero())
+    coeff = product.terms.get(mono, 0)
     shape = mono_shape(complex, mono)
     staircase = Partition(range(d, 0, -1))
-    witness = CrossTermWitness(mono, coeff.value, shape, staircase,
+    witness = CrossTermWitness(mono, coeff, shape, staircase,
                                strictly_dominates(staircase, shape))
     if not witness.odd:
         raise DomainError(
-            f"the distinguished cross-term coefficient {coeff.value} is not odd")
+            f"the distinguished cross-term coefficient {coeff} is not odd")
     return witness

@@ -97,15 +97,12 @@ def parse_element(text: str, lexicon: RingLexicon) -> RingElement:
 def _parse_term(sc: _Scanner, lexicon: RingLexicon, negate: bool) -> RingElement:
     sc.skip_ws()
     field = lexicon.field
-    coeff = field.one()
+    coeff = 1
     if sc.peek().isdigit() or sc.peek() == "-":
-        num = sc.integer()
+        coeff = sc.integer()
         if sc.peek() == "/":
             sc.take()
-            den = sc.integer()
-            coeff = field.parse_coefficient(f"{num}/{den}")
-        else:
-            coeff = field.from_integer(num)
+            coeff = field.parse_coefficient(f"{coeff}/{sc.integer()}")
         sc.skip_ws()
         if sc.peek() != "*":
             # bare constant term
@@ -161,13 +158,13 @@ def format_element(element: RingElement, letter: str | None = None) -> str:
     complex = element.complex
     chunks: list[str] = []
     for mono, coeff in element.sorted_terms():
-        negative = element.field.is_rational and coeff.value < 0
+        negative = coeff < 0
         mag = -coeff if negative else coeff
         factors = [f"{letter}[{complex.ids[f]}]" + (f"^{e}" if e > 1 else "")
                    for f, e in mono]
         if not factors:
             body = str(mag)
-        elif mag.is_one:
+        elif mag == 1:
             body = "*".join(factors)
         else:
             body = str(mag) + "*" + "*".join(factors)

@@ -1,27 +1,32 @@
 """The Stanley-Reisner ring of a boolean complex on its standard-monomial basis.
 
 Elements are sparse maps from standard monomials (chain-supported exponent
-multisets) to nonzero field coefficients.  Two presentations share this
-basis: the face ring itself (products of incomparable generators straighten
-through the meet/minimal-upper-bound rewrite) and the associated discrete
-ring (such products vanish), which is how the ring of the barycentric
-subdivision is carried on the poset of the original complex.
+multisets) to nonzero canonical scalars (:func:`facering.coeff.normal`).
+Each constructor normalizes the values it is given once and drops zeros, so
+arithmetic hands it unreduced ints and ``Fraction``s.  Two presentations
+share this basis: the face ring itself (products of incomparable generators
+straighten through the meet/minimal-upper-bound rewrite) and the associated
+discrete ring (such products vanish), which is how the ring of the
+barycentric subdivision is carried on the poset of the original complex.
 
 A standard monomial is a tuple of (face index, exponent) pairs sorted by
 rank; the empty tuple is the monomial 1.  Operations return new elements and
 never modify their inputs.  Straightening results and parameter-monomial
-expansions are memoized on the complex with rational coefficients and scaled
-into the requested field, so caches are field-independent.  The memo caches
-are append-only and each key is assigned once, with its finished value:
-concurrent readers may repeat work but never see a partial result.
+expansions have integer coefficients, so they are memoized on the complex
+once, as integer counts and as rational elements, and reduced into a prime
+field on use; the caches are field-independent.  The memo caches are
+append-only and each key is stored once, with its finished value, by
+``dict.setdefault``: concurrent readers may repeat work but never see a
+partial result, and all of them get the first stored value.
 """
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .coeff import FieldElement, FieldSpec
+from .coeff import FieldSpec, Raw, normal
 from .complexes import EMPTY, Balancing, BooleanComplex, require_valid_balancing
 from .errors import ComplexMismatch, FieldMismatch, InputError
 from .partitions import Partition, sh, sh_inverse
@@ -98,11 +103,12 @@ class RingElement:
     __slots__ = ("complex", "field", "discrete", "terms")
 
     def __init__(self, complex: BooleanComplex, field: FieldSpec,
-                 discrete: bool, terms: dict[Mono, FieldElement]):
+                 discrete: bool, terms: Mapping[Mono, Raw]):
         self.complex = complex
         self.field = field
         self.discrete = discrete
-        self.terms = {m: c for m, c in terms.items() if not c.is_zero}
+        p = field.p
+        self.terms = {m: y for m, c in terms.items() if (y := normal(c, p))}
 
     @classmethod
     def zero(cls, complex, field, discrete=False) -> "RingElement":
@@ -110,12 +116,11 @@ class RingElement:
 
     @classmethod
     def one(cls, complex, field, discrete=False) -> "RingElement":
-        return cls(complex, field, discrete, {(): field.one()})
+        return cls(complex, field, discrete, {(): 1})
 
     @classmethod
-    def monomial(cls, complex, field, mono: Mono, coeff: FieldElement | None = None,
+    def monomial(cls, complex, field, mono: Mono, coeff: Raw = 1,
                  discrete=False) -> "RingElement":
-        coeff = field.one() if coeff is None else coeff
         mono = canonical_mono(complex, mono)
         if not mono_is_chain(complex, mono):
             raise InputError("monomial support is not a chain")
@@ -152,23 +157,21 @@ class RingElement:
         return RingElement(self.complex, self.field, self.discrete,
                            {m: -c for m, c in self.terms.items()})
 
-    def scale(self, coeff: FieldElement) -> "RingElement":
-        if coeff.is_zero:
-            return RingElement.zero(self.complex, self.field, self.discrete)
+    def scale(self, coeff: Raw) -> "RingElement":
         return RingElement(self.complex, self.field, self.discrete,
                            {m: coeff * c for m, c in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, FieldElement):
+        if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check(other)
-        out: dict[Mono, FieldElement] = {}
+        out: dict[Mono, Raw] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 c = c1 * c2
                 merged = canonical_mono(self.complex, m1 + m2)
                 if not self.discrete:
-                    add_terms(out, ((mono, c.scale_int(mult)) for mono, mult
+                    add_terms(out, ((mono, c * mult) for mono, mult
                                     in _straighten_counts(self.complex,
                                                           merged).items()))
                 elif mono_is_chain(self.complex, merged):
@@ -176,7 +179,7 @@ class RingElement:
         return RingElement(self.complex, self.field, self.discrete, out)
 
     def __rmul__(self, other):
-        if isinstance(other, FieldElement):
+        if isinstance(other, (int, Fraction)):
             return self.scale(other)
         return NotImplemented
 
@@ -187,11 +190,7 @@ class RingElement:
             for m, c in self.terms.items()))
         return RingElement(self.complex, self.field, self.discrete, terms)
 
-    def convert(self, field: FieldSpec) -> "RingElement":
-        return RingElement(self.complex, field, self.discrete,
-                           {m: c.convert(field) for m, c in self.terms.items()})
-
-    def sorted_terms(self) -> list[tuple[Mono, FieldElement]]:
+    def sorted_terms(self) -> list[tuple[Mono, Raw]]:
         return sorted(self.terms.items(),
                       key=lambda mc: term_sort_key(self.complex, mc[0]))
 
@@ -201,7 +200,7 @@ class RingElement:
                             if mono_shape(self.complex, m) == lam})
 
     def degree_components(self) -> dict[int, "RingElement"]:
-        split: dict[int, dict[Mono, FieldElement]] = {}
+        split: dict[int, dict[Mono, Raw]] = {}
         for m, c in self.terms.items():
             split.setdefault(mono_degree(self.complex, m), {})[m] = c
         return {d: RingElement(self.complex, self.field, self.discrete, t)
@@ -263,14 +262,14 @@ def _straighten_counts(complex: BooleanComplex, mono: Mono,
         if m in memo:
             continue
         if children is not None:
-            memo[m] = add_terms({}, (mk for c in children
-                                     for mk in memo[c].items()))
+            memo.setdefault(m, add_terms({}, (mk for c in children
+                                              for mk in memo[c].items())))
             continue
         support = sorted(f for f, _ in m)
         pairs = [(a, b) for i, a in enumerate(support) for b in support[i + 1:]
                  if not complex.comparable(a, b)]
         if not pairs:
-            memo[m] = {m: 1}
+            memo.setdefault(m, {m: 1})
             continue
         children = _rewrite_product(complex, m, *pick(pairs))
         stack.append((m, children))
@@ -279,7 +278,7 @@ def _straighten_counts(complex: BooleanComplex, mono: Mono,
 
 
 def straighten(complex: BooleanComplex, raw: Iterable[tuple[int | str, int]],
-               field: FieldSpec, coeff: FieldElement | None = None,
+               field: FieldSpec, coeff: Raw = 1,
                discrete: bool = False) -> RingElement:
     """Normal form of a raw product of generators on the standard-monomial basis.
 
@@ -294,13 +293,12 @@ def straighten(complex: BooleanComplex, raw: Iterable[tuple[int | str, int]],
             raise InputError("exponents must be nonnegative")
         pairs.append((i, e))
     mono = canonical_mono(complex, pairs)
-    coeff = field.one() if coeff is None else coeff
     if discrete:
         if not mono_is_chain(complex, mono):
             return RingElement.zero(complex, field, True)
         return RingElement(complex, field, True, {mono: coeff})
     return RingElement(complex, field, False,
-                       {m: coeff.scale_int(k)
+                       {m: coeff * k
                         for m, k in _straighten_counts(complex, mono).items()})
 
 
@@ -316,8 +314,7 @@ def straighten_with_strategy(complex: BooleanComplex,
     produce the same element.
     """
     counts = _straighten_counts(complex, canonical_mono(complex, raw), choose, {})
-    return RingElement(complex, field, False,
-                       {m: field.from_integer(k) for m, k in counts.items()})
+    return RingElement(complex, field, False, counts)
 
 
 # -- parameters ---------------------------------------------------------------------
@@ -328,9 +325,8 @@ def rank_row_parameter(complex: BooleanComplex, j: int, field: FieldSpec,
     """Sum of the generators of rank j (a parameter in either presentation)."""
     if not 1 <= j <= complex.n:
         raise InputError(f"rank {j} out of range 1..{complex.n}")
-    one = field.one()
     return RingElement(complex, field, discrete,
-                       {((f, 1),): one for f in complex.faces_of_rank(j)})
+                       {((f, 1),): 1 for f in complex.faces_of_rank(j)})
 
 
 def label_row_parameter(complex: BooleanComplex, balancing: Balancing,
@@ -339,9 +335,8 @@ def label_row_parameter(complex: BooleanComplex, balancing: Balancing,
     require_valid_balancing(complex, balancing)
     if not 1 <= j <= balancing.n:
         raise InputError(f"label {j} out of range 1..{balancing.n}")
-    one = field.one()
     return RingElement(complex, field, False,
-                       {((v, 1),): one for v in complex.vertices()
+                       {((v, 1),): 1 for v in complex.vertices()
                         if balancing.vertex_label[v] == j})
 
 
@@ -362,7 +357,8 @@ def parameter_monomial(complex: BooleanComplex, exponents: Sequence[int],
 
     Variants: ``theta`` (rank rows in the face ring), ``gamma`` (rank rows in
     the discrete ring), ``omega`` (label rows on a balanced complex).
-    Expansions are memoized over the rationals and converted.
+    Expansions have integer coefficients; they are memoized over the
+    rationals and reduced into a prime field on use.
     """
     vkey = _variant_key(variant, balancing)
     cache = complex._param_cache
@@ -376,8 +372,8 @@ def parameter_monomial(complex: BooleanComplex, exponents: Sequence[int],
     while (vkey, tuple(exps)) not in cache:
         j = next((i for i, e in enumerate(exps) if e > 0), None)
         if j is None:
-            cache[(vkey, tuple(exps))] = RingElement.one(complex, RATIONAL,
-                                                         discrete)
+            cache.setdefault((vkey, tuple(exps)),
+                             RingElement.one(complex, RATIONAL, discrete))
             break
         pending.append((tuple(exps), j))
         exps[j] -= 1
@@ -387,9 +383,10 @@ def parameter_monomial(complex: BooleanComplex, exponents: Sequence[int],
             param = label_row_parameter(complex, balancing, j + 1, RATIONAL)
         else:
             param = rank_row_parameter(complex, j + 1, RATIONAL, discrete)
-        cached = cached * param
-        cache[(vkey, key)] = cached
-    return cached if field == RATIONAL else cached.convert(field)
+        cached = cache.setdefault((vkey, key), cached * param)
+    if field.is_rational:
+        return cached
+    return RingElement(complex, field, discrete, cached.terms)
 
 
 class ParameterPolynomial:
@@ -403,11 +400,12 @@ class ParameterPolynomial:
     __slots__ = ("n", "field", "terms")
 
     def __init__(self, n: int, field: FieldSpec,
-                 terms: Mapping[tuple[int, ...], FieldElement] | None = None):
+                 terms: Mapping[tuple[int, ...], Raw] | None = None):
         self.n = n
         self.field = field
-        self.terms: dict[tuple[int, ...], FieldElement] = {
-            tuple(a): c for a, c in (terms or {}).items() if not c.is_zero}
+        p = field.p
+        self.terms: dict[tuple[int, ...], Raw] = {
+            tuple(a): y for a, c in (terms or {}).items() if (y := normal(c, p))}
         for a in self.terms:
             if len(a) != n:
                 raise InputError("exponent vector length mismatch")
@@ -418,8 +416,7 @@ class ParameterPolynomial:
 
     @classmethod
     def monomial(cls, n, field, exponents: Sequence[int],
-                 coeff: FieldElement | None = None) -> "ParameterPolynomial":
-        coeff = field.one() if coeff is None else coeff
+                 coeff: Raw = 1) -> "ParameterPolynomial":
         return cls(n, field, {tuple(exponents): coeff})
 
     @property
@@ -445,20 +442,20 @@ class ParameterPolynomial:
     def __sub__(self, other: "ParameterPolynomial") -> "ParameterPolynomial":
         return self + (-other)
 
-    def scale(self, coeff: FieldElement) -> "ParameterPolynomial":
+    def scale(self, coeff: Raw) -> "ParameterPolynomial":
         return ParameterPolynomial(self.n, self.field,
                                    {a: coeff * c for a, c in self.terms.items()})
 
     def evaluate(self, complex: BooleanComplex, variant: str,
                  balancing: Balancing | None = None) -> RingElement:
-        terms: dict[Mono, FieldElement] = {}
+        terms: dict[Mono, Raw] = {}
         for a, c in sorted(self.terms.items()):
             expansion = parameter_monomial(complex, a, variant, self.field,
                                            balancing)
             add_terms(terms, ((m, c * x) for m, x in expansion.terms.items()))
         return RingElement(complex, self.field, variant == "gamma", terms)
 
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], FieldElement]]:
+    def sorted_terms(self) -> list[tuple[tuple[int, ...], Raw]]:
         return sorted(self.terms.items(),
                       key=lambda ac: (-sum(ac[0]), tuple(-x for x in ac[0])))
 
@@ -470,11 +467,11 @@ class ParameterPolynomial:
             factors = [f"t{j + 1}" + (f"^{e}" if e > 1 else "")
                        for j, e in enumerate(a) if e > 0]
             body = "*".join(factors)
-            negative = self.field.is_rational and c.value < 0
+            negative = c < 0
             mag = -c if negative else c
             if not factors:
                 text = str(mag)
-            elif mag.is_one:
+            elif mag == 1:
                 text = body
             else:
                 text = f"{mag}*{body}"
@@ -568,7 +565,7 @@ def graded_monomials(complex: BooleanComplex, *, degree: int | None = None,
 
 def project_to_face(complex: BooleanComplex, beta: int | str,
                     element: RingElement) -> tuple[tuple[int, ...],
-                                                   dict[tuple[int, ...], FieldElement]]:
+                                                   dict[tuple[int, ...], Raw]]:
     """Image of an element under the algebra map onto the polynomial ring of
     one face: generators under beta map to the product of their vertex
     variables, everything else to zero.
@@ -579,7 +576,7 @@ def project_to_face(complex: BooleanComplex, beta: int | str,
     b = complex.resolve(beta)
     verts = complex.vertices_of(b)
     pos = {v: i for i, v in enumerate(verts)}
-    image: dict[tuple[int, ...], FieldElement] = {}
+    image: dict[tuple[int, ...], Raw] = {}
     for mono, coeff in element.terms.items():
         if not all(complex.leq(f, b) for f, _ in mono):
             continue
@@ -588,7 +585,8 @@ def project_to_face(complex: BooleanComplex, beta: int | str,
             for v in complex.vertices_of(f):
                 vec[pos[v]] += e
         add_terms(image, [(tuple(vec), coeff)])
-    return tuple(verts), image
+    p = element.field.p
+    return tuple(verts), {a: y for a, c in image.items() if (y := normal(c, p))}
 
 
 def fine_vectors(complex: BooleanComplex, balancing: Balancing,

@@ -6,50 +6,27 @@ tests therefore come with the unique representation of the queried vector on
 the inserted ones, read off without re-solving.  Pivots are the first nonzero
 column; arithmetic is exact, there are no thresholds.
 
-Internally every row is a sparse dict ``{column: raw scalar}`` holding only
-its nonzero entries, and the coefficients on the inserted vectors are raw
-scalars too.  A raw scalar is a residue in ``[0, p)`` over GF(p).  Over Q it
-is a Python ``int`` while the value is integral and a ``Fraction`` otherwise,
-so the 0/1 facet vectors of the Cohen-Macaulay test eliminate in integer
-arithmetic.  Q and GF(p) share one elimination loop.  The public methods take
-a vector either as a dense :class:`FieldElement` sequence or as a sparse
-mapping ``{column: raw scalar}``; field elements go out.
+A vector is a sparse mapping ``{column: scalar}``; the scalars are brought to
+the canonical form of :func:`facering.coeff.normal` on the way in, and zeros
+are dropped.  Every row and every coefficient on the inserted vectors is a
+canonical scalar too, so the 0/1 facet vectors of the Cohen-Macaulay test
+eliminate in integer arithmetic over Q, and Q and GF(p) share one
+elimination loop.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Hashable, Mapping, Sequence
 
-from .coeff import FieldElement, FieldSpec
-from .errors import FieldMismatch
+from .coeff import FieldSpec, Raw, inverse, normal
 
-Raw = int | Fraction
 SparseRow = dict[int, Raw]
-Vector = Sequence[FieldElement] | Mapping[int, Raw]
-
-
-def _normal(x: Raw, p: int | None) -> Raw:
-    """Canonical raw scalar: a residue mod p, or over Q an int when integral."""
-    if p is not None:
-        return x % p
-    if type(x) is Fraction and x.denominator == 1:
-        return x.numerator
-    return x
-
-
-def _inverse(x: Raw, p: int | None) -> Raw:
-    if p is not None:
-        return pow(x, -1, p)
-    if x == 1 or x == -1:
-        return x
-    return _normal(1 / Fraction(x), None)
 
 
 def _eliminate(target: SparseRow, c: Raw, row: SparseRow, p: int | None) -> None:
     """``target -= c * row`` in place, dropping entries that become zero."""
     for j, x in row.items():
-        y = _normal(target.get(j, 0) - c * x, p)
+        y = normal(target.get(j, 0) - c * x, p)
         if y:
             target[j] = y
         else:
@@ -68,28 +45,11 @@ class RowSpan:
     def dim(self) -> int:
         return len(self.rows)
 
-    def _sparse(self, vec: Vector) -> SparseRow:
-        field = self.field
-        if isinstance(vec, Mapping):
-            if vec and (min(vec) < 0 or max(vec) >= self.width):
-                raise ValueError("vector width mismatch")
-            return {j: y for j, x in vec.items() if (y := _normal(x, field.p))}
-        if len(vec) != self.width:
+    def _sparse(self, vec: Mapping[int, Raw]) -> SparseRow:
+        if vec and (min(vec) < 0 or max(vec) >= self.width):
             raise ValueError("vector width mismatch")
-        out: SparseRow = {}
-        for j, x in enumerate(vec):
-            v = x.value
-            if v:
-                if x.spec is not field and x.spec != field:
-                    raise FieldMismatch(f"mixed fields {field} and {x.spec}")
-                out[j] = _normal(v, field.p)
-        return out
-
-    def _element(self, x: Raw) -> FieldElement:
-        # over Q the value must be a Fraction: coeff.invert computes 1 / value
-        if self.field.p is None:
-            return FieldElement(self.field, Fraction(x))
-        return FieldElement(self.field, x)
+        p = self.field.p
+        return {j: y for j, x in vec.items() if (y := normal(x, p))}
 
     def _reduce(self, vec: SparseRow) -> dict[Hashable, Raw]:
         """Eliminate existing pivots from ``vec`` in place.
@@ -106,13 +66,10 @@ class RowSpan:
                 continue
             _eliminate(vec, c, row, p)
             for tag, x in rcombo.items():
-                combo[tag] = _normal(combo.get(tag, 0) + c * x, p)
+                combo[tag] = normal(combo.get(tag, 0) + c * x, p)
         return combo
 
-    def _wrap(self, combo: dict[Hashable, Raw]) -> dict[Hashable, FieldElement]:
-        return {t: self._element(c) for t, c in combo.items() if c}
-
-    def insert(self, tag: Hashable, vec: Vector):
+    def insert(self, tag: Hashable, vec: Mapping[int, Raw]):
         """Add a tagged vector to the span.
 
         Returns ``None`` if the vector was independent (the span grew), or
@@ -122,32 +79,32 @@ class RowSpan:
         residual = self._sparse(vec)
         combo = self._reduce(residual)
         if not residual:
-            return self._wrap(combo)
+            return {t: c for t, c in combo.items() if c}
         p = self.field.p
         pivot = min(residual)
-        inv = _inverse(residual[pivot], p)
-        row = {j: _normal(inv * x, p) for j, x in residual.items()}
-        rcombo = {t: _normal(-(inv * c), p) for t, c in combo.items() if c}
-        rcombo[tag] = _normal(rcombo.get(tag, 0) + inv, p)
+        inv = inverse(residual[pivot], p)
+        row = {j: normal(inv * x, p) for j, x in residual.items()}
+        rcombo = {t: normal(-(inv * c), p) for t, c in combo.items() if c}
+        rcombo[tag] = normal(rcombo.get(tag, 0) + inv, p)
         self.rows.append((pivot, row, {t: c for t, c in rcombo.items() if c}))
         return None
 
-    def represent(self, vec: Vector):
+    def represent(self, vec: Mapping[int, Raw]):
         """Representation of ``vec`` on the inserted vectors, or None if outside."""
         residual = self._sparse(vec)
         combo = self._reduce(residual)
         if residual:
             return None
-        return self._wrap(combo)
+        return {t: c for t, c in combo.items() if c}
 
-    def contains(self, vec: Vector) -> bool:
+    def contains(self, vec: Mapping[int, Raw]) -> bool:
         residual = self._sparse(vec)
         self._reduce(residual)
         return not residual
 
 
-def rref(rows: Sequence[Vector], field: FieldSpec,
-         width: int) -> list[list[FieldElement]]:
+def rref(rows: Sequence[Mapping[int, Raw]], field: FieldSpec,
+         width: int) -> list[list[Raw]]:
     """Canonical reduced row echelon form (rows sorted by pivot column)."""
     span = RowSpan(field, width)
     for i, r in enumerate(rows):
@@ -162,5 +119,4 @@ def rref(rows: Sequence[Vector], field: FieldSpec,
             c = target.get(pivot)
             if c is not None:
                 _eliminate(target, c, row, field.p)
-    return [[span._element(row.get(j, 0)) for j in range(width)]
-            for _, row in echelon]
+    return [[row.get(j, 0) for j in range(width)] for _, row in echelon]

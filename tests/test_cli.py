@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -215,6 +217,22 @@ def test_output_byte_stability(docs, capsys):
     assert first == second
 
 
+def test_broken_pipe_exits_1_without_traceback():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # no reader is left, so the child's first write fails
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "facering", "basis", "--sd", "--input",
+             os.path.join(root, "data", "colored_disk.json")],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert b"Traceback" not in proc.stderr
+
+
 def test_pretty_and_json_flags(docs, capsys):
     code = run(["straighten", "--input", docs["double_edge"],
                 "--expr", "x[v]*x[w]", "--json"])
@@ -300,3 +318,132 @@ def test_malformed_documents_fuzz(doc):
             code = run(["check-cm", "--sd", "--input", path])
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+
+
+# -- exit-code fuzz over expressions and the other document kinds ----------------
+
+DATA = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                    "data")
+
+
+def run_quiet(argv) -> int:
+    """Run the CLI with captured streams; the contract is an exit code in
+    {0, 1, 2} and no traceback, whatever the input."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    return code
+
+
+def run_with_document(argv, flag, doc) -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "document.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        return run_quiet(argv + [flag, path])
+
+
+COEFFICIENT = (st.sampled_from(["1/2", "-3/4", "4/2", "0/5", "0", "-1"])
+               | st.integers(-10**30, 10**30).map(str))
+FACE = st.sampled_from(["v", "w", "alpha", "beta", ""])
+# malformed pieces: other letters and faces, bad fractions and exponents
+BAD_COEFFICIENT = st.sampled_from(["1/0", "2/-3", "1/", "/2"])
+BAD_FACE = st.sampled_from(["v_alpha", "q", "0", " v ", "v]", "v[", "["])
+BAD_LETTER = st.sampled_from("yzwX")
+BAD_POWER = st.sampled_from(["^", "^-1", "^x", "^^2"])
+
+
+@st.composite
+def terms(draw, malformed=False):
+    """One term whose exponents sum to at most 40 (a run-time cap only)."""
+    def piece(good, bad):
+        return draw(good | bad if malformed else good)
+
+    budget = draw(st.integers(0, 40))
+    factors = []
+    for _ in range(draw(st.integers(0, 3))):
+        e = draw(st.integers(0, budget))
+        budget -= e
+        power = piece(st.sampled_from(["", f"^{e}", f"^{e}"]), BAD_POWER)
+        factors.append(f"{piece(st.just('x'), BAD_LETTER)}"
+                       f"[{piece(FACE, BAD_FACE)}]{power}")
+    if not factors or draw(st.booleans()):
+        factors.insert(0, piece(COEFFICIENT, BAD_COEFFICIENT))
+    return "*".join(factors)
+
+
+def sums(malformed):
+    ops = st.sampled_from([" + ", "-", " - ", "+-", "*", " "] if malformed
+                          else [" + ", " - ", "-"])
+    return st.builds(lambda first, rest: first + "".join(o + t for o, t in rest),
+                     terms(malformed),
+                     st.lists(st.tuples(ops, terms(malformed)), max_size=2))
+
+
+EXPRESSIONS = (sums(False) | sums(True)
+               | st.text("xyz[]^*+-/0123456789 vwab", max_size=16))
+
+
+@given(st.sampled_from(["straighten", "represent"]),
+       st.sampled_from(["rational", "gf:2"]), EXPRESSIONS)
+def test_expressions_fuzz(command, field, expr):
+    run_quiet([command, "--input", os.path.join(DATA, "double_edge.json"),
+               "--field", field, f"--expr={expr}"])
+
+
+DOUBLE_EDGE_IDS = st.sampled_from(["v", "w", "alpha", "beta", "", "q"])
+LABEL = st.integers(-2, 4) | st.sampled_from(["1", "2", "x", ""]) | JSON
+SMALL_LABEL = st.integers(0, 3)
+BALANCINGS = (
+    st.fixed_dictionaries({"labels": st.fixed_dictionaries(
+        {"v": SMALL_LABEL, "w": SMALL_LABEL},
+        optional={"alpha": SMALL_LABEL, "q": SMALL_LABEL})})
+    | st.fixed_dictionaries(
+        {"labels": st.dictionaries(DOUBLE_EDGE_IDS | st.text("ab", max_size=2),
+                                   LABEL, max_size=5) | JSON})
+    | JSON)
+
+
+@given(BALANCINGS)
+def test_balancing_documents_fuzz(doc):
+    run_with_document(["check-cm", "--input",
+                       os.path.join(DATA, "double_edge.json")],
+                      "--balancing", doc)
+
+
+GROUP_IDS = st.sampled_from(["v", "w", "alpha", "beta", "0", "1", "2", "0,1",
+                             "", "q"])
+FACE_MAP = st.dictionaries(GROUP_IDS, GROUP_IDS | JSON, max_size=3) | JSON
+GENERATOR = (st.sampled_from([{"map": {"alpha": "beta", "beta": "alpha"}},
+                              {"map": {"v": "w", "w": "v"}},
+                              {"vertex_map": {"0": "1", "1": "0"}},
+                              {"vertex_map": {"0": "1", "1": "2", "2": "0"}}])
+             | st.fixed_dictionaries({"map": FACE_MAP})
+             | st.fixed_dictionaries({"vertex_map": FACE_MAP}) | JSON)
+GROUPS = (st.fixed_dictionaries(
+    {"generators": st.lists(GENERATOR, max_size=3) | JSON}) | JSON)
+
+
+@given(st.sampled_from(["double_edge.json", "triangle.json"]),
+       st.sampled_from(["rational", "gf:2"]), GROUPS)
+def test_group_documents_fuzz(complex_file, field, doc):
+    run_with_document(["equivariant-iso", "--sd", "--degree-bound", "2",
+                       "--field", field,
+                       "--input", os.path.join(DATA, complex_file)],
+                      "--group", doc)
+
+
+SD_IDS = ["", "v", "w", "alpha", "beta", "v_alpha", "w_alpha", "v_beta",
+          "w_beta"]
+ORDERS = (st.permutations(SD_IDS)
+          | st.lists(st.sampled_from(SD_IDS + ["q", "v_w"]) | JSON, max_size=10)
+          | JSON)
+
+
+@given(ORDERS)
+def test_order_lists_fuzz(order):
+    run_quiet(["check-cm", "--sd", "--input",
+               os.path.join(DATA, "double_edge.json"),
+               f"--order={json.dumps(order)}"])

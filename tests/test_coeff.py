@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from facering.coeff import FieldSpec, invert, is_unit_integer
-from facering.errors import FieldMismatch, InputError
+from facering.coeff import FieldSpec, inverse, is_unit_integer, normal
+from facering.errors import InputError
 
 Q = FieldSpec.rational()
 F2 = FieldSpec.gf(2)
@@ -12,19 +12,35 @@ F5 = FieldSpec.gf(5)
 
 
 def test_from_integer_examples():
-    assert Q.from_integer(3).value == Fraction(3)
-    assert F2.from_integer(3).value == 1
-    assert F5.from_integer(-1).value == 4
+    assert normal(3, Q.p) == 3 and type(normal(3, Q.p)) is int
+    assert normal(Fraction(6, 2), Q.p) == 3
+    assert type(normal(Fraction(6, 2), Q.p)) is int
+    assert normal(Fraction(3, 2), Q.p) == Fraction(3, 2)
+    assert normal(3, F2.p) == 1
+    assert normal(-1, F5.p) == 4
+
+
+def test_fraction_into_prime_field():
+    assert normal(Fraction(3, 2), F5.p) == 3 * pow(2, -1, 5) % 5
+    assert normal(Fraction(-1, 3), F5.p) == 3
+    assert normal(Fraction(10, 5), F5.p) == 2
+    with pytest.raises(ZeroDivisionError):
+        normal(Fraction(1, 2), F2.p)
+    with pytest.raises(ZeroDivisionError):
+        normal(Fraction(1, 10), F5.p)
 
 
 def test_invert_examples():
-    two_thirds = Q.from_fraction(Fraction(2, 3))
-    assert invert(two_thirds).value == Fraction(3, 2)
-    assert invert(F5.from_integer(3)).value == 2
+    assert inverse(Fraction(2, 3), Q.p) == Fraction(3, 2)
+    assert inverse(2, Q.p) == Fraction(1, 2)
+    assert inverse(Fraction(1, 2), Q.p) == 2
+    assert type(inverse(Fraction(1, 2), Q.p)) is int
+    assert inverse(-1, Q.p) == -1
+    assert inverse(3, F5.p) == 2
     with pytest.raises(ZeroDivisionError):
-        invert(Q.zero())
+        inverse(0, Q.p)
     with pytest.raises(ZeroDivisionError):
-        invert(F2.zero())
+        inverse(0, F2.p)
 
 
 def test_is_unit_integer_examples():
@@ -52,27 +68,35 @@ def test_parse_selector():
         FieldSpec.parse("float")
 
 
-def test_mixed_field_arithmetic_rejected():
-    with pytest.raises(FieldMismatch):
-        Q.one() + F5.one()
-
-
 rationals = st.fractions(min_value=-100, max_value=100,
-                         max_denominator=100).map(Q.from_fraction)
-residues5 = st.integers(min_value=0, max_value=4).map(F5.from_integer)
-residues2 = st.integers(min_value=0, max_value=1).map(F2.from_integer)
+                         max_denominator=100).map(lambda q: normal(q, None))
+residues5 = st.integers(min_value=0, max_value=4)
+residues2 = st.integers(min_value=0, max_value=1)
 
 
-@pytest.mark.parametrize("elements", [rationals, residues5, residues2])
+@pytest.mark.parametrize("elements", [(Q, rationals), (F5, residues5),
+                                      (F2, residues2)])
 def test_field_axioms(elements):
+    field, elements = elements
+    p = field.p
+
+    def add(a, b):
+        return normal(a + b, p)
+
+    def mul(a, b):
+        return normal(a * b, p)
+
     @given(elements, elements, elements)
     def check(a, b, c):
-        assert (a + b) + c == a + (b + c)
-        assert (a * b) * c == a * (b * c)
-        assert a * (b + c) == a * b + a * c
-        assert a + (-a) == a.spec.zero()
-        if not a.is_zero:
-            assert a * invert(a) == a.spec.one()
+        assert add(add(a, b), c) == add(a, add(b, c))
+        assert mul(mul(a, b), c) == mul(a, mul(b, c))
+        assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
+        assert add(a, normal(-a, p)) == 0
+        if a:
+            assert mul(a, inverse(a, p)) == 1
+        for x in (a, add(a, b), mul(a, b), normal(-a, p)):
+            assert normal(x, p) == x
+            assert type(x) is int or (p is None and x.denominator != 1)
 
     check()
 
@@ -82,14 +106,18 @@ def test_field_axioms(elements):
 def test_rational_arithmetic_exact(q1, q2):
     a, b = q1.numerator, q1.denominator
     c, d = q2.numerator, q2.denominator
-    total = Q.from_fraction(q1) + Q.from_fraction(q2)
-    assert total.value * b * d == a * d + c * b
+    total = normal(normal(q1, None) + normal(q2, None), None)
+    assert total * b * d == a * d + c * b
 
 
 def test_coefficient_parsing():
-    assert Q.parse_coefficient("3/2").value == Fraction(3, 2)
-    assert F5.parse_coefficient("3/2").value == (3 * pow(2, -1, 5)) % 5
+    assert Q.parse_coefficient("3/2") == Fraction(3, 2)
+    assert Q.parse_coefficient("6/2") == 3
+    assert type(Q.parse_coefficient("6/2")) is int
+    assert F5.parse_coefficient("3/2") == (3 * pow(2, -1, 5)) % 5
     with pytest.raises(ZeroDivisionError):
         F2.parse_coefficient("1/2")
     with pytest.raises(InputError):
         Q.parse_coefficient("x")
+    with pytest.raises(InputError):
+        Q.parse_coefficient("1/0")

@@ -50,10 +50,8 @@ def test_coefficients_and_signs(double_edge):
     got = parse_element("3/2*x[v]^2*x[beta] - x[alpha] + 2", lex(double_edge))
     expected = (straighten(double_edge, [("v", 2), ("beta", 1)], RATIONAL,
                            RATIONAL.parse_coefficient("3/2"))
-                + straighten(double_edge, [("alpha", 1)], RATIONAL,
-                             RATIONAL.from_integer(-1))
-                + RingElement.one(double_edge, RATIONAL).scale(
-                    RATIONAL.from_integer(2)))
+                + straighten(double_edge, [("alpha", 1)], RATIONAL, -1)
+                + RingElement.one(double_edge, RATIONAL).scale(2))
     assert got == expected
 
 
@@ -64,8 +62,7 @@ def test_empty_brackets_are_one(double_edge):
 
 def test_leading_minus(double_edge):
     got = parse_element("-x[beta]^2", lex(double_edge))
-    assert got == straighten(double_edge, [("beta", 2)], RATIONAL,
-                             RATIONAL.from_integer(-1))
+    assert got == straighten(double_edge, [("beta", 2)], RATIONAL, -1)
 
 
 def test_format_golden(double_edge):
@@ -81,7 +78,7 @@ def _random_element(c, field, rng, discrete=False):
     for _ in range(rng.randint(1, 5)):
         raw = [(rng.choice(faces), rng.randint(1, 3))
                for _ in range(rng.randint(1, 3))]
-        coeff = field.from_integer(rng.randint(-6, 6))
+        coeff = rng.randint(-6, 6)
         total = total + straighten(c, raw, field, coeff, discrete)
     return total
 

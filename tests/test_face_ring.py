@@ -1,6 +1,8 @@
 import itertools
 import random
 import sys
+import threading
+from fractions import Fraction
 
 import pytest
 
@@ -16,6 +18,7 @@ from facering import (
     rank_row_parameter,
     straighten,
 )
+from facering.coeff import normal
 from facering.errors import ComplexMismatch, FieldMismatch, InputError
 from facering.face_ring import (
     ParameterPolynomial,
@@ -24,15 +27,17 @@ from facering.face_ring import (
     mono_label_multidegree,
     mono_rank_multidegree,
     mono_shape,
+    parameter_monomial,
     straighten_with_strategy,
 )
+from facering.linalg import RowSpan
 from facering.partitions import sh, strictly_dominates
 
-from conftest import GF2, RATIONAL, make_double_edge
+from conftest import GF2, GF5, RATIONAL, make_disk, make_double_edge
 
 
 def el(c, pairs, field=RATIONAL, coeff=1, discrete=False):
-    return straighten(c, pairs, field, field.from_integer(coeff), discrete)
+    return straighten(c, pairs, field, coeff, discrete)
 
 
 def mono(c, pairs):
@@ -50,7 +55,7 @@ def test_straighten_double_edge(double_edge):
 def test_straighten_chain_is_identity(double_edge):
     got = el(double_edge, [("w", 2), ("beta", 3)])
     assert list(got.terms) == [mono(double_edge, [("w", 2), ("beta", 3)])]
-    assert next(iter(got.terms.values())).is_one
+    assert next(iter(got.terms.values())) == 1
 
 
 def test_straighten_no_upper_bound_is_zero(disjoint_edges):
@@ -150,6 +155,121 @@ def test_ring_mismatch_errors(double_edge, disk):
         el(double_edge, [("v", 1)]) * el(double_edge, [("v", 1)], field=GF2)
 
 
+# -- canonical scalars ------------------------------------------------------------
+
+
+def assert_canonical(values, p):
+    """Nonzero, reduced, and an int unless the value is non-integral over Q."""
+    for c in values:
+        assert c and normal(c, p) == c
+        assert type(c) is int or (p is None and type(c) is Fraction
+                                  and c.denominator != 1)
+
+
+SCALARS = [0, 1, -1, 2, 7, -12, 10**20 + 1, Fraction(1, 3), Fraction(-5, 3),
+           Fraction(9, 3)]
+
+
+@pytest.mark.parametrize("field", [RATIONAL, GF2, GF5], ids=str)
+def test_stored_scalars_are_canonical(field, double_edge, disk):
+    rng = random.Random(31)
+    p = field.p
+    for c in (double_edge, disk):
+        faces = range(1, len(c))
+
+        def random_element():
+            f = RingElement.zero(c, field)
+            for _ in range(rng.randint(1, 3)):
+                pairs = [(rng.choice(faces), rng.randint(1, 2))
+                         for _ in range(rng.randint(1, 2))]
+                f = f + straighten(c, pairs, field, rng.choice(SCALARS))
+            return f
+
+        def random_polynomial():
+            return ParameterPolynomial(c.n, field, {
+                tuple(rng.randint(0, 2) for _ in range(c.n)): rng.choice(SCALARS)
+                for _ in range(3)})
+
+        for _ in range(20):
+            a, b = random_element(), random_element()
+            k = rng.choice(SCALARS)
+            for x in (a, a + b, a - b, -a, a * b, (a + b) * (a - b),
+                      a.scale(k), k * a, a * k):
+                assert_canonical(x.terms.values(), p)
+            q1, q2 = random_polynomial(), random_polynomial()
+            for q in (q1, q1 + q2, q1 - q2, -q1, q1.scale(k)):
+                assert_canonical(q.terms.values(), p)
+            assert_canonical(q1.evaluate(c, "theta").terms.values(), p)
+
+    # representations come out canonical from unreduced input rows
+    width = 4
+    span = RowSpan(field, width)
+    vectors = []
+    for tag in range(6):
+        vec = {j: rng.choice(SCALARS) for j in range(width)}
+        span.insert(tag, vec)
+        vectors.append(vec)
+    for _, row, combo in span.rows:
+        assert_canonical(row.values(), p)
+        assert_canonical(combo.values(), p)
+    for _ in range(20):
+        ks = [rng.choice(SCALARS) for _ in vectors]
+        target = {j: sum(k * v[j] for k, v in zip(ks, vectors))
+                  for j in range(width)}
+        rep = span.represent(target)
+        assert rep is not None
+        assert_canonical(rep.values(), p)
+
+
+def test_concurrent_readers_share_memos():
+    """Four threads reading one fresh complex's memos get the single-thread
+    results: the memos never expose a partial value."""
+    rng = random.Random(41)
+    disk = make_disk()
+    faces = range(1, len(disk))
+    products = [[(rng.choice(faces), rng.randint(1, 5)) for _ in range(3)]
+                for _ in range(40)]
+    tasks = [lambda c, raw=raw: straighten(c, raw, RATIONAL).terms
+             for raw in products]
+    for exps in itertools.product(range(4), repeat=disk.n):
+        tasks.append(lambda c, a=exps: parameter_monomial(c, a, "theta",
+                                                          GF5).terms)
+        tasks.append(lambda c, a=exps: parameter_monomial(c, a, "gamma",
+                                                          RATIONAL).terms)
+    expected = [task(disk) for task in tasks]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, to interleave writes
+    try:
+        for _ in range(10):
+            shared = make_disk()
+            barrier = threading.Barrier(4)
+            results, errors = [[None] * len(tasks) for _ in range(4)], []
+
+            def reader(i):
+                # each thread starts at a different task, so one thread's
+                # memo writes race with another's reads of the same keys
+                try:
+                    barrier.wait(timeout=60)
+                    for k in range(len(tasks)):
+                        j = (k + i * len(tasks) // 4) % len(tasks)
+                        results[i][j] = tasks[j](shared)
+                except Exception as exc:  # reported below
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=reader, args=(i,))
+                       for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert not errors
+            assert all(r == expected for r in results)
+    finally:
+        sys.setswitchinterval(interval)
+
+
 # -- gradings ---------------------------------------------------------------------
 
 
@@ -237,7 +357,7 @@ def test_theta_monomial_matches_product(double_edge):
 
 def test_parameter_poly_printing():
     poly = ParameterPolynomial(2, RATIONAL, {
-        (2, 1): RATIONAL.one(), (0, 2): -RATIONAL.one()})
+        (2, 1): 1, (0, 2): -1})
     assert str(poly) == "t1^2*t2 - t2^2"
     assert str(ParameterPolynomial.zero(2, RATIONAL)) == "0"
 
@@ -278,7 +398,7 @@ def test_gamma_monomials_cover_shape_component(double_edge, triangle):
             lam = sh(exps)
             expected = graded_monomials(c, shape=lam)
             assert sorted(got.terms) == sorted(expected)
-            assert all(coeff.is_one for coeff in got.terms.values())
+            assert all(coeff == 1 for coeff in got.terms.values())
 
 
 def test_theta_monomials_dominate_shape_component(double_edge, triangle):
@@ -295,7 +415,7 @@ def test_theta_monomials_dominate_shape_component(double_edge, triangle):
             top = set(graded_monomials(c, shape=lam))
             for m, coeff in got.terms.items():
                 if m in top:
-                    assert coeff.is_one
+                    assert coeff == 1
                 else:
                     assert strictly_dominates(lam, mono_shape(c, m))
             assert top <= set(got.terms)
@@ -312,7 +432,7 @@ def test_omega_monomials_cover_multidegree(disk, disk_balancing, double_edge_sd)
             got = poly.evaluate(c, "omega", balancing=bal)
             expected = graded_monomials(c, multidegree=exps, balancing=bal)
             assert sorted(got.terms) == sorted(expected)
-            assert all(coeff.is_one for coeff in got.terms.values())
+            assert all(coeff == 1 for coeff in got.terms.values())
 
 
 def test_homogeneous_terms_sit_under_distinct_facets(disk, disk_balancing):
@@ -375,7 +495,7 @@ def test_filtration_of_products(double_edge, disk):
                 assert len(f.terms) == 1
                 only = next(iter(f.terms))
                 assert mono_shape(c, only) == total
-                assert next(iter(f.terms.values())).is_one
+                assert next(iter(f.terms.values())) == 1
             else:
                 for m in f.terms:
                     assert strictly_dominates(total, mono_shape(c, m))
@@ -408,7 +528,7 @@ def test_project_omega_to_facet(disk, disk_balancing):
     s = disk.resolve("s")
     assert s in verts
     expected_key = tuple(1 if v == s else 0 for v in verts)
-    assert image == {expected_key: RATIONAL.one()}
+    assert image == {expected_key: 1}
 
 
 def test_project_kills_outside_support(disk):
@@ -420,7 +540,7 @@ def test_project_kills_outside_support(disk):
 def test_project_facet_generator(disk):
     f = el(disk, [("P", 1)])
     verts, image = project_to_face(disk, "P", f)
-    assert image == {(1,) * len(verts): RATIONAL.one()}
+    assert image == {(1,) * len(verts): 1}
 
 
 def test_project_injective_on_sitting_monomials(disk):
