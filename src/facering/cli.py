@@ -11,6 +11,7 @@ deterministic given the inputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -20,10 +21,10 @@ from .cm_basis import CMVerdict, compute_basis, verify_basis
 from .coeff import FieldSpec
 from .complexes import Balancing, BooleanComplex, barycentric_subdivision
 from .equivariant import (
+    CROSS_TERM_MAX_D,
     average,
     build_phi,
     odd_cross_term_witness,
-    simplex_complex,
     verify_morphism,
 )
 from .errors import DomainError, InputError
@@ -53,7 +54,10 @@ def _add_common(parser: argparse.ArgumentParser, *, needs_input=True) -> None:
                      help="indent JSON output")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls,
+    which must not modify it."""
     parser = argparse.ArgumentParser(
         prog="facering",
         description="Exact computations in Stanley-Reisner rings of boolean "
@@ -99,7 +103,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cross-term", help="the odd cross-term of the product "
                                           "of the first d parameters on a simplex")
     _add_common(p, needs_input=False)
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--d", type=int, required=True,
+                   help=f"the simplex dimension, 2..{CROSS_TERM_MAX_D}")
 
     return parser
 
@@ -302,10 +307,9 @@ def _run_fine_vectors(args) -> int:
 
 def _run_cross_term(args) -> int:
     witness = odd_cross_term_witness(args.d)
-    ids = simplex_complex(args.d).ids
     payload = {
         "d": args.d,
-        "monomial": "*".join(f"x[{ids[f]}]" + (f"^{e}" if e > 1 else "")
+        "monomial": "*".join(f"x[{f}]" + (f"^{e}" if e > 1 else "")
                              for f, e in witness.monomial),
         "coefficient": str(witness.coefficient),
         "shape": str(witness.shape),
@@ -331,8 +335,7 @@ _HANDLERS = {
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
     except InputError as exc:

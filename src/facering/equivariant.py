@@ -11,7 +11,10 @@ order is invertible in the field.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
+from itertools import groupby
+from math import comb
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .coeff import FieldSpec, inverse, is_unit_integer, normal
@@ -19,7 +22,6 @@ from .complexes import (
     EMPTY,
     BooleanComplex,
     SdMap,
-    build_from_facets,
     face_id_of_vertex_set,
 )
 from .errors import (
@@ -38,10 +40,9 @@ from .face_ring import (
     graded_monomials,
     mono_shape,
     parameter_monomial,
-    rank_row_parameter,
 )
 from .linalg import RowSpan
-from .partitions import Partition, strictly_dominates
+from .partitions import Partition, sh, strictly_dominates
 from .transfer import TransferContext
 from .cm_basis import CellBasis, represent_on_cell_basis
 
@@ -372,9 +373,19 @@ def verify_morphism(morphism: Morphism, group: Group,
 # -- the odd cross-term computation ---------------------------------------------------
 
 
+CROSS_TERM_MAX_D = 100  # the largest d that odd_cross_term_witness accepts
+
+
 @dataclass
 class CrossTermWitness:
-    monomial: Mono
+    """The distinguished term of theta_1 ... theta_d on the d-simplex.
+
+    ``monomial`` is its chain as (face id, exponent) pairs, smallest face
+    first; the ids are those of ``build_from_facets`` on the vertices
+    "0" .. "d".
+    """
+
+    monomial: tuple[tuple[str, int], ...]
     coefficient: int
     shape: Partition
     staircase: Partition
@@ -385,35 +396,82 @@ class CrossTermWitness:
         return self.coefficient % 2 == 1
 
 
-def simplex_complex(d: int) -> BooleanComplex:
-    return build_from_facets([[str(i) for i in range(d + 1)]])
+def theta_product_count(row_sums: Iterable[int], column_sums: Iterable[int]) -> int:
+    """The number of 0/1 matrices with the given row and column sums.
+
+    On a simplicial complex a product x_{S_1} ... x_{S_d} straightens to the
+    single chain of superlevel sets {v : mu(v) >= t} of its vertex
+    multiplicities mu, with coefficient one (Garsia 1980; De Concini,
+    Eisenbud and Procesi 1982).  So in the product of the rank-row
+    parameters theta_j (j in ``row_sums``) the chain with multiplicities
+    ``column_sums`` has this count as its coefficient: row j is the vertex
+    set S_j.
+
+    A dynamic program over the columns, largest first.  Its state is the
+    decreasing tuple of the rows' positive remaining sums: rows with equal
+    sums are interchangeable, so a column takes k rows from a run of m equal
+    ones in comb(m, k) ways.  With ``later`` columns still to come, a row
+    whose sum exceeds ``later`` must be taken, and one whose sum exceeds
+    ``later + 1`` can no longer be met.
+    """
+    rows = sorted(row_sums, reverse=True)
+    columns = sorted(column_sums, reverse=True)
+    if min(rows + columns, default=0) < 0 or sum(rows) != sum(columns):
+        return 0
+    columns = [c for c in columns if c]
+    states = {tuple(r for r in rows if r): 1}
+    for i, take in enumerate(columns):
+        later = len(columns) - i - 1
+        after: dict[tuple[int, ...], int] = {}
+        for state, ways in states.items():
+            if state[0] > later + 1:
+                continue
+            # (remaining sums so far, rows taken so far) -> ways, run by run
+            partial = {((), 0): ways}
+            rest = len(state)
+            for value, run in groupby(state):
+                m = len(list(run))
+                rest -= m
+                partial = {
+                    (parts + (value,) * (m - k) + (value - 1,) * k, taken + k):
+                        w * comb(m, k)
+                    for (parts, taken), w in partial.items()
+                    for k in range(max(m if value > later else 0,
+                                       take - taken - rest),
+                                   min(m, take - taken) + 1)}
+            for (parts, taken), w in partial.items():
+                nxt = tuple(sorted(filter(None, parts), reverse=True))
+                after[nxt] = after.get(nxt, 0) + w
+        states = after
+    return states.get((), 0)
 
 
 def odd_cross_term_witness(d: int) -> CrossTermWitness:
-    """Expand the product of the first d rank-row parameters on the d-simplex
-    and extract the coefficient of the distinguished non-staircase term.
+    """The coefficient of the distinguished non-staircase term in the
+    product of the first d rank-row parameters on the d-simplex.
 
-    The term is the product of the bottom triangle with the full prefix
-    faces; its coefficient is odd (it equals 3), which obstructs equivariant
-    averaging in characteristic two.
+    The term is the bottom triangle times the prefix faces {0..i} for
+    i = 2..d-1.  Its coefficient is the count of 0/1 matrices with row sums
+    1..d and the term's vertex multiplicities as column sums
+    (``theta_product_count``), so no complex or ring element is built.  The
+    coefficient is odd (it equals 3), which obstructs equivariant averaging
+    in characteristic two.
     """
-    if d < 2:
-        raise InputError("d must be at least 2")
-    complex = simplex_complex(d)
-    field = FieldSpec.rational()
-    product = RingElement.one(complex, field)
-    for j in range(1, d + 1):
-        product = product * rank_row_parameter(complex, j, field)
-    triangle = face_id_of_vertex_set([str(i) for i in range(3)])
-    support = [(complex.resolve(triangle), 1)]
-    for i in range(2, d):
-        prefix = face_id_of_vertex_set([str(k) for k in range(i + 1)])
-        support.append((complex.resolve(prefix), 1))
-    mono = canonical_mono(complex, support)
-    coeff = product.terms.get(mono, 0)
-    shape = mono_shape(complex, mono)
+    if not 2 <= d <= CROSS_TERM_MAX_D:
+        raise InputError(f"d must be between 2 and {CROSS_TERM_MAX_D}, got {d}")
+    chain = sorted(Counter([3, *range(3, d + 1)]).items())  # (size, exponent)
+    vertices = [str(v) for v in range(d + 1)]
+    monomial = tuple((face_id_of_vertex_set(vertices[:size]), e)
+                     for size, e in chain)
+    multiplicity = [sum(e for size, e in chain if v < size)
+                    for v in range(d + 1)]
+    coeff = theta_product_count(range(1, d + 1), multiplicity)
+    by_rank = [0] * (d + 1)
+    for size, e in chain:
+        by_rank[size - 1] = e
     staircase = Partition(range(d, 0, -1))
-    witness = CrossTermWitness(mono, coeff, shape, staircase,
+    shape = sh(by_rank)
+    witness = CrossTermWitness(monomial, coeff, shape, staircase,
                                strictly_dominates(staircase, shape))
     if not witness.odd:
         raise DomainError(

@@ -37,6 +37,11 @@ def any_field(request):
     return FieldSpec.parse(request.param)
 
 
+def simplex_complex(d):
+    """The d-simplex on the vertices "0" .. "d"."""
+    return build_from_facets([[str(i) for i in range(d + 1)]])
+
+
 def make_double_edge():
     # two vertices joined by a pair of parallel edges (a circle)
     return build_from_poset([

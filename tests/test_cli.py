@@ -183,6 +183,52 @@ def test_cross_term(capsys):
     assert payload["odd"] is True and payload["strictly_dominated"] is True
 
 
+def test_cross_term_builds_no_complex(capsys, monkeypatch):
+    from facering.complexes import BooleanComplex
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("cross-term built a BooleanComplex")
+
+    monkeypatch.setattr(BooleanComplex, "__init__", refuse)
+    code, payload = run_json(capsys, ["cross-term", "--d", "10"])
+    assert code == 0
+    assert payload["coefficient"] == "3" and payload["odd"] is True
+
+
+@pytest.mark.parametrize("d", ["1", "101"])
+def test_cross_term_d_out_of_range(capsys, d):
+    code = run(["cross-term", "--d", d])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: d must be between 2 and 100")
+
+
+def test_parser_is_reused_across_runs(docs, capsys):
+    # one process, one parser: a result, an input error, another command;
+    # each must match a run on a freshly built parser
+    from facering.cli import build_parser
+
+    jobs = [["straighten", "--input", docs["double_edge"], "--expr", "x[v]*x[w]"],
+            ["straighten", "--input", docs["double_edge"], "--expr", "x[v]",
+             "--field", "gf:4"],
+            ["cross-term", "--d", "3"]]
+
+    def results(fresh):
+        out = []
+        for argv in jobs:
+            if fresh:
+                build_parser.cache_clear()
+            code = run(argv)
+            out.append((code, capsys.readouterr().out))
+        return out
+
+    build_parser.cache_clear()
+    shared = results(fresh=False)
+    assert build_parser.cache_info().misses == 1
+    assert [code for code, _ in shared] == [0, 2, 0]
+    assert shared == results(fresh=True)
+
+
 def test_order_flag(docs, capsys):
     order = '["", "a", "b", "c", "d", "a,c", "b,d"]'
     code, payload = run_json(capsys, [

@@ -1,5 +1,9 @@
 
+import itertools
+import math
+
 import pytest
+from hypothesis import given, strategies as st
 
 from facering import (
     RingElement,
@@ -16,7 +20,7 @@ from facering import (
 from facering.equivariant import (
     automorphism_from_face_map,
     automorphism_from_vertex_map,
-    simplex_complex,
+    theta_product_count,
     verify_map,
 )
 from facering.errors import (
@@ -25,11 +29,11 @@ from facering.errors import (
     NotAnAutomorphism,
     OrderNotInvertible,
 )
-from facering.face_ring import canonical_mono, mono_shape
+from facering.face_ring import mono_shape
 from facering.partitions import Partition, dominates, strictly_dominates
 from facering.transfer import TransferContext
 
-from conftest import GF2, GF5, RATIONAL
+from conftest import GF2, GF5, RATIONAL, simplex_complex
 
 
 @pytest.fixture(scope="module")
@@ -264,8 +268,7 @@ def test_hilbert_dimensions_agree(double_edge, double_edge_sd, triangle,
 
 def test_cross_term_d2():
     w = odd_cross_term_witness(2)
-    c = simplex_complex(2)
-    assert w.monomial == canonical_mono(c, [(c.resolve("0,1,2"), 1)])
+    assert w.monomial == (("0,1,2", 1),)
     assert w.coefficient == 3
     assert w.shape == Partition((1, 1, 1))
     assert w.staircase == Partition((2, 1))
@@ -274,8 +277,7 @@ def test_cross_term_d2():
 
 def test_cross_term_d3():
     w = odd_cross_term_witness(3)
-    c = simplex_complex(3)
-    assert w.monomial == canonical_mono(c, [(c.resolve("0,1,2"), 2)])
+    assert w.monomial == (("0,1,2", 2),)
     assert w.coefficient == 3
     assert w.shape == Partition((2, 2, 2))
     assert w.strictly_dominated and w.odd
@@ -283,27 +285,64 @@ def test_cross_term_d3():
 
 def test_cross_term_d4():
     w = odd_cross_term_witness(4)
-    c = simplex_complex(4)
-    assert w.monomial == canonical_mono(
-        c, [(c.resolve("0,1,2"), 2), (c.resolve("0,1,2,3"), 1)])
+    assert w.monomial == (("0,1,2", 2), ("0,1,2,3", 1))
     assert w.coefficient == 3
     assert w.shape == Partition((3, 3, 3, 1))
     assert w.strictly_dominated and w.odd
 
 
 def test_cross_term_even_coefficient_raises(monkeypatch):
-    # doubling every parameter makes the coefficient 3 * 2^d; the parity check
-    # must raise rather than assert, so that it survives python -O
+    # an even count (here 3 * 2) must raise rather than assert, so that the
+    # parity check survives python -O
     import facering.equivariant as eq
 
-    original = eq.rank_row_parameter
-
-    def doubled(complex, j, field):
-        return original(complex, j, field) * 2
-
-    monkeypatch.setattr(eq, "rank_row_parameter", doubled)
+    monkeypatch.setattr(eq, "theta_product_count", lambda rows, columns: 6)
     with pytest.raises(DomainError, match="not odd"):
         odd_cross_term_witness(2)
+
+
+def vertex_multiplicities(c, mono):
+    """How many factors of the chain contain each vertex of the simplex."""
+    mu = dict.fromkeys(c.vertices(), 0)
+    for f, e in mono:
+        for v in c.vertices():
+            if c.leq(v, f):
+                mu[v] += e
+    return list(mu.values())
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_theta_product_count_matches_expansion(d):
+    # every term of the expanded product theta_1 ... theta_d, not only the
+    # distinguished one; the coefficients sum to all choices of the S_j
+    c = simplex_complex(d)
+    product = RingElement.one(c, RATIONAL)
+    for j in range(1, d + 1):
+        product = product * rank_row_parameter(c, j, RATIONAL)
+    for mono, coeff in product.terms.items():
+        assert coeff == theta_product_count(range(1, d + 1),
+                                            vertex_multiplicities(c, mono))
+    assert sum(product.terms.values()) == math.prod(
+        math.comb(d + 1, j) for j in range(1, d + 1))
+
+
+def brute_count(rows, columns):
+    """0/1 matrices with these row and column sums, by listing every matrix."""
+    per_row = [itertools.combinations(range(len(columns)), r) for r in rows]
+    total = 0
+    for choice in itertools.product(*per_row):
+        sums = [0] * len(columns)
+        for picked in choice:
+            for j in picked:
+                sums[j] += 1
+        total += sums == list(columns)
+    return total
+
+
+@given(st.lists(st.integers(0, 4), max_size=4),
+       st.lists(st.integers(0, 4), max_size=4))
+def test_theta_product_count_matches_listing(rows, columns):
+    assert theta_product_count(rows, columns) == brute_count(rows, columns)
 
 
 def test_theta_product_staircase_terms_d2():
