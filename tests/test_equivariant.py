@@ -3,7 +3,7 @@ import itertools
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from facering import (
     RingElement,
@@ -327,8 +327,11 @@ def test_theta_product_count_matches_expansion(d):
 
 
 def brute_count(rows, columns):
-    """0/1 matrices with these row and column sums, by listing every matrix."""
-    per_row = [itertools.combinations(range(len(columns)), r) for r in rows]
+    """0/1 matrices with these row and column sums, by listing every matrix.
+    A row with a negative sum has no choices, and a negative column sum is
+    never met."""
+    per_row = [itertools.combinations(range(len(columns)), r) if r >= 0 else ()
+               for r in rows]
     total = 0
     for choice in itertools.product(*per_row):
         sums = [0] * len(columns)
@@ -339,8 +342,11 @@ def brute_count(rows, columns):
     return total
 
 
-@given(st.lists(st.integers(0, 4), max_size=4),
-       st.lists(st.integers(0, 4), max_size=4))
+@given(st.lists(st.integers(-1, 4), max_size=4),
+       st.lists(st.integers(-1, 4), max_size=4))
+@example([], [-1, 1])
+@example([1, 1], [2, -1, 1])
+@example([2, -1], [1])
 def test_theta_product_count_matches_listing(rows, columns):
     assert theta_product_count(rows, columns) == brute_count(rows, columns)
 
