@@ -4,8 +4,9 @@ Subcommands: check-cm, basis, straighten, transfer, represent,
 equivariant-iso, verify, fine-vectors, cross-term.  Exit codes: 0 on
 success (a "not Cohen-Macaulay" verdict is a result, not an error), 1 on
 domain errors or when stdout is closed before the output is written (a
-broken pipe, as in ``| head``), 2 on input or parse errors.  All output is
-deterministic given the inputs.
+broken pipe, as in ``| head``), 2 on input or parse errors.  Each
+subcommand accepts only the flags its handler reads; any other flag, like a
+missing required one, exits 2.  All output is deterministic given the inputs.
 """
 
 from __future__ import annotations
@@ -31,82 +32,6 @@ from .errors import DomainError, InputError
 from .expressions import RingLexicon, format_element, parse_element
 from .face_ring import fine_vectors
 from .transfer import TransferContext, express_on_transferred_basis
-
-
-def _add_common(parser: argparse.ArgumentParser, *, needs_input=True) -> None:
-    if needs_input:
-        parser.add_argument("--input", required=True,
-                            help="path to a complex JSON document")
-    parser.add_argument("--field", default="rational",
-                        help="coefficient field: rational or gf:<p>")
-    parser.add_argument("--balancing", help="path to a balancing JSON document")
-    parser.add_argument("--group", help="path to a group JSON document")
-    parser.add_argument("--order",
-                        help="JSON list of face ids (inline or a file path) "
-                             "fixing the processing order")
-    parser.add_argument("--degree-bound", type=int, default=None)
-    parser.add_argument("--sd", action="store_true",
-                        help="operate on the barycentric subdivision of the input")
-    fmt = parser.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true", dest="as_json",
-                     help="force JSON output for expression commands")
-    fmt.add_argument("--pretty", action="store_true",
-                     help="indent JSON output")
-
-
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and shared by later calls,
-    which must not modify it."""
-    parser = argparse.ArgumentParser(
-        prog="facering",
-        description="Exact computations in Stanley-Reisner rings of boolean "
-                    "complexes and their barycentric subdivisions.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    for name, doc in [
-            ("check-cm", "decide Cohen-Macaulayness by the facet-vector test"),
-            ("basis", "compute a cell basis over the parameter subring")]:
-        p = sub.add_parser(name, help=doc)
-        _add_common(p)
-
-    p = sub.add_parser("straighten", help="normalize an expression onto the "
-                                          "standard-monomial basis")
-    _add_common(p)
-    p.add_argument("--expr", required=True)
-
-    p = sub.add_parser("transfer", help="apply the transfer (or its inverse) "
-                                        "to an expression")
-    _add_common(p)
-    p.add_argument("--expr", required=True)
-    p.add_argument("--inverse", action="store_true",
-                   help="transfer from the face ring to the subdivision ring")
-
-    p = sub.add_parser("represent", help="express a face-ring element over the "
-                                         "parameter subring on the transferred basis")
-    _add_common(p)
-    p.add_argument("--expr", required=True)
-
-    p = sub.add_parser("equivariant-iso",
-                       help="build and group-average the basis-transfer morphism")
-    _add_common(p)
-
-    p = sub.add_parser("verify", help="check a proposed cell basis")
-    _add_common(p)
-    p.add_argument("--candidate", required=True,
-                   help="JSON list of face ids (inline or a file path)")
-
-    p = sub.add_parser("fine-vectors", help="face counts per label set and "
-                                            "their inclusion-exclusion transform")
-    _add_common(p)
-
-    p = sub.add_parser("cross-term", help="the odd cross-term of the product "
-                                          "of the first d parameters on a simplex")
-    _add_common(p, needs_input=False)
-    p.add_argument("--d", type=int, required=True,
-                   help=f"the simplex dimension, 2..{CROSS_TERM_MAX_D}")
-
-    return parser
 
 
 def _emit(args, payload) -> None:
@@ -135,8 +60,6 @@ def _balanced_context(args) -> tuple[BooleanComplex, Balancing]:
     if args.sd:
         sd = barycentric_subdivision(base)
         return sd.target, sd.balancing
-    if not args.balancing:
-        raise InputError("supply --balancing, or --sd for the canonical one")
     balancing = documents.balancing_from_document(
         base, documents.load_json(args.balancing))
     return base, balancing
@@ -173,7 +96,7 @@ def _run_basis_command(args) -> int:
 
 def _base_complex(args) -> BooleanComplex:
     base = documents.complex_from_document(documents.load_json(args.input))
-    if getattr(args, "sd", False):
+    if args.sd:
         base = barycentric_subdivision(base).target
     return base
 
@@ -254,8 +177,6 @@ def _run_represent(args) -> int:
 
 def _run_equivariant_iso(args) -> int:
     field = FieldSpec.parse(args.field)
-    if not args.group:
-        raise InputError("equivariant-iso needs --group")
     base, sd, verdict = _sd_basis_or_verdict(args, field)
     if not verdict.cohen_macaulay:
         _emit(args, _verdict_payload(sd.target, verdict))
@@ -321,23 +242,93 @@ def _run_cross_term(args) -> int:
     return 0
 
 
-_HANDLERS = {
-    "check-cm": _run_basis_command,
-    "basis": _run_basis_command,
-    "straighten": _run_straighten,
-    "transfer": _run_transfer,
-    "represent": _run_represent,
-    "equivariant-iso": _run_equivariant_iso,
-    "verify": _run_verify,
-    "fine-vectors": _run_fine_vectors,
-    "cross-term": _run_cross_term,
+# Each flag's add_argument keywords; the command table below picks from these.
+_FLAGS = {
+    "input": dict(required=True, help="path to a complex JSON document"),
+    "field": dict(default="rational",
+                  help="coefficient field: rational or gf:<p>"),
+    "balancing": dict(help="path to a balancing JSON document"),
+    "sd": dict(action="store_true",
+               help="operate on the barycentric subdivision of the input"),
+    "group": dict(required=True, help="path to a group JSON document"),
+    "order": dict(help="JSON list of face ids (inline or a file path) "
+                       "fixing the processing order"),
+    "degree-bound": dict(type=int),
+    "expr": dict(required=True),
+    "inverse": dict(action="store_true",
+                    help="transfer from the face ring to the subdivision ring"),
+    "candidate": dict(required=True,
+                      help="JSON list of face ids (inline or a file path)"),
+    "d": dict(type=int, required=True,
+              help=f"the simplex dimension, 2..{CROSS_TERM_MAX_D}"),
+    "json": dict(action="store_true", dest="as_json",
+                 help="force JSON output for expression commands"),
+    "pretty": dict(action="store_true", help="indent JSON output"),
 }
+
+# A tuple is a mutually exclusive group.  --sd brings the canonical
+# balancing, so exactly one of it and --balancing is required.
+_SD_OR_BALANCING = ("sd", "balancing")
+_JSON_OR_PRETTY = ("json", "pretty")
+
+# Each subcommand: its help, its handler and the flags that handler reads.
+# argparse rejects every other flag.
+_COMMANDS = [
+    ("check-cm", "decide Cohen-Macaulayness by the facet-vector test",
+     _run_basis_command, ["input", "field", _SD_OR_BALANCING, "order", "pretty"]),
+    ("basis", "compute a cell basis over the parameter subring",
+     _run_basis_command, ["input", "field", _SD_OR_BALANCING, "order", "pretty"]),
+    ("straighten", "normalize an expression onto the standard-monomial basis",
+     _run_straighten, ["input", "field", "sd", "expr", _JSON_OR_PRETTY]),
+    ("transfer", "apply the transfer (or its inverse) to an expression",
+     _run_transfer, ["input", "field", "sd", "expr", "inverse", _JSON_OR_PRETTY]),
+    ("represent", "express a face-ring element over the parameter subring "
+                  "on the transferred basis",
+     _run_represent, ["input", "field", "sd", "order", "expr", "pretty"]),
+    ("equivariant-iso", "build and group-average the basis-transfer morphism",
+     _run_equivariant_iso,
+     ["input", "field", "sd", "group", "order", "degree-bound", "pretty"]),
+    ("verify", "check a proposed cell basis",
+     _run_verify, ["input", "field", _SD_OR_BALANCING, "candidate", "pretty"]),
+    ("fine-vectors", "face counts per label set and their "
+                     "inclusion-exclusion transform",
+     _run_fine_vectors, ["input", _SD_OR_BALANCING, "pretty"]),
+    ("cross-term", "the odd cross-term of the product of the first d "
+                   "parameters on a simplex",
+     _run_cross_term, ["d", "pretty"]),
+]
+
+
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls,
+    which must not modify it."""
+    parser = argparse.ArgumentParser(
+        prog="facering",
+        description="Exact computations in Stanley-Reisner rings of boolean "
+                    "complexes and their barycentric subdivisions.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, doc, handler, flags in _COMMANDS:
+        p = sub.add_parser(name, help=doc)
+        p.set_defaults(handler=handler)
+        for entry in flags:
+            if isinstance(entry, tuple):
+                group = p.add_mutually_exclusive_group(
+                    required=entry == _SD_OR_BALANCING)
+                for flag in entry:
+                    group.add_argument(f"--{flag}", **_FLAGS[flag])
+            else:
+                p.add_argument(f"--{entry}", **_FLAGS[entry])
+    return parser
 
 
 def run(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse: 2 for a rejected flag, 0 for --help
+        return exc.code
+    try:
+        return args.handler(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

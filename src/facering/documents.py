@@ -29,7 +29,7 @@ from .equivariant import (
     automorphism_from_vertex_map,
     close_group,
 )
-from .errors import InputError
+from .errors import InputError, NotAnAutomorphism
 
 
 def load_json(path: str) -> Any:
@@ -100,9 +100,11 @@ def group_from_document(complex: BooleanComplex, doc: Any,
             raise InputError(f'generator {i} needs a "map" or "vertex_map"')
         if not isinstance(entry[key], dict):
             raise InputError(f'"{key}" of generator {i} must be an object')
-        generators.append(build(
-            complex, {str(k): str(v) for k, v in entry[key].items()},
-            generator_index=i))
+        try:
+            generators.append(build(
+                complex, {str(k): str(v) for k, v in entry[key].items()}))
+        except NotAnAutomorphism as exc:
+            raise NotAnAutomorphism(f"generator {i}: {exc}") from None
     return close_group(complex, generators, cap)
 
 

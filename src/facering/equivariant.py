@@ -85,37 +85,31 @@ class Automorphism:
         return Automorphism(sd.target, tuple(perm))
 
 
-def _validate_automorphism(complex: BooleanComplex, perm: Sequence[int],
-                           generator_index: int | None = None) -> Automorphism:
+def _validate_automorphism(complex: BooleanComplex,
+                           perm: Sequence[int]) -> Automorphism:
     if sorted(perm) != list(range(len(complex))):
-        raise NotAnAutomorphism("face map is not a bijection",
-                                generator_index=generator_index)
+        raise NotAnAutomorphism("face map is not a bijection")
     if perm[EMPTY] != EMPTY:
-        raise NotAnAutomorphism("the empty face must be fixed",
-                                generator_index=generator_index)
+        raise NotAnAutomorphism("the empty face must be fixed")
     cover_set = {(c, f) for f in range(len(complex)) for c in complex.covers[f]}
     for c, f in cover_set:
         if (perm[c], perm[f]) not in cover_set:
             raise NotAnAutomorphism(
-                f"cover {complex.ids[c]!r} < {complex.ids[f]!r} is not preserved",
-                generator_index=generator_index,
-                cover=(complex.ids[c], complex.ids[f]))
+                f"cover {complex.ids[c]!r} < {complex.ids[f]!r} is not preserved")
     return Automorphism(complex, tuple(perm))
 
 
 def automorphism_from_face_map(complex: BooleanComplex,
-                               mapping: Mapping[str, str],
-                               generator_index: int | None = None) -> Automorphism:
+                               mapping: Mapping[str, str]) -> Automorphism:
     """Build an automorphism from a partial face-id map (identity elsewhere)."""
     perm = list(range(len(complex)))
     for src, dst in mapping.items():
         perm[complex.resolve(src)] = complex.resolve(dst)
-    return _validate_automorphism(complex, perm, generator_index)
+    return _validate_automorphism(complex, perm)
 
 
 def automorphism_from_vertex_map(complex: BooleanComplex,
-                                 mapping: Mapping[str, str],
-                                 generator_index: int | None = None) -> Automorphism:
+                                 mapping: Mapping[str, str]) -> Automorphism:
     """Extend a vertex permutation to faces.
 
     Only valid when faces are determined by their vertex sets (simplicial
@@ -125,8 +119,7 @@ def automorphism_from_vertex_map(complex: BooleanComplex,
     for f in range(len(complex)):
         if complex.atoms[f] in by_atoms:
             raise NotAnAutomorphism(
-                "faces are not determined by vertex sets; supply a face map",
-                generator_index=generator_index)
+                "faces are not determined by vertex sets; supply a face map")
         by_atoms[complex.atoms[f]] = f
     vperm = {v: v for v in complex.vertices()}
     for src, dst in mapping.items():
@@ -139,10 +132,9 @@ def automorphism_from_vertex_map(complex: BooleanComplex,
         image = by_atoms.get(mask)
         if image is None:
             raise NotAnAutomorphism(
-                f"vertex map does not send face {complex.ids[f]!r} to a face",
-                generator_index=generator_index)
+                f"vertex map does not send face {complex.ids[f]!r} to a face")
         perm.append(image)
-    return _validate_automorphism(complex, perm, generator_index)
+    return _validate_automorphism(complex, perm)
 
 
 @dataclass(frozen=True)
@@ -326,8 +318,11 @@ def verify_map(apply_fn: Callable[[RingElement], RingElement],
     computed for sigma.m with sigma applied to the image of m.  For a linear
     map, passing on the generators is passing on every group element.  The
     isomorphism check materializes the degreewise matrices and tests
-    nonsingularity.  This is evidence up to the bound, not a proof.
+    nonsingularity.  This is evidence up to the bound, not a proof.  A
+    negative bound checks nothing, so it is an input error.
     """
+    if degree_bound < 0:
+        raise InputError(f"degree bound must be at least 0, got {degree_bound}")
     failures: list[dict] = []
     equivariant = True
     isomorphism = True

@@ -52,17 +52,7 @@ class InvalidBalancing(InputError):
 
 
 class NotAnAutomorphism(InputError):
-    """A face bijection does not preserve the poset structure.
-
-    Carries the offending cover relation, and the generator index when raised
-    while closing a group.
-    """
-
-    def __init__(self, message: str, generator_index: int | None = None,
-                 cover: tuple[str, str] | None = None):
-        super().__init__(message)
-        self.generator_index = generator_index
-        self.cover = cover
+    """A face map is not a bijection that preserves the poset structure."""
 
 
 class OrderNotCompatible(InputError):

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -245,6 +246,84 @@ def test_order_flag(docs, capsys):
 def test_missing_balancing(docs, capsys):
     code = run(["check-cm", "--input", docs["double_edge"]])
     assert code == 2
+
+
+# the flags each subcommand's handler reads; argparse rejects every other flag
+FLAGS = {
+    "check-cm": {"input", "field", "balancing", "order", "sd", "pretty"},
+    "basis": {"input", "field", "balancing", "order", "sd", "pretty"},
+    "straighten": {"input", "field", "sd", "expr", "json", "pretty"},
+    "transfer": {"input", "field", "sd", "expr", "inverse", "json", "pretty"},
+    "represent": {"input", "field", "sd", "order", "expr", "pretty"},
+    "equivariant-iso": {"input", "field", "sd", "group", "order",
+                        "degree-bound", "pretty"},
+    "verify": {"input", "field", "balancing", "sd", "candidate", "pretty"},
+    "fine-vectors": {"input", "balancing", "sd", "pretty"},
+    "cross-term": {"d", "pretty"},
+}
+
+
+def test_flag_surface():
+    from facering.cli import build_parser
+
+    parser = build_parser()
+    [commands] = [a.choices for a in parser._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+    surface = {name: {opt[2:] for a in sub._actions for opt in a.option_strings
+                      if opt not in ("-h", "--help")}
+               for name, sub in commands.items()}
+    assert surface == FLAGS
+    assert sum(len(flags) for flags in surface.values()) == 50
+
+
+# flags that were accepted and never read, and flags missing or clashing
+REJECTED = {
+    "fine-vectors --field": ["fine-vectors", "--input", "{double_edge}", "--sd",
+                             "--field", "gf:2"],
+    "cross-term --sd": ["cross-term", "--d", "3", "--sd"],
+    "straighten --group": ["straighten", "--input", "{double_edge}",
+                           "--expr", "x[v]", "--group", "{swap_group}"],
+    "represent --balancing": ["represent", "--input", "{double_edge}",
+                              "--expr", "x[v]",
+                              "--balancing", "{disjoint_balancing}"],
+    "check-cm --degree-bound": ["check-cm", "--input", "{double_edge}", "--sd",
+                                "--degree-bound", "3"],
+    "check-cm --sd --balancing": ["check-cm", "--input", "{disjoint_edges}",
+                                  "--sd", "--balancing", "{disjoint_balancing}"],
+    "basis --json": ["basis", "--input", "{double_edge}", "--sd", "--json"],
+    "verify --order": ["verify", "--input", "{double_edge}", "--sd",
+                       "--candidate", "[]", "--order", "[]"],
+    "equivariant-iso --balancing": [
+        "equivariant-iso", "--input", "{double_edge}", "--group", "{swap_group}",
+        "--balancing", "{disjoint_balancing}"],
+    "equivariant-iso without --group": ["equivariant-iso",
+                                        "--input", "{double_edge}"],
+    "straighten --json --pretty": ["straighten", "--input", "{double_edge}",
+                                   "--expr", "x[v]", "--json", "--pretty"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(REJECTED))
+def test_rejected_flags_exit_2(name, docs, capsys):
+    code = run([arg.format(**docs) for arg in REJECTED[name]])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+
+
+def test_help_returns_0(capsys):
+    assert run(["check-cm", "--help"]) == 0
+    out = capsys.readouterr().out
+    assert "--balancing" in out and "--group" not in out
+
+
+def test_negative_degree_bound_exit_2(docs, capsys):
+    code = run(["equivariant-iso", "--input", docs["double_edge"],
+                "--group", docs["swap_group"], "--degree-bound", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: degree bound must be at least 0")
 
 
 def test_output_byte_stability(docs, capsys):

@@ -26,6 +26,7 @@ from facering.equivariant import (
 from facering.errors import (
     DomainError,
     GroupTooLarge,
+    InputError,
     NotAnAutomorphism,
     OrderNotInvertible,
 )
@@ -247,6 +248,22 @@ def test_verify_identity_map(double_edge, double_edge_sd, swap_group):
     ctx = TransferContext(double_edge_sd, RATIONAL)
     report = verify_map(ctx.garsia, double_edge, RATIONAL, swap_group, 6)
     assert report.equivariant and report.isomorphism and not report.failures
+
+
+def test_verify_map_rejects_negative_bound(double_edge, double_edge_sd,
+                                          swap_group):
+    ctx = TransferContext(double_edge_sd, RATIONAL)
+    with pytest.raises(InputError, match="degree bound"):
+        verify_map(ctx.garsia, double_edge, RATIONAL, swap_group, -1)
+
+
+def test_group_document_names_failing_generator(double_edge):
+    from facering.documents import group_from_document
+
+    doc = {"generators": [{"map": {"alpha": "beta", "beta": "alpha"}},
+                          {"map": {"v": "alpha", "alpha": "v"}}]}
+    with pytest.raises(NotAnAutomorphism, match=r"^generator 1: "):
+        group_from_document(double_edge, doc)
 
 
 def test_hilbert_dimensions_agree(double_edge, double_edge_sd, triangle,
