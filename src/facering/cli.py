@@ -25,6 +25,7 @@ from .equivariant import (
     CROSS_TERM_MAX_D,
     average,
     build_phi,
+    check_degree_bound,
     odd_cross_term_witness,
     verify_morphism,
 )
@@ -177,6 +178,8 @@ def _run_represent(args) -> int:
 
 def _run_equivariant_iso(args) -> int:
     field = FieldSpec.parse(args.field)
+    if args.degree_bound is not None:
+        check_degree_bound(args.degree_bound)
     base, sd, verdict = _sd_basis_or_verdict(args, field)
     if not verdict.cohen_macaulay:
         _emit(args, _verdict_payload(sd.target, verdict))
@@ -310,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, doc, handler, flags in _COMMANDS:
         p = sub.add_parser(name, help=doc)
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=handler, command_parser=p)
         for entry in flags:
             if isinstance(entry, tuple):
                 group = p.add_mutually_exclusive_group(
@@ -324,7 +327,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args, unread = build_parser().parse_known_args(argv)
+        if unread:
+            # report with the subcommand's usage, which lists its flags
+            args.command_parser.error(
+                f"unrecognized arguments: {' '.join(unread)}")
     except SystemExit as exc:  # argparse: 2 for a rejected flag, 0 for --help
         return exc.code
     try:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import sub
 from typing import Callable, Iterable, Sequence
 
 from .coeff import FieldSpec, Raw
@@ -33,7 +34,7 @@ from .face_ring import (
     add_terms,
     mono_label_multidegree,
 )
-from .linalg import RowSpan, rref
+from .linalg import RowSpan, row_rank, rref
 
 Columns = tuple[int, dict[int, int]]
 
@@ -130,7 +131,12 @@ class _SelectedData:
 
 class CellBasis:
     """Faces whose generators form a module basis over the label-row parameters,
-    together with the row-reduction state that certified them."""
+    together with the row-reduction state that certified them.
+
+    Append-only memos, each key stored once by ``dict.setdefault``: one
+    :meth:`selected` entry per label set, and one :meth:`represent_monomial`
+    entry per face (at most ``len(complex)`` entries).
+    """
 
     def __init__(self, complex: BooleanComplex, balancing: Balancing,
                  field: FieldSpec, members: Sequence[int], span: RowSpan):
@@ -140,6 +146,7 @@ class CellBasis:
         self.members = tuple(members)
         self.span = span
         self._selected: dict[frozenset[int], _SelectedData] = {}
+        self._by_face: dict[int, tuple[tuple[int, tuple[int, ...], Raw], ...]] = {}
 
     def label_set(self, member: int) -> frozenset[int]:
         return self.balancing.label_set(member)
@@ -170,9 +177,36 @@ class CellBasis:
                 raise BasisInvalid(
                     f"label set {sorted(key)}: facet vectors of the selected "
                     f"members are linearly dependent")
-        data = _SelectedData(facets, columns, members, span)
-        self._selected[key] = data
-        return data
+        return self._selected.setdefault(
+            key, _SelectedData(facets, columns, members, span))
+
+    def represent_monomial(self, mono: Mono,
+                           ) -> list[tuple[int, tuple[int, ...], Raw]]:
+        """A standard monomial as (member, exponents, coefficient) triples:
+        mono = sum of coefficient * t^exponents * z_member over the label-row
+        parameters t, members in basis order.
+
+        Every factor but one copy of the top face x_top absorbs into t, and
+        x_top is solved against the facet vectors of the members selected by
+        its label set; that solution is memoized per face.  A member's
+        exponents are the label multidegree of mono less its own labels.
+        """
+        top = mono[-1][0] if mono else EMPTY
+        rep = self._by_face.get(top)
+        if rep is None:
+            data = self.selected(self.balancing.label_set(top))
+            combo = data.span.represent(
+                _incidence(self.complex, top, data.columns))
+            if combo is None:
+                raise BasisInvalid(
+                    f"generator of face {self.complex.ids[top]!r} is outside "
+                    f"the span of the selected members")
+            rep = self._by_face.setdefault(top, tuple(
+                (m, mono_label_multidegree(self.complex, self.balancing,
+                                           ((m, 1),)), combo[m])
+                for m in data.members if m in combo))
+        degree = mono_label_multidegree(self.complex, self.balancing, mono)
+        return [(m, tuple(map(sub, degree, labels)), c) for m, labels, c in rep]
 
 
 @dataclass
@@ -260,10 +294,9 @@ def verify_basis(complex: BooleanComplex, balancing: Balancing,
             nonsingular = False
             if square:
                 columns = _columns(facets)
-                span = RowSpan(field, len(facets))
-                nonsingular = all(
-                    span.insert(m, _incidence(complex, m, columns)) is None
-                    for m in chosen)
+                nonsingular = row_rank(
+                    (_incidence(complex, m, columns) for m in chosen),
+                    field, len(facets)) == len(chosen)
             per[s] = {"members": len(chosen), "facets": len(facets),
                       "square": square, "nonsingular": nonsingular}
             valid = valid and square and nonsingular
@@ -283,32 +316,14 @@ def subspace_M_S(complex: BooleanComplex, balancing: Balancing,
     return rref(rows, field, len(complex.facets))
 
 
-def _collapse(complex: BooleanComplex, balancing: Balancing,
-              mono: Mono) -> tuple[tuple[int, ...], int]:
-    """Write a standard monomial as (label-row parameter monomial) * z_top.
-
-    Every factor except one copy of the top face absorbs into the product of
-    the label-row parameters indexed by its label set.
-    """
-    if not mono:
-        return (0,) * balancing.n, EMPTY
-    top = mono[-1][0]
-    exps = list(mono_label_multidegree(complex, balancing, mono))
-    for j in balancing.label_set(top):
-        exps[j - 1] -= 1
-    return tuple(exps), top
-
-
 def represent_on_cell_basis(complex: BooleanComplex, balancing: Balancing,
                             field: FieldSpec, basis: CellBasis,
                             element: RingElement,
                             ) -> dict[int, ParameterPolynomial]:
     """Coefficients q_b with element = sum of q_b(parameters) * z_b over the basis.
 
-    Per standard monomial: collapse to a parameter monomial times its top
-    generator, then express the top generator on the members selected by its
-    label set by solving against their facet vectors in the label-selected
-    subcomplex.
+    Each standard monomial is represented by
+    :meth:`CellBasis.represent_monomial`, and the triples are summed.
     """
     if element.complex is not complex or element.discrete:
         raise InputError("element must live in the face ring of this complex")
@@ -316,19 +331,8 @@ def represent_on_cell_basis(complex: BooleanComplex, balancing: Balancing,
         raise FieldMismatch("element, basis, and field must agree")
     out: dict[int, dict] = {b: {} for b in basis.members}
     for mono, coeff in element.sorted_terms():
-        exps, top = _collapse(complex, balancing, mono)
-        labels = balancing.label_set(top)
-        data = basis.selected(labels)
-        combo = data.span.represent(_incidence(complex, top, data.columns))
-        if combo is None:
-            raise BasisInvalid(
-                f"generator of face {complex.ids[top]!r} is outside the span "
-                f"of the selected members")
-        for member, c in combo.items():
-            lifted = list(exps)
-            for j in sorted(labels - basis.label_set(member)):
-                lifted[j - 1] += 1
-            add_terms(out[member], [(tuple(lifted), coeff * c)])
+        for member, lifted, c in basis.represent_monomial(mono):
+            add_terms(out[member], [(lifted, coeff * c)])
     return {b: ParameterPolynomial(balancing.n, field, t) for b, t in out.items()}
 
 

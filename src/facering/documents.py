@@ -29,7 +29,7 @@ from .equivariant import (
     automorphism_from_vertex_map,
     close_group,
 )
-from .errors import InputError, NotAnAutomorphism
+from .errors import InputError
 
 
 def load_json(path: str) -> Any:
@@ -103,8 +103,9 @@ def group_from_document(complex: BooleanComplex, doc: Any,
         try:
             generators.append(build(
                 complex, {str(k): str(v) for k, v in entry[key].items()}))
-        except NotAnAutomorphism as exc:
-            raise NotAnAutomorphism(f"generator {i}: {exc}") from None
+        except InputError as exc:
+            exc.args = (f"generator {i}: {exc}",)  # keeps the class
+            raise
     return close_group(complex, generators, cap)
 
 

@@ -36,15 +36,14 @@ from .face_ring import (
     Mono,
     RingElement,
     add_terms,
-    canonical_mono,
     graded_monomials,
     mono_shape,
     parameter_monomial,
 )
-from .linalg import RowSpan
+from .linalg import row_rank
 from .partitions import Partition, sh, strictly_dominates
 from .transfer import TransferContext
-from .cm_basis import CellBasis, represent_on_cell_basis
+from .cm_basis import CellBasis
 
 
 @dataclass(frozen=True)
@@ -191,16 +190,18 @@ class Morphism:
     """A parameter-linear map from the subdivision's ring to the face ring,
     stored by its images of a cell basis.
 
-    Two append-only memos serve ``apply``: the image of each standard
-    monomial, and each product theta^a * images[member] for an exponent
-    vector a met in a cell-basis representation.  By bilinearity the image
-    of a monomial is the sum of c * product over the terms c * t^a of its
-    coefficient polynomials, so no theta polynomial is expanded and
-    multiplied as a whole.  The face ring is free over the theta parameters
-    on the transferred members, which have the members' degrees, so the
-    pairs (a, member) of one total degree are exactly as many as the
-    standard monomials of that degree: the product memo never holds more
-    entries than the standard monomials of the degrees applied.
+    Three append-only memos serve ``apply``: the image of each standard
+    monomial; each product theta^a * images[member] for an exponent vector
+    a met in a cell-basis representation; and the cell basis's per-face
+    representations (:meth:`CellBasis.represent_monomial`, at most one entry
+    per face of the subdivision).  A monomial's image is the sum of c *
+    product over its (member, a, c) triples, by bilinearity, so no theta
+    polynomial is expanded and multiplied as a whole.  The face ring is free
+    over the theta parameters on the transferred members, which have the
+    members' degrees, so the pairs (a, member) of one total degree are
+    exactly as many as the standard monomials of that degree: the product
+    memo never holds more entries than the standard monomials of the
+    degrees applied.
     """
 
     def __init__(self, ctx: TransferContext, basis: CellBasis,
@@ -234,25 +235,20 @@ class Morphism:
             raise ComplexMismatch("expected an element of the subdivision ring")
         terms: dict[Mono, object] = {}
         for mono, coeff in element.terms.items():
-            add_terms(terms, self._apply_mono(mono).scale(coeff).terms.items())
+            add_terms(terms, ((m, coeff * x) for m, x
+                              in self._apply_mono(mono).terms.items()))
         return RingElement(self.ctx.sd.source, self.ctx.field, False, terms)
 
     def _apply_mono(self, mono: Mono) -> RingElement:
         cached = self._mono_cache.get(mono)
         if cached is None:
-            source, field = self.ctx.sd.source, self.ctx.field
-            single = RingElement(source, field, True, {mono: 1})
-            cell = self.ctx.to_cell_form(single)
-            rep = represent_on_cell_basis(self.ctx.sd.target,
-                                          self.basis.balancing,
-                                          field, self.basis, cell)
+            cell = self.ctx.cell_mono_of_multichain(mono)
             terms: dict[Mono, object] = {}
-            for member, poly in rep.items():
-                for a, c in poly.terms.items():
-                    product = self._product(a, member)
-                    add_terms(terms, ((m, c * x) for m, x in product.terms.items()))
-            cached = RingElement(source, field, False, terms)
-            self._mono_cache[mono] = cached
+            for member, a, c in self.basis.represent_monomial(cell):
+                add_terms(terms, ((m, c * x) for m, x
+                                  in self._product(a, member).terms.items()))
+            cached = self._mono_cache.setdefault(mono, RingElement(
+                self.ctx.sd.source, self.ctx.field, False, terms))
         return cached
 
     def _product(self, exponents: tuple[int, ...], member: int) -> RingElement:
@@ -262,8 +258,8 @@ class Morphism:
         if product is None:
             theta = parameter_monomial(self.ctx.sd.source, exponents, "theta",
                                        self.ctx.field)
-            product = theta * self.images[member]
-            self._product_cache[key] = product
+            product = self._product_cache.setdefault(
+                key, theta * self.images[member])
         return product
 
 
@@ -284,19 +280,26 @@ def average(morphism: Morphism, group: Group) -> Morphism:
         raise OrderNotInvertible(
             f"group order {group.order} is zero in {field}")
     scale = inverse(normal(group.order, field.p), field.p)
+    pairs = [(sigma, sigma.inverse()) for sigma in group]
     images: dict[int, RingElement] = {}
     for member in morphism.basis.members:
         b = morphism.member_element(member)
         terms: dict[Mono, object] = {}
-        for sigma in group:
+        for sigma, sigma_inv in pairs:
             add_terms(terms, act(sigma, morphism.apply(
-                act(sigma.inverse(), b))).terms.items())
+                act(sigma_inv, b))).terms.items())
         images[member] = RingElement(ctx.sd.source, field, False,
                                      terms).scale(scale)
     return Morphism(ctx, morphism.basis, images)
 
 
 # -- verification -------------------------------------------------------------------
+
+
+def check_degree_bound(degree_bound: int) -> None:
+    """A negative degree bound checks nothing, so it is an input error."""
+    if degree_bound < 0:
+        raise InputError(f"degree bound must be at least 0, got {degree_bound}")
 
 
 @dataclass
@@ -321,8 +324,7 @@ def verify_map(apply_fn: Callable[[RingElement], RingElement],
     nonsingularity.  This is evidence up to the bound, not a proof.  A
     negative bound checks nothing, so it is an input error.
     """
-    if degree_bound < 0:
-        raise InputError(f"degree bound must be at least 0, got {degree_bound}")
+    check_degree_bound(degree_bound)
     failures: list[dict] = []
     equivariant = True
     isomorphism = True
@@ -334,7 +336,8 @@ def verify_map(apply_fn: Callable[[RingElement], RingElement],
             images[mono] = apply_fn(f)
         for sigma in group.generators:
             for mono in monos:
-                moved = canonical_mono(source, ((sigma(g), e) for g, e in mono))
+                # canonical already: see RingElement.map_faces
+                moved = tuple((sigma(g), e) for g, e in mono)
                 if images[moved] != act(sigma, images[mono]):
                     equivariant = False
                     failures.append({
@@ -342,12 +345,8 @@ def verify_map(apply_fn: Callable[[RingElement], RingElement],
                         "monomial": [[source.ids[g], e] for g, e in mono]})
                     break
         index = {m: i for i, m in enumerate(monos)}
-        span = RowSpan(field, len(monos))
-        rank = 0
-        for mono in monos:
-            row = {index[m]: c for m, c in images[mono].terms.items()}
-            if span.insert(mono, row) is None:
-                rank += 1
+        rank = row_rank(({index[m]: c for m, c in images[mono].terms.items()}
+                         for mono in monos), field, len(monos))
         if rank != len(monos):
             isomorphism = False
             failures.append({"kind": "isomorphism", "degree": d,

@@ -184,11 +184,12 @@ class RingElement:
         return NotImplemented
 
     def map_faces(self, perm: Sequence[int]) -> "RingElement":
-        """Relabel every monomial along a rank-preserving face permutation."""
-        terms = add_terms({}, (
-            (canonical_mono(self.complex, ((perm[f], e) for f, e in m)), c)
-            for m, c in self.terms.items()))
-        return RingElement(self.complex, self.field, self.discrete, terms)
+        """Relabel every monomial along a rank-preserving face permutation.
+        A standard monomial has one face per rank, so its image is canonical
+        and distinct monomials stay distinct: nothing is re-sorted or merged."""
+        return RingElement(self.complex, self.field, self.discrete,
+                           {tuple((perm[f], e) for f, e in m): c
+                            for m, c in self.terms.items()})
 
     def sorted_terms(self) -> list[tuple[Mono, Raw]]:
         return sorted(self.terms.items(),
@@ -252,6 +253,9 @@ def _straighten_counts(complex: BooleanComplex, mono: Mono,
     dominance order.
     """
     memo = complex._straighten_cache if memo is None else memo
+    hit = memo.get(mono)
+    if hit is not None:
+        return hit
     if pick is None:
         up, rank = complex.up, complex.rank
         pick = lambda pairs: min(pairs, key=lambda p: (

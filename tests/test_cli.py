@@ -305,11 +305,14 @@ REJECTED = {
 
 @pytest.mark.parametrize("name", sorted(REJECTED))
 def test_rejected_flags_exit_2(name, docs, capsys):
-    code = run([arg.format(**docs) for arg in REJECTED[name]])
+    argv = [arg.format(**docs) for arg in REJECTED[name]]
+    code = run(argv)
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
     assert "Traceback" not in captured.err
+    # the subcommand's own usage, which lists the flags it does take
+    assert captured.err.startswith(f"usage: facering {argv[0]} ")
 
 
 def test_help_returns_0(capsys):
@@ -324,6 +327,19 @@ def test_negative_degree_bound_exit_2(docs, capsys):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("error: degree bound must be at least 0")
+
+
+def test_negative_degree_bound_rejected_before_basis(docs, capsys,
+                                                    monkeypatch):
+    def no_basis(*args, **kwargs):
+        raise AssertionError("the basis was computed")
+
+    monkeypatch.setattr("facering.cli.compute_basis", no_basis)
+    code = run(["equivariant-iso", "--input", docs["double_edge"],
+                "--group", docs["swap_group"], "--degree-bound", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: degree bound must be at least 0, got -1\n"
 
 
 def test_output_byte_stability(docs, capsys):

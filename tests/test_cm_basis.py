@@ -1,8 +1,11 @@
 import itertools
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from facering import (
     Balancing,
@@ -30,7 +33,7 @@ from facering.cm_basis import (
 from facering.coeff import normal
 from facering.errors import BasisInvalid, InputError, OrderNotCompatible
 from facering.face_ring import ParameterPolynomial
-from facering.linalg import RowSpan, rref
+from facering.linalg import RowSpan, row_rank, rref
 
 from conftest import GF2, GF5, RATIONAL
 
@@ -565,6 +568,133 @@ def test_rowspan_matches_dense_reference(field):
             twin.contains({width: 1})
     if p is None:
         assert non_integral > 0
+
+
+def _dense_rref(rows, width, p):
+    """Gauss-Jordan on dense lists: the reference for rref."""
+    if p is None:
+        m = [[normal(row.get(j, 0), None) for j in range(width)]
+             for row in rows]
+        inv = lambda x: Fraction(1) / x
+    else:
+        m = [[normal(row.get(j, 0), p) for j in range(width)] for row in rows]
+        inv = lambda x: pow(x, -1, p)
+    reduce = lambda x: normal(x, p)
+    top = 0
+    for col in range(width):
+        r = next((i for i in range(top, len(m)) if m[i][col] != 0), None)
+        if r is None:
+            continue
+        m[top], m[r] = m[r], m[top]
+        scale = inv(m[top][col])
+        m[top] = [reduce(scale * x) for x in m[top]]
+        for k in range(len(m)):
+            if k != top and m[k][col] != 0:
+                f = m[k][col]
+                m[k] = [reduce(a - f * b) for a, b in zip(m[k], m[top])]
+        top += 1
+    return [[reduce(x) for x in row] for row in m[:top]]
+
+
+@st.composite
+def _sparse_rows(draw, p):
+    """Up to 8 sparse rows of ints and Fractions, plus sums of pairs of them,
+    so that dependent rows are common."""
+    width = draw(st.integers(1, 6))
+
+    def scalar(nd):
+        num, den = nd
+        if p is not None and den % p == 0:
+            den = 1
+        return num if den == 1 else Fraction(num, den)
+
+    entry = st.tuples(st.integers(-4, 4), st.integers(1, 4)).map(scalar)
+    rows = draw(st.lists(st.dictionaries(st.integers(0, width - 1), entry,
+                                         max_size=width), max_size=8))
+    for i, j in draw(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)),
+                              max_size=3)):
+        if rows:
+            a, b = rows[i % len(rows)], rows[j % len(rows)]
+            rows.append({k: a.get(k, 0) + b.get(k, 0) for k in a.keys() | b})
+    return width, rows
+
+
+@pytest.mark.parametrize("field", [RATIONAL, GF2, GF5, FieldSpec.gf(32003)],
+                         ids=str)
+def test_row_rank_and_rref_match_references(field):
+    @given(_sparse_rows(field.p))
+    def check(case):
+        width, rows = case
+        span = RowSpan(field, width)
+        for i, row in enumerate(rows):
+            span.insert(i, row)
+        assert row_rank(rows, field, width) == span.dim
+        assert rref(rows, field, width) == _dense_rref(rows, width, field.p)
+
+    check()
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@pytest.mark.parametrize("case", ["double-edge", "triangle"])
+def test_face_memo_bounded_and_fresh(case, field, double_edge_sd, triangle_sd):
+    sd = double_edge_sd if case == "double-edge" else triangle_sd
+    target, bal = sd.target, sd.balancing
+    basis = compute_basis(target, bal, field).basis
+    for d in range(4):
+        for mono in graded_monomials(target, degree=d):
+            basis.represent_monomial(mono)
+            assert len(basis._by_face) <= len(target)
+    assert len(basis._by_face) == len(target)  # every face is some monomial's top
+    for face, entry in basis._by_face.items():
+        labels = bal.label_set(face)
+        members = [m for m in basis.members if bal.label_set(m) <= labels]
+        columns = _columns(selected_facets(target, bal, labels))
+        fresh = RowSpan(field, len(columns[1]))
+        for m in members:
+            assert fresh.insert(m, _incidence(target, m, columns)) is None
+        expected = fresh.represent(_incidence(target, face, columns))
+        assert {m: c for m, _, c in entry} == expected
+        for m, member_labels, _ in entry:
+            assert member_labels == tuple(int(j in bal.label_set(m))
+                                          for j in range(1, bal.n + 1))
+
+
+def test_concurrent_readers_share_cell_basis_memos(triangle_sd):
+    """Four threads representing monomials on one fresh basis get the
+    single-thread results: its memos never expose a partial value."""
+    target, bal = triangle_sd.target, triangle_sd.balancing
+    monos = [m for d in range(4) for m in graded_monomials(target, degree=d)]
+    reference = compute_basis(target, bal, GF5).basis
+    expected = [reference.represent_monomial(m) for m in monos]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, to interleave writes
+    try:
+        for _ in range(5):
+            shared = compute_basis(target, bal, GF5).basis
+            barrier = threading.Barrier(4)
+            results, errors = [[None] * len(monos) for _ in range(4)], []
+
+            def reader(i):
+                try:
+                    barrier.wait(timeout=60)
+                    for k in range(len(monos)):
+                        j = (k + i * len(monos) // 4) % len(monos)
+                        results[i][j] = shared.represent_monomial(monos[j])
+                except Exception as exc:  # reported below
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=reader, args=(i,))
+                       for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert not errors
+            assert all(r == expected for r in results)
+            assert len(shared._by_face) == len(target)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("case", ["sd-tetrahedron", "disk"])

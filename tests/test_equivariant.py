@@ -29,8 +29,9 @@ from facering.errors import (
     InputError,
     NotAnAutomorphism,
     OrderNotInvertible,
+    UnknownFace,
 )
-from facering.face_ring import mono_shape
+from facering.face_ring import add_terms, canonical_mono, mono_shape
 from facering.partitions import Partition, dominates, strictly_dominates
 from facering.transfer import TransferContext
 
@@ -264,6 +265,37 @@ def test_group_document_names_failing_generator(double_edge):
                           {"map": {"v": "alpha", "alpha": "v"}}]}
     with pytest.raises(NotAnAutomorphism, match=r"^generator 1: "):
         group_from_document(double_edge, doc)
+
+
+def test_group_document_names_generator_with_unknown_face(double_edge):
+    from facering.documents import group_from_document
+
+    doc = {"generators": [{"map": {"alpha": "beta", "beta": "alpha"}},
+                          {"map": {"q": "v"}}]}
+    with pytest.raises(UnknownFace, match=r"^generator 1: unknown face 'q'$"):
+        group_from_document(double_edge, doc)
+
+
+@pytest.mark.parametrize("case", ["triangle-S3", "tetrahedron-S4"])
+def test_map_faces_matches_canonical_mono(case, triangle, s3_group):
+    if case == "triangle-S3":
+        c, group = triangle, s3_group
+    else:
+        c = simplex_complex(3)
+        group = close_group(c, [
+            automorphism_from_vertex_map(c, {"0": "1", "1": "0"}),
+            automorphism_from_vertex_map(c, {"0": "1", "1": "2", "2": "3",
+                                             "3": "0"})])
+    assert group.order == math.factorial(c.n)
+    monos = [m for d in range(5) for m in graded_monomials(c, degree=d)]
+    for discrete in (False, True):
+        element = RingElement(c, RATIONAL, discrete,
+                              {m: i + 1 for i, m in enumerate(monos)})
+        for sigma in group:
+            reference = add_terms({}, (
+                (canonical_mono(c, ((sigma.perm[f], e) for f, e in m)), x)
+                for m, x in element.terms.items()))
+            assert element.map_faces(sigma.perm).terms == reference
 
 
 def test_hilbert_dimensions_agree(double_edge, double_edge_sd, triangle,
