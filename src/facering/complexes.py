@@ -99,6 +99,7 @@ class BooleanComplex:
         # each key stored once with its finished value by setdefault
         self._straighten_cache: dict = {}
         self._param_cache: dict = {}
+        self._theta_step_cache: dict = {}
         self._sd_cache: dict[str, SdMap] = {}
 
     # -- construction helpers -------------------------------------------------
@@ -340,14 +341,18 @@ def face_id_of_vertex_set(vertices: Iterable[str]) -> str:
 def build_from_facets(facets: Iterable[Iterable[str]]) -> BooleanComplex:
     """Build the simplicial complex whose faces are all subsets of the facets.
 
-    Face ids are sorted comma-joined vertex tuples; facets are ordered
-    lexicographically by vertex tuple.
+    Face ids are sorted comma-joined vertex tuples, so a vertex name may not
+    contain a comma; facets are ordered lexicographically by vertex tuple.
     """
     facet_sets: list[frozenset[str]] = []
     for f in facets:
         fs = frozenset(str(v) for v in f)
         if not fs:
             raise EmptyInput("facets must be nonempty vertex sets")
+        for v in fs:
+            if "," in v:
+                raise InputError(f"vertex name {v!r} contains ','; face ids "
+                                 "join vertex names with ','")
         facet_sets.append(fs)
     if not facet_sets:
         raise EmptyInput("at least one facet is required")
@@ -418,6 +423,13 @@ def barycentric_subdivision(complex: BooleanComplex) -> SdMap:
     chains.sort(key=lambda c: (len(c), tuple(reversed(c))))
 
     ids = [sd_face_id(complex, c) for c in chains]
+    named: dict[str, tuple[int, ...]] = {}
+    for fid, c in zip(ids, chains):
+        if (other := named.setdefault(fid, c)) is not c:
+            raise InputError(f"subdivision face id {fid!r} names two chains, "
+                             f"{[complex.ids[f] for f in other]} and "
+                             f"{[complex.ids[f] for f in c]}; rename the "
+                             "faces whose ids contain '_'")
     covers = []
     for c in chains:
         if len(c) == 1:

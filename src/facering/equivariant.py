@@ -38,7 +38,7 @@ from .face_ring import (
     add_terms,
     graded_monomials,
     mono_shape,
-    parameter_monomial,
+    peeled_memo,
 )
 from .linalg import row_rank
 from .partitions import Partition, sh, strictly_dominates
@@ -192,16 +192,18 @@ class Morphism:
 
     Three append-only memos serve ``apply``: the image of each standard
     monomial; each product theta^a * images[member] for an exponent vector
-    a met in a cell-basis representation; and the cell basis's per-face
-    representations (:meth:`CellBasis.represent_monomial`, at most one entry
-    per face of the subdivision).  A monomial's image is the sum of c *
-    product over its (member, a, c) triples, by bilinearity, so no theta
+    a met in a cell-basis representation, or on the way down to one; and
+    the cell basis's per-face representations
+    (:meth:`CellBasis.represent_monomial`, at most one entry per face of the
+    subdivision).  A monomial's image is the sum of c * product over its
+    (member, a, c) triples, by bilinearity, and a product is peeled one
+    theta_j at a time (:meth:`RingElement.times_theta`), so no theta
     polynomial is expanded and multiplied as a whole.  The face ring is free
     over the theta parameters on the transferred members, which have the
     members' degrees, so the pairs (a, member) of one total degree are
     exactly as many as the standard monomials of that degree: the product
-    memo never holds more entries than the standard monomials of the
-    degrees applied.
+    memo never holds more entries than the standard monomials of degree up
+    to the largest one applied.
     """
 
     def __init__(self, ctx: TransferContext, basis: CellBasis,
@@ -210,7 +212,7 @@ class Morphism:
         self.basis = basis
         self.images = {m: images[m] for m in basis.members}
         self._mono_cache: dict[Mono, RingElement] = {}
-        self._product_cache: dict[tuple[tuple[int, ...], int], RingElement] = {}
+        self._product_cache: dict[tuple[int, tuple[int, ...]], RingElement] = {}
         self._check_shape_filtered()
 
     def _check_shape_filtered(self) -> None:
@@ -233,6 +235,8 @@ class Morphism:
         the face-ring parameters against the images."""
         if element.complex is not self.ctx.sd.source or not element.discrete:
             raise ComplexMismatch("expected an element of the subdivision ring")
+        if len(element.terms) == 1 and 1 in element.terms.values():
+            return self._apply_mono(next(iter(element.terms)))
         terms: dict[Mono, object] = {}
         for mono, coeff in element.terms.items():
             add_terms(terms, ((m, coeff * x) for m, x
@@ -252,15 +256,11 @@ class Morphism:
         return cached
 
     def _product(self, exponents: tuple[int, ...], member: int) -> RingElement:
-        """theta^exponents * images[member], memoized."""
-        key = (exponents, member)
-        product = self._product_cache.get(key)
-        if product is None:
-            theta = parameter_monomial(self.ctx.sd.source, exponents, "theta",
-                                       self.ctx.field)
-            product = self._product_cache.setdefault(
-                key, theta * self.images[member])
-        return product
+        """theta^exponents * images[member], memoized under (member,
+        exponents), one theta_j step at a time."""
+        return peeled_memo(self._product_cache, member, exponents,
+                           lambda: self.images[member],
+                           lambda product, j: product.times_theta(j + 1))
 
 
 def build_phi(ctx: TransferContext, sd_basis: CellBasis) -> Morphism:
@@ -280,16 +280,18 @@ def average(morphism: Morphism, group: Group) -> Morphism:
         raise OrderNotInvertible(
             f"group order {group.order} is zero in {field}")
     scale = inverse(normal(group.order, field.p), field.p)
-    pairs = [(sigma, sigma.inverse()) for sigma in group]
+    pairs = [(sigma.perm, sigma.inverse().perm) for sigma in group]
     images: dict[int, RingElement] = {}
     for member in morphism.basis.members:
-        b = morphism.member_element(member)
+        chain = ctx.sd.chain_of[member]
         terms: dict[Mono, object] = {}
-        for sigma, sigma_inv in pairs:
-            add_terms(terms, act(sigma, morphism.apply(
-                act(sigma_inv, b))).terms.items())
+        for perm, inv in pairs:
+            # canonical already: see RingElement.map_faces
+            image = morphism._apply_mono(tuple((inv[f], 1) for f in chain))
+            add_terms(terms, ((tuple((perm[f], e) for f, e in m), c)
+                              for m, c in image.terms.items()))
         images[member] = RingElement(ctx.sd.source, field, False,
-                                     terms).scale(scale)
+                                     {m: scale * c for m, c in terms.items()})
     return Morphism(ctx, morphism.basis, images)
 
 
@@ -335,10 +337,15 @@ def verify_map(apply_fn: Callable[[RingElement], RingElement],
             f = RingElement(source, field, True, {mono: 1})
             images[mono] = apply_fn(f)
         for sigma in group.generators:
+            perm = sigma.perm
             for mono in monos:
-                # canonical already: see RingElement.map_faces
-                moved = tuple((sigma(g), e) for g, e in mono)
-                if images[moved] != act(sigma, images[mono]):
+                # moved monomials are canonical and distinct (see map_faces):
+                # equal lengths and each moved term found mean equal elements
+                target = images[tuple((perm[g], e) for g, e in mono)].terms
+                image = images[mono].terms
+                if len(target) != len(image) or any(
+                        target.get(tuple((perm[g], e) for g, e in m)) != c
+                        for m, c in image.items()):
                     equivariant = False
                     failures.append({
                         "kind": "equivariance", "degree": d,

@@ -11,13 +11,13 @@ barycentric subdivision is carried on the poset of the original complex.
 
 A standard monomial is a tuple of (face index, exponent) pairs sorted by
 rank; the empty tuple is the monomial 1.  Operations return new elements and
-never modify their inputs.  Straightening results and parameter-monomial
-expansions have integer coefficients, so they are memoized on the complex
-once, as integer counts and as rational elements, and reduced into a prime
-field on use; the caches are field-independent.  The memo caches are
-append-only and each key is stored once, with its finished value, by
-``dict.setdefault``: concurrent readers may repeat work but never see a
-partial result, and all of them get the first stored value.
+never modify their inputs.  Straightening results, the steps x^m * theta_j
+and parameter-monomial expansions have integer coefficients, so they are
+memoized on the complex once, as integer counts and as rational elements,
+and reduced into a prime field on use; the caches are field-independent.
+The memo caches are append-only and each key is stored once, with its
+finished value, by ``dict.setdefault``: concurrent readers may repeat work
+but never see a partial result, and all of them get the first stored value.
 """
 
 from __future__ import annotations
@@ -111,6 +111,16 @@ class RingElement:
         self.terms = {m: y for m, c in terms.items() if (y := normal(c, p))}
 
     @classmethod
+    def _canonical(cls, complex, field, discrete,
+                   terms: dict[Mono, Raw]) -> "RingElement":
+        """Wrap terms whose coefficients are canonical and nonzero, without
+        normalizing; the new element owns ``terms``."""
+        element = cls.__new__(cls)
+        element.complex, element.field, element.discrete, element.terms = (
+            complex, field, discrete, terms)
+        return element
+
+    @classmethod
     def zero(cls, complex, field, discrete=False) -> "RingElement":
         return cls(complex, field, discrete, {})
 
@@ -186,10 +196,21 @@ class RingElement:
     def map_faces(self, perm: Sequence[int]) -> "RingElement":
         """Relabel every monomial along a rank-preserving face permutation.
         A standard monomial has one face per rank, so its image is canonical
-        and distinct monomials stay distinct: nothing is re-sorted or merged."""
-        return RingElement(self.complex, self.field, self.discrete,
-                           {tuple((perm[f], e) for f, e in m): c
-                            for m, c in self.terms.items()})
+        and distinct monomials stay distinct: nothing is re-sorted, merged or
+        normalized."""
+        return RingElement._canonical(self.complex, self.field, self.discrete,
+                                      {tuple((perm[f], e) for f, e in m): c
+                                       for m, c in self.terms.items()})
+
+    def times_theta(self, j: int) -> "RingElement":
+        """This face-ring element times the rank-j parameter theta_j, one
+        memoized :func:`times_parameter` step per term."""
+        if self.discrete:
+            raise ComplexMismatch("theta_j steps straighten: face ring only")
+        out: dict[Mono, Raw] = {}
+        add_terms(out, ((t, c * k) for m, c in self.terms.items()
+                        for t, k in times_parameter(self.complex, m, j).items()))
+        return RingElement(self.complex, self.field, False, out)
 
     def sorted_terms(self) -> list[tuple[Mono, Raw]]:
         return sorted(self.terms.items(),
@@ -344,6 +365,43 @@ def label_row_parameter(complex: BooleanComplex, balancing: Balancing,
                         if balancing.vertex_label[v] == j})
 
 
+def peeled_memo(cache: dict, tag, exponents: Sequence[int],
+                base: Callable[[], object], step: Callable[[object, int], object]):
+    """The value memoized under ``(tag, exponents)``: ``base()`` for the zero
+    vector, else ``step(value, j)`` on the value for the exponents with the
+    first nonzero one, j, lowered by one.  Walks down the keys to the first
+    one memoized, then steps back up in a loop, so no exponent is deep
+    enough to exhaust the interpreter stack."""
+    exps = list(exponents)
+    pending: list[tuple[tuple, int]] = []
+    while (key := (tag, tuple(exps))) not in cache:
+        j = next((i for i, e in enumerate(exps) if e > 0), None)
+        if j is None:
+            cache.setdefault(key, base())
+            break
+        pending.append((key, j))
+        exps[j] -= 1
+    value = cache[key]
+    for key, j in reversed(pending):
+        value = cache.setdefault(key, step(value, j))
+    return value
+
+
+def times_parameter(complex: BooleanComplex, mono: Mono, j: int) -> dict[Mono, int]:
+    """Integer normal form of x^mono * theta_j as ``{monomial: count}``,
+    summed over the faces of rank j; memoized on the complex, at most n
+    entries per monomial multiplied, and field-independent."""
+    cache = complex._theta_step_cache
+    hit = cache.get((mono, j))
+    if hit is None:
+        hit = {}
+        for f in complex.faces_of_rank(j):
+            add_terms(hit, _straighten_counts(
+                complex, canonical_mono(complex, mono + ((f, 1),))).items())
+        hit = cache.setdefault((mono, j), hit)
+    return hit
+
+
 def _variant_key(variant: str, balancing: Balancing | None):
     if variant == "omega":
         if balancing is None:
@@ -364,30 +422,18 @@ def parameter_monomial(complex: BooleanComplex, exponents: Sequence[int],
     Expansions have integer coefficients; they are memoized over the
     rationals and reduced into a prime field on use.
     """
-    vkey = _variant_key(variant, balancing)
-    cache = complex._param_cache
     discrete = variant == "gamma"
-    # Each key's expansion is the next key's (first nonzero exponent lowered
-    # by one) times that parameter.  Walk down the keys to the first one
-    # memoized, or to the monomial 1, then multiply back up in a loop, so no
-    # exponent is deep enough to exhaust the interpreter stack.
-    exps = list(exponents)
-    pending: list[tuple[tuple[int, ...], int]] = []
-    while (vkey, tuple(exps)) not in cache:
-        j = next((i for i, e in enumerate(exps) if e > 0), None)
-        if j is None:
-            cache.setdefault((vkey, tuple(exps)),
-                             RingElement.one(complex, RATIONAL, discrete))
-            break
-        pending.append((tuple(exps), j))
-        exps[j] -= 1
-    cached = cache[(vkey, tuple(exps))]
-    for key, j in reversed(pending):
+
+    def times_param(expansion: RingElement, j: int) -> RingElement:
         if variant == "omega":
-            param = label_row_parameter(complex, balancing, j + 1, RATIONAL)
-        else:
-            param = rank_row_parameter(complex, j + 1, RATIONAL, discrete)
-        cached = cache.setdefault((vkey, key), cached * param)
+            return expansion * label_row_parameter(complex, balancing, j + 1,
+                                                   RATIONAL)
+        return expansion * rank_row_parameter(complex, j + 1, RATIONAL, discrete)
+
+    cached = peeled_memo(complex._param_cache, _variant_key(variant, balancing),
+                         exponents,
+                         lambda: RingElement.one(complex, RATIONAL, discrete),
+                         times_param)
     if field.is_rational:
         return cached
     return RingElement(complex, field, discrete, cached.terms)

@@ -10,14 +10,17 @@ generators; the cell form is what the basis machinery consumes.
 ``express_on_transferred_basis`` realizes the constructive half of basis
 transfer: repeatedly represent the pulled-back remainder on the subdivision
 basis, push the parameter coefficients to the face ring, and subtract; each
-pass strictly lowers the remainder's shapes in dominance order.
+pass strictly lowers the remainder's shapes in dominance order.  Each sum
+c_a theta^a * x_chain is formed by Horner's rule in theta_1, ..., theta_n,
+one memoized theta_j step (:func:`facering.face_ring.times_parameter`) at a
+time, so no theta^a is expanded and no memo grows with the exponents.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .coeff import FieldSpec
+from .coeff import FieldSpec, Raw
 from .complexes import SdMap
 from .errors import BasisInvalid, ComplexMismatch, InputError
 from .face_ring import Mono, ParameterPolynomial, RingElement, add_terms
@@ -36,15 +39,15 @@ class TransferContext:
         """Subdivision ring -> face ring: identity on standard monomials."""
         if element.complex is not self.sd.source or not element.discrete:
             raise ComplexMismatch("expected an element of the subdivision ring")
-        return RingElement(self.sd.source, element.field, False,
-                           dict(element.terms))
+        return RingElement._canonical(self.sd.source, element.field, False,
+                                      dict(element.terms))
 
     def garsia_inverse(self, element: RingElement) -> RingElement:
         """Face ring -> subdivision ring: identity on standard monomials."""
         if element.complex is not self.sd.source or element.discrete:
             raise ComplexMismatch("expected an element of the face ring")
-        return RingElement(self.sd.source, element.field, True,
-                           dict(element.terms))
+        return RingElement._canonical(self.sd.source, element.field, True,
+                                      dict(element.terms))
 
     def cell_mono_of_multichain(self, mono: Mono) -> Mono:
         """Rewrite a multichain as a product of subdivision-complex generators.
@@ -84,7 +87,8 @@ class TransferContext:
             raise ComplexMismatch("expected an element of the subdivision ring")
         terms = {self.cell_mono_of_multichain(m): c
                  for m, c in element.terms.items()}
-        return RingElement(self.sd.target, element.field, False, terms)
+        return RingElement._canonical(self.sd.target, element.field, False,
+                                      terms)
 
     def from_cell_form(self, element: RingElement) -> RingElement:
         if element.complex is not self.sd.target or element.discrete:
@@ -108,6 +112,21 @@ class TransferRepresentation:
 
     coefficients: dict[int, ParameterPolynomial]
     remainders: list[RingElement] = dc_field(default_factory=list)
+
+
+def _theta_horner(element: RingElement, terms: dict[tuple[int, ...], Raw],
+                  i: int = 0) -> RingElement:
+    """The sum of c * theta_{i+1}^a_i ... theta_n^a_(n-1) * element over the
+    pairs (a, c) of ``terms``, whose exponents before i agree, by Horner's
+    rule in theta_{i+1}: the recursion is one level deep per parameter."""
+    if i == len(next(iter(terms))):
+        return element.scale(sum(terms.values()))
+    acc = RingElement.zero(element.complex, element.field)
+    for k in range(max(a[i] for a in terms), -1, -1):
+        acc = acc.times_theta(i + 1)
+        if layer := {a: c for a, c in terms.items() if a[i] == k}:
+            acc = acc + _theta_horner(element, layer, i + 1)
+    return acc
 
 
 def express_on_transferred_basis(ctx: TransferContext, sd_basis: CellBasis,
@@ -144,8 +163,8 @@ def express_on_transferred_basis(ctx: TransferContext, sd_basis: CellBasis,
         for member, poly in rep.items():
             add_terms(totals[member], poly.terms.items())
             if not poly.is_zero:
-                add_terms(evaluated, (poly.evaluate(ctx.sd.source, "theta")
-                                      * ctx.member_image(member)).terms.items())
+                add_terms(evaluated, _theta_horner(ctx.member_image(member),
+                                                   poly.terms).terms.items())
         remainder = remainder - RingElement(ctx.sd.source, ctx.field, False,
                                             evaluated)
         remainders.append(remainder)

@@ -342,6 +342,43 @@ def test_negative_degree_bound_rejected_before_basis(docs, capsys,
     assert captured.err == "error: degree bound must be at least 0, got -1\n"
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"kind": "simplicial", "facets": [["a", "b"], ["a,b"]]},
+     "error: vertex name 'a,b' contains ','; face ids join vertex names "
+     "with ','\n"),
+    ({"kind": "poset", "faces": [{"id": "a"}, {"id": "z"}, {"id": "a_b"},
+                                 {"id": "b", "covers": ["a", "z"]}]},
+     "error: subdivision face id 'a_b' names two chains, ['a_b'] and "
+     "['a', 'b']; rename the faces whose ids contain '_'\n"),
+], ids=["comma-in-vertex", "underscore-collision"])
+def test_face_id_collisions_exit_2(tmp_path, capsys, doc, message):
+    path = tmp_path / "collision.json"
+    path.write_text(json.dumps(doc))
+    code = run(["check-cm", "--sd", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == message
+
+
+def test_underscore_ids_without_collision_subdivide(tmp_path, capsys):
+    path = tmp_path / "underscores.json"
+    path.write_text(json.dumps({"kind": "poset", "faces": [
+        {"id": "v_1"}, {"id": "w_2"},
+        {"id": "e_a", "covers": ["v_1", "w_2"]},
+        {"id": "e_b", "covers": ["v_1", "w_2"]}]}))
+    code, payload = run_json(capsys, ["check-cm", "--sd", "--input", str(path)])
+    assert code == 0 and payload["verdict"] == "cm"
+    assert "v_1_e_a" in payload["facet_order"]
+
+
+def test_represent_deep_power(docs, capsys):
+    code, payload = run_json(capsys, [
+        "represent", "--input", docs["double_edge"], "--expr", "x[alpha]^1100"])
+    assert code == 0
+    table = {row["member"]: row["polynomial"] for row in payload["coefficients"]}
+    assert table == {"": "0", "v": "0", "alpha": "t2^1099", "v_alpha": "0"}
+
+
 def test_output_byte_stability(docs, capsys):
     argv = ["basis", "--input", docs["double_edge"], "--sd"]
     run(argv)

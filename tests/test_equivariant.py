@@ -31,7 +31,13 @@ from facering.errors import (
     OrderNotInvertible,
     UnknownFace,
 )
-from facering.face_ring import add_terms, canonical_mono, mono_shape
+from facering.coeff import FieldSpec
+from facering.face_ring import (
+    add_terms,
+    canonical_mono,
+    mono_shape,
+    parameter_monomial,
+)
 from facering.partitions import Partition, dominates, strictly_dominates
 from facering.transfer import TransferContext
 
@@ -491,3 +497,53 @@ def test_product_memo_matches_reference(triangle, triangle_sd, s3_group, field):
                                        * morphism.images[member])
             assert morphism.apply(f) == expected
         assert len(morphism._product_cache) <= bound
+
+
+@pytest.mark.parametrize("field", [RATIONAL, FieldSpec.gf(32003)],
+                         ids=["rational", "gf:32003"])
+def test_product_memo_entries_match_expansion(triangle, triangle_sd, s3_group,
+                                              field):
+    # every theta^a * image the memo holds, including the steps on the way
+    # down to a requested one, equals the expansion times the image
+    from facering import verify_morphism
+    tetrahedron, tetrahedron_sd, s4_group = tetrahedron_with_s4()
+    for c, sd, group, bound in [(triangle, triangle_sd, s3_group, 6),
+                                (tetrahedron, tetrahedron_sd, s4_group, 4)]:
+        basis = compute_basis(sd.target, sd.balancing, field).basis
+        phi = build_phi(TransferContext(sd, field), basis)
+        averaged = average(phi, group)
+        report = verify_morphism(averaged, group, bound)
+        assert report.equivariant and report.isomorphism
+        for morphism in (phi, averaged):
+            assert any(sum(a) for _, a in morphism._product_cache)
+            for (member, a), product in morphism._product_cache.items():
+                assert product == (parameter_monomial(c, a, "theta", field)
+                                   * morphism.images[member])
+
+
+def test_product_of_deep_exponent(double_edge, de_phi):
+    # the memo is filled in a loop, not by recursion per theta_j step
+    empty = next(m for m in de_phi.basis.members
+                 if not de_phi.ctx.sd.chain_of[m])
+    assert de_phi._product((0, 1100), empty) == (
+        straighten(double_edge, [("alpha", 1100)], RATIONAL)
+        + straighten(double_edge, [("beta", 1100)], RATIONAL))
+
+
+def test_equivariance_failure_at_image_with_extra_term(double_edge,
+                                                       double_edge_sd,
+                                                       swap_group):
+    # images[sigma.m] holds every term of sigma.images[m] and one more, so
+    # the check fails at m itself, not only at sigma.m
+    ctx = TransferContext(double_edge_sd, RATIONAL)
+    beta = ((double_edge.resolve("beta"), 1),)
+    extra = straighten(double_edge, [("v", 2)], RATIONAL)
+
+    def apply_fn(f):
+        image = ctx.garsia(f)
+        return image + extra if list(f.terms) == [beta] else image
+
+    report = verify_map(apply_fn, double_edge, RATIONAL, swap_group, 2)
+    assert report.isomorphism and not report.equivariant
+    assert report.failures == [{"kind": "equivariance", "degree": 2,
+                                "monomial": [["alpha", 1]]}]

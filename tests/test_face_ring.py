@@ -2,9 +2,11 @@ import itertools
 import random
 import sys
 import threading
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from facering import (
     Balancing,
@@ -29,6 +31,7 @@ from facering.face_ring import (
     mono_shape,
     parameter_monomial,
     straighten_with_strategy,
+    times_parameter,
 )
 from facering.linalg import RowSpan
 from facering.partitions import sh, strictly_dominates
@@ -105,6 +108,25 @@ def test_parameter_memo_keys_follow_the_prefix_chain():
     assert c._param_cache[(("theta",), (1, 1))] == theta2 * theta1
     parameter_monomial(c, (3, 1), "theta", RATIONAL)
     assert len(c._param_cache) == 5
+
+
+THETA_STEP_COMPLEXES = {"double edge": make_double_edge(), "disk": make_disk(),
+                        "triangle": build_from_facets([["0", "1", "2"]])}
+
+
+@given(st.sampled_from(sorted(THETA_STEP_COMPLEXES)), st.integers(0, 5),
+       st.data())
+def test_times_parameter_matches_product(name, degree, data):
+    c = THETA_STEP_COMPLEXES[name]
+    m = data.draw(st.sampled_from(graded_monomials(c, degree=degree)))
+    j = data.draw(st.integers(1, c.n))
+    x = RingElement(c, RATIONAL, False, {m: 1})
+    assert times_parameter(c, m, j) == (x * rank_row_parameter(c, j, RATIONAL)).terms
+    x5 = RingElement(c, GF5, False, {m: 3})
+    assert x5.times_theta(j) == x5 * rank_row_parameter(c, j, GF5)
+    assert max(Counter(m for m, _ in c._theta_step_cache).values()) <= c.n
+    with pytest.raises(ComplexMismatch):
+        RingElement(c, RATIONAL, True, {m: 1}).times_theta(j)
 
 
 def test_empty_face_acts_as_one(double_edge):

@@ -1,7 +1,9 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from facering import (
     Partition,
@@ -12,13 +14,18 @@ from facering import (
     rank_row_parameter,
     straighten,
 )
+from facering.coeff import normal
 from facering.errors import BasisInvalid, ComplexMismatch
 from facering.face_ring import ParameterPolynomial, mono_shape
 from facering.linalg import RowSpan
 from facering.partitions import strictly_dominates
-from facering.transfer import TransferContext, express_on_transferred_basis
+from facering.transfer import (
+    TransferContext,
+    _theta_horner,
+    express_on_transferred_basis,
+)
 
-from conftest import RATIONAL
+from conftest import GF5, RATIONAL
 
 
 @pytest.fixture(scope="module")
@@ -270,3 +277,51 @@ def test_express_detects_broken_basis(double_edge, double_edge_sd, de_ctx):
     g = asl(double_edge, [("w", 2), ("beta", 1)])
     with pytest.raises(BasisInvalid):
         express_on_transferred_basis(de_ctx, broken, g)
+
+
+def assert_canonical(element):
+    p = element.field.p
+    for c in element.terms.values():
+        y = normal(c, p)
+        assert y and y == c and type(y) is type(c)
+
+
+@pytest.mark.parametrize("field", [RATIONAL, GF5], ids=["rational", "gf:5"])
+def test_canonical_copies_match_normalizing_constructor(double_edge, triangle,
+                                                        field):
+    # garsia, garsia_inverse and to_cell_form move canonical coefficients
+    # without re-normalizing them; the results equal normalized ones
+    rng = random.Random(5)
+    for c in (double_edge, triangle):
+        ctx = TransferContext(barycentric_subdivision(c), field)
+        monos = [m for d in range(5) for m in graded_monomials(c, degree=d)]
+        for _ in range(20):
+            terms = {m: Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                     for m in rng.sample(monos, 6)}
+            sub = RingElement(c, field, True, terms)
+            face = RingElement(c, field, False, terms)
+            cell_terms = {ctx.cell_mono_of_multichain(m): x
+                          for m, x in sub.terms.items()}
+            for got, expected in [
+                    (ctx.garsia(sub), RingElement(c, field, False, terms)),
+                    (ctx.garsia_inverse(face), RingElement(c, field, True, terms)),
+                    (ctx.to_cell_form(sub),
+                     RingElement(ctx.sd.target, field, False, cell_terms))]:
+                assert got == expected
+                assert_canonical(got)
+
+
+@pytest.mark.parametrize("field", [RATIONAL, GF5], ids=["rational", "gf:5"])
+@given(data=st.data())
+def test_theta_horner_matches_evaluate(double_edge_sd, triangle_sd, field, data):
+    sd = data.draw(st.sampled_from([double_edge_sd, triangle_sd]))
+    n = sd.source.n
+    terms = data.draw(st.dictionaries(
+        st.tuples(*[st.integers(0, 3)] * n),
+        st.sampled_from([-3, -1, 1, 2, Fraction(1, 2)]), min_size=1, max_size=4))
+    member = data.draw(st.integers(0, len(sd.target) - 1))
+    ctx = TransferContext(sd, field)
+    poly = ParameterPolynomial(n, field, terms)
+    image = ctx.member_image(member)
+    assert _theta_horner(image, poly.terms) \
+        == poly.evaluate(sd.source, "theta") * image
