@@ -6,9 +6,18 @@ processes faces in an order refining containment of label sets, growing a
 candidate basis of faces whose facet vectors are independent, and fails
 exactly when a dependent face needs an earlier face whose label set is not
 contained in its own.  On success the surviving faces index a module basis
-of the ring over the label-row parameter subring, certified by the recorded
-row-reduction state; the same incidence data then represents arbitrary ring
-elements on the basis with parameter-polynomial coefficients.
+of the ring over the label-row parameter subring; the same incidence data
+then represents arbitrary ring elements on the basis with
+parameter-polynomial coefficients.
+
+Every facet e has one face e_S with label set S, and a face G with label set
+inside S lies in e iff it lies in e_S.  So the facet vectors of such faces
+satisfy the same linear relations as their incidence rows against the faces
+with label set S, where a face F with label set S has a unit row: whether F
+needs only members with label sets inside S is decided there.  Those
+echelons and :func:`verify_basis` take members in reverse order, which
+changes no rank or representation: a larger label set lies in fewer facets,
+and the empty face's all-ones row, taken last, fills in no later row.
 """
 
 from __future__ import annotations
@@ -34,7 +43,7 @@ from .face_ring import (
     add_terms,
     mono_label_multidegree,
 )
-from .linalg import RowSpan, row_rank, rref
+from .linalg import Echelon, RowSpan, row_rank, rref
 
 Columns = tuple[int, dict[int, int]]
 
@@ -74,8 +83,7 @@ def selected_facets(complex: BooleanComplex, balancing: Balancing,
     ``labels`` (restricted to the labels in use), in index order; for the
     empty set that is the empty face.
     """
-    key = labels & balancing.labels
-    return [f for f in range(len(complex)) if balancing.label_set(f) == key]
+    return list(balancing.faces_by_label_set.get(labels & balancing.labels, ()))
 
 
 def default_processing_order(complex: BooleanComplex,
@@ -130,8 +138,7 @@ class _SelectedData:
 
 
 class CellBasis:
-    """Faces whose generators form a module basis over the label-row parameters,
-    together with the row-reduction state that certified them.
+    """Faces whose generators form a module basis over the label-row parameters.
 
     Append-only memos, each key stored once by ``dict.setdefault``: one
     :meth:`selected` entry per label set, and one :meth:`represent_monomial`
@@ -139,17 +146,13 @@ class CellBasis:
     """
 
     def __init__(self, complex: BooleanComplex, balancing: Balancing,
-                 field: FieldSpec, members: Sequence[int], span: RowSpan):
+                 field: FieldSpec, members: Sequence[int]):
         self.complex = complex
         self.balancing = balancing
         self.field = field
         self.members = tuple(members)
-        self.span = span
         self._selected: dict[frozenset[int], _SelectedData] = {}
         self._by_face: dict[int, tuple[tuple[int, tuple[int, ...], Raw], ...]] = {}
-
-    def label_set(self, member: int) -> frozenset[int]:
-        return self.balancing.label_set(member)
 
     def selected(self, labels: Iterable[int]) -> _SelectedData:
         """Members with label set inside ``labels``, with their facet vectors
@@ -163,7 +166,8 @@ class CellBasis:
         cached = self._selected.get(key)
         if cached is not None:
             return cached
-        members = [m for m in self.members if self.label_set(m) <= key]
+        members = [m for m in self.members
+                   if self.balancing.label_set(m) <= key]
         facets = selected_facets(self.complex, self.balancing, key)
         if len(members) != len(facets):
             raise BasisInvalid(
@@ -226,7 +230,7 @@ class CMVerdict:
 def compute_basis(complex: BooleanComplex, balancing: Balancing,
                   field: FieldSpec, order: Sequence[int | str] | None = None,
                   early_exit: bool = True,
-                  trace: Callable[[int, RowSpan], None] | None = None,
+                  trace: Callable[[int, Echelon], None] | None = None,
                   ) -> CMVerdict:
     """Run the incremental facet-vector test and build a cell basis.
 
@@ -234,9 +238,12 @@ def compute_basis(complex: BooleanComplex, balancing: Balancing,
     (validated when supplied).  A face whose vector leaves the current span
     joins the basis; one whose unique representation uses only members with
     smaller-or-equal label sets is discarded; any other face is a witness
-    that no cell basis exists.  ``early_exit`` stops once the span is full
-    and only facets remain, which cannot change the output.  ``trace`` is
-    called with each face just before it is processed.
+    that no cell basis exists.  The discard test runs against the faces
+    with F's label set S (module docstring), in an echelon started once
+    every smaller label set is done; only a witness is represented on the
+    members.  ``early_exit`` stops once the span is full and only facets
+    remain, which cannot change the output.  ``trace`` is called with each
+    face and the echelon of the members' facet vectors before processing it.
     """
     require_valid_balancing(complex, balancing)
     if order is None:
@@ -246,24 +253,38 @@ def compute_basis(complex: BooleanComplex, balancing: Balancing,
     m = len(complex.facets)
     columns = _columns(complex.facets)
     full = frozenset(range(1, balancing.n + 1))
-    span = RowSpan(field, m)
+    span = Echelon(field, m)
     members: list[int] = []
+    inside: dict[frozenset[int], tuple[Columns, Echelon]] = {}
     for pos, face in enumerate(idx_order):
-        if (early_exit and span.dim == m
+        if (early_exit and len(span.rows) == m
                 and all(balancing.label_set(g) == full for g in idx_order[pos:])):
             break
         if trace is not None:
             trace(face, span)
-        rep = span.insert(face, _incidence(complex, face, columns))
-        if rep is None:
-            members.append(face)
+        labels = balancing.label_set(face)
+        if labels not in inside:
+            local_columns = _columns(selected_facets(complex, balancing, labels))
+            inside[labels] = local_columns, Echelon(
+                field, len(local_columns[1]),
+                (_incidence(complex, b, local_columns)
+                 for b in reversed(members) if balancing.label_set(b) < labels))
+        local_columns, local = inside[labels]
+        local_residual = local.reduce({local_columns[1][face]: 1})
+        if not local_residual:
             continue
-        if any(not balancing.label_set(b) <= balancing.label_set(face)
-               for b in rep):
+        residual = span.reduce(_incidence(complex, face, columns))
+        if not residual:
+            witness = RowSpan(field, m)
+            for b in reversed(members):
+                witness.insert(b, _incidence(complex, b, columns))
+            rep = witness.represent(_incidence(complex, face, columns))
             ordered = [(b, rep[b]) for b in members if b in rep]
             return CMVerdict(False, witness=face, representation=ordered)
-    basis = CellBasis(complex, balancing, field, members, span)
-    return CMVerdict(True, basis=basis)
+        local.append(local_residual)
+        span.append(residual)
+        members.append(face)
+    return CMVerdict(True, basis=CellBasis(complex, balancing, field, members))
 
 
 @dataclass
@@ -295,7 +316,7 @@ def verify_basis(complex: BooleanComplex, balancing: Balancing,
             if square:
                 columns = _columns(facets)
                 nonsingular = row_rank(
-                    (_incidence(complex, m, columns) for m in chosen),
+                    (_incidence(complex, m, columns) for m in reversed(chosen)),
                     field, len(facets)) == len(chosen)
             per[s] = {"members": len(chosen), "facets": len(facets),
                       "square": square, "nonsingular": nonsingular}
@@ -309,10 +330,9 @@ def subspace_M_S(complex: BooleanComplex, balancing: Balancing,
     whose label set equals S (the image of their span inside the facet
     component)."""
     require_valid_balancing(complex, balancing)
-    key = frozenset(labels)
     columns = _columns(complex.facets)
-    rows = [_incidence(complex, f, columns) for f in range(len(complex))
-            if balancing.label_set(f) == key]
+    rows = [_incidence(complex, f, columns)
+            for f in balancing.faces_by_label_set.get(frozenset(labels), ())]
     return rref(rows, field, len(complex.facets))
 
 

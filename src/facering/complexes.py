@@ -48,11 +48,11 @@ class BooleanComplex:
     """Augmented face poset of a boolean complex, with derived caches.
 
     ``ids``/``covers`` describe the nonempty faces in input order; each cover
-    list names the codimension-1 faces (an empty list means the face covers
-    only the empty face).
+    list names the codimension-1 faces by id or index, as :meth:`resolve`
+    takes them (an empty list means the face covers only the empty face).
     """
 
-    def __init__(self, ids: Sequence[str], covers: Sequence[Sequence[str]],
+    def __init__(self, ids: Sequence[str], covers: Sequence[Sequence[int | str]],
                  facet_order: Sequence[str] | None = None):
         if len(ids) != len(covers):
             raise InputError("ids and covers must have equal length")
@@ -67,17 +67,15 @@ class BooleanComplex:
 
         cover_idx: list[tuple[int, ...]] = [()]
         for cs in covers:
-            for c in cs:
-                if c not in self.index_of:
-                    raise UnknownFace(c)
-            cover_idx.append(tuple(sorted({self.index_of[c] for c in cs}))
+            cover_idx.append(tuple(sorted({self.resolve(c) for c in cs}))
                              or (EMPTY,))
         self.covers: tuple[tuple[int, ...], ...] = tuple(cover_idx)
 
         self.rank, self.down, self.up = self._ranks_and_bounds()
         vertex_mask = sum(1 << v for v in self.vertices())
         self.atoms: tuple[int, ...] = tuple(d & vertex_mask for d in self.down)
-        self._validate_boolean_intervals()
+        by_rank = sorted(range(len(self.ids)), key=self.rank.__getitem__)
+        self._validate_boolean_intervals(by_rank)
 
         maximal = [f for f in range(len(self.ids)) if self.up[f] == 1 << f]
         if facet_order is not None:
@@ -93,7 +91,7 @@ class BooleanComplex:
             self.facets = tuple(maximal)
 
         self.dim: int = max(self.rank) - 1
-        self.maximal_chain_count: int = self._count_maximal_chains()
+        self.maximal_chain_count: int = self._count_maximal_chains(by_rank)
 
         # memo tables for ring arithmetic and the subdivision; append-only,
         # each key stored once with its finished value by setdefault
@@ -147,31 +145,35 @@ class BooleanComplex:
                 up[c] |= up[f]
         return tuple(rank), tuple(down), tuple(up)
 
-    def _validate_boolean_intervals(self) -> None:
+    def _validate_boolean_intervals(self, by_rank: Sequence[int]) -> None:
         """Check that every lower interval is a boolean lattice.
 
-        At every face f of rank r: f has r atoms, ``down f`` has 2^r faces,
-        and no two of them share an atom set, so ``b -> atoms b`` is a
-        bijection from ``down f`` onto the subsets of ``atoms f``.  Atom sets
-        then order faces with no check of their own: if ``atoms b`` is inside
+        In rank order, a face f of rank r needs r atoms, 2^r faces in
+        ``down f`` and r covers with distinct atom sets, the r sets
+        ``atoms f - {v}``.  The covers' intervals are already boolean, so
+        ``b -> atoms b`` maps the 2^r faces of ``down f`` onto the 2^r
+        subsets of ``atoms f``, hence bijectively; and a boolean interval
+        passes, its rank r - 1 faces being f's covers.  Atom sets then order
+        faces with no check of their own: if ``atoms b`` is inside
         ``atoms c`` with b, c <= f, the bijection at c gives b' <= c with the
         atoms of b, and injectivity at f gives b = b', so b <= c.
         """
-        for f in range(len(self.ids)):
+        for f in by_rank:
             r = self.rank[f]
-            down = self.down[f]
-            if self.atoms[f].bit_count() != r or down.bit_count() != 1 << r:
+            if (self.atoms[f].bit_count() != r
+                    or self.down[f].bit_count() != 1 << r):
                 raise LowerIntervalNotBoolean(
                     f"lower interval of face {self.ids[f]!r} is not a boolean "
                     f"lattice of rank {r}")
-            if len({self.atoms[b] for b in mask_members(down)}) != 1 << r:
+            covers = self.covers[f]
+            if len(covers) != r or len({self.atoms[c] for c in covers}) != r:
                 raise LowerIntervalNotBoolean(
                     f"two faces below {self.ids[f]!r} share a vertex set")
 
-    def _count_maximal_chains(self) -> int:
+    def _count_maximal_chains(self, by_rank: Sequence[int]) -> int:
         count = [0] * len(self.ids)
         count[EMPTY] = 1
-        for f in sorted(range(len(self.ids)), key=lambda g: self.rank[g]):
+        for f in by_rank:
             if f != EMPTY:
                 count[f] = sum(count[c] for c in self.covers[f])
         return sum(count[f] for f in self.facets)
@@ -242,7 +244,8 @@ class Balancing:
 
     Top-level balancings use the labels 1..n; label-selected subcomplexes
     inherit sub-collections, which is why validation only asks that every
-    facet see each used label exactly once.
+    facet see each used label exactly once.  ``faces_by_label_set`` holds
+    the faces of each label set that occurs, in index order; it never changes.
     """
 
     def __init__(self, complex: BooleanComplex, labels: Mapping[str, int]):
@@ -264,6 +267,11 @@ class Balancing:
         self.label_sets: tuple[frozenset[int], ...] = tuple(
             frozenset(got[v] for v in complex.vertices_of(f))
             for f in range(len(complex)))
+        grouped: dict[frozenset[int], list[int]] = {}
+        for f, s in enumerate(self.label_sets):
+            grouped.setdefault(s, []).append(f)
+        self.faces_by_label_set: Mapping[frozenset[int], tuple[int, ...]] = {
+            s: tuple(fs) for s, fs in grouped.items()}
 
     @property
     def is_standard(self) -> bool:
@@ -421,6 +429,7 @@ def barycentric_subdivision(complex: BooleanComplex) -> SdMap:
     for f in range(1, len(complex)):
         grow((f,))
     chains.sort(key=lambda c: (len(c), tuple(reversed(c))))
+    face_of_chain = {c: i for i, c in enumerate(chains, 1)}
 
     ids = [sd_face_id(complex, c) for c in chains]
     named: dict[str, tuple[int, ...]] = {}
@@ -430,16 +439,10 @@ def barycentric_subdivision(complex: BooleanComplex) -> SdMap:
                              f"{[complex.ids[f] for f in other]} and "
                              f"{[complex.ids[f] for f in c]}; rename the "
                              "faces whose ids contain '_'")
-    covers = []
-    for c in chains:
-        if len(c) == 1:
-            covers.append([])
-        else:
-            covers.append([sd_face_id(complex, c[:k] + c[k + 1:])
-                           for k in range(len(c))])
+    covers = [[face_of_chain[c[:k] + c[k + 1:]] for k in range(len(c))]
+              if len(c) > 1 else [] for c in chains]
     target = BooleanComplex(ids, covers)
     chain_of = ((),) + tuple(chains)
-    face_of_chain = {c: i + 1 for i, c in enumerate(chains)}
     labels = {sd_face_id(complex, (f,)): complex.rank[f]
               for f in range(1, len(complex))}
     balancing = Balancing(target, labels)
@@ -462,12 +465,8 @@ def label_selected(complex: BooleanComplex, balancing: Balancing,
     selected = frozenset(labels)
     member = [f for f in range(1, len(complex))
               if balancing.label_set(f) <= selected]
+    index = {f: i for i, f in enumerate(member, 1)}
     ids = [complex.ids[f] for f in member]
-    keep = set(member)
-    covers = []
-    for f in member:
-        covers.append([complex.ids[c] for c in complex.covers[f]
-                       if c != EMPTY and c in keep])
-    if not member:
-        return BooleanComplex([], [])
+    covers = [[index[c] for c in complex.covers[f] if c in index]
+              for f in member]
     return BooleanComplex(ids, covers)

@@ -1,12 +1,11 @@
 """Exact row reduction over a coefficient field, on one elimination core.
 
-:class:`RowSpan` is for representations: it keeps an echelonized spanning
-set and, for every echelon row, the coefficients that produced it from the
-inserted vectors, so membership tests come with the unique representation of
-the queried vector on the inserted ones.  :func:`row_rank` and :func:`rref`
-are for rank and the canonical form: a plain echelon pass that tracks no
-combinations.  Both run on :func:`_eliminate`.  Pivots are the first nonzero
-column; arithmetic is exact, there are no thresholds.
+:class:`Echelon` is the combination-free core of :func:`row_rank`,
+:func:`rref` and the Cohen-Macaulay test.  :class:`RowSpan` also keeps the
+combination of inserted vectors behind every row, giving the unique
+representation that the cell basis and a Cohen-Macaulay witness need.  Both
+run on :func:`_eliminate`, for rows and combinations alike.  Pivots are the
+first nonzero column; arithmetic is exact, there are no thresholds.
 
 A vector is a sparse mapping ``{column: scalar}``; the scalars are brought to
 the canonical form of :func:`facering.coeff.normal` on the way in, and zeros
@@ -54,6 +53,47 @@ def _sparse(vec: Mapping[int, Raw], p: int | None, width: int) -> SparseRow:
     return {j: y for j, x in vec.items() if (y := normal(x, p))}
 
 
+def _scaled(vec: SparseRow, c: Raw, p: int | None) -> SparseRow:
+    """``c * vec``, for a nonzero ``c``."""
+    return {j: normal(c * x, p) for j, x in vec.items()}
+
+
+class Echelon:
+    """One row with a leading 1 for each vector of ``rows`` independent of
+    the earlier ones, then for each appended residual, in that order; no
+    combinations are tracked."""
+
+    def __init__(self, field: FieldSpec, width: int,
+                 rows: Iterable[Mapping[int, Raw]] = ()):
+        self.field = field
+        self.width = width
+        # each row: (pivot column, sparse row with leading 1)
+        self.rows: list[tuple[int, SparseRow]] = []
+        for vec in rows:
+            if residual := self.reduce(vec):
+                self.append(residual)
+
+    def reduce(self, vec: Mapping[int, Raw]) -> SparseRow:
+        """The residual of ``vec`` after eliminating every pivot; it is empty
+        iff ``vec`` lies in the span."""
+        p = self.field.p
+        residual = _sparse(vec, p, self.width)
+        for pivot, row in self.rows:
+            c = residual.get(pivot)
+            if c is not None:
+                _eliminate(residual, c, row, p)
+        return residual
+
+    def append(self, residual: SparseRow) -> None:
+        """Add a nonzero residual returned by :meth:`reduce` as a new row."""
+        pivot = min(residual)
+        p = self.field.p
+        self.rows.append((pivot, _scaled(residual, inverse(residual[pivot], p), p)))
+
+    def contains(self, vec: Mapping[int, Raw]) -> bool:
+        return not self.reduce(vec)
+
+
 class RowSpan:
     def __init__(self, field: FieldSpec, width: int):
         self.field = field
@@ -69,8 +109,8 @@ class RowSpan:
         """Eliminate existing pivots from ``vec`` in place.
 
         Returns the combination of inserted vectors removed, so that
-        ``original = sum(combo[t] * inserted[t]) + residual``.  Entries that
-        cancel to zero stay in the combination, keeping first-use order.
+        ``original = sum(combo[t] * inserted[t]) + residual``; tags whose
+        coefficients cancel are dropped.
         """
         p = self.field.p
         combo: dict[Hashable, Raw] = {}
@@ -79,8 +119,7 @@ class RowSpan:
             if c is None:
                 continue
             _eliminate(vec, c, row, p)
-            for tag, x in rcombo.items():
-                combo[tag] = normal(combo.get(tag, 0) + c * x, p)
+            _eliminate(combo, -c, rcombo, p)
         return combo
 
     def insert(self, tag: Hashable, vec: Mapping[int, Raw]):
@@ -93,66 +132,41 @@ class RowSpan:
         residual = _sparse(vec, self.field.p, self.width)
         combo = self._reduce(residual)
         if not residual:
-            return {t: c for t, c in combo.items() if c}
+            return combo
         p = self.field.p
         pivot = min(residual)
         inv = inverse(residual[pivot], p)
-        row = {j: normal(inv * x, p) for j, x in residual.items()}
-        rcombo = {t: normal(-(inv * c), p) for t, c in combo.items() if c}
-        rcombo[tag] = normal(rcombo.get(tag, 0) + inv, p)
-        self.rows.append((pivot, row, {t: c for t, c in rcombo.items() if c}))
+        rcombo = _scaled(combo, -inv, p)
+        _eliminate(rcombo, -inv, {tag: 1}, p)  # rcombo[tag] += inv
+        self.rows.append((pivot, _scaled(residual, inv, p), rcombo))
         return None
 
     def represent(self, vec: Mapping[int, Raw]):
         """Representation of ``vec`` on the inserted vectors, or None if outside."""
         residual = _sparse(vec, self.field.p, self.width)
         combo = self._reduce(residual)
-        if residual:
-            return None
-        return {t: c for t, c in combo.items() if c}
+        return None if residual else combo
 
     def contains(self, vec: Mapping[int, Raw]) -> bool:
-        residual = _sparse(vec, self.field.p, self.width)
-        self._reduce(residual)
-        return not residual
-
-
-def _echelon(rows: Iterable[Mapping[int, Raw]], field: FieldSpec,
-             width: int) -> list[tuple[int, SparseRow]]:
-    """(pivot, row with leading 1) for each row independent of the earlier
-    ones, in input order; no combinations are tracked."""
-    p = field.p
-    echelon: list[tuple[int, SparseRow]] = []
-    for vec in rows:
-        residual = _sparse(vec, p, width)
-        for pivot, row in echelon:
-            c = residual.get(pivot)
-            if c is not None:
-                _eliminate(residual, c, row, p)
-        if residual:
-            pivot = min(residual)
-            inv = inverse(residual[pivot], p)
-            echelon.append((pivot, {j: normal(inv * x, p)
-                                    for j, x in residual.items()}))
-    return echelon
+        return self.represent(vec) is not None
 
 
 def row_rank(rows: Iterable[Mapping[int, Raw]], field: FieldSpec,
              width: int) -> int:
     """Dimension of the span of ``rows``."""
-    return len(_echelon(rows, field, width))
+    return len(Echelon(field, width, rows).rows)
 
 
 def rref(rows: Iterable[Mapping[int, Raw]], field: FieldSpec,
          width: int) -> list[list[Raw]]:
     """Canonical reduced row echelon form (rows sorted by pivot column)."""
-    echelon = sorted(_echelon(rows, field, width), key=lambda pr: pr[0])
+    ordered = sorted(Echelon(field, width, rows).rows, key=lambda pr: pr[0])
     # back-substitute so that every pivot column is zero elsewhere
-    for i in range(len(echelon) - 1, -1, -1):
-        pivot, row = echelon[i]
+    for i in range(len(ordered) - 1, -1, -1):
+        pivot, row = ordered[i]
         for k in range(i):
-            target = echelon[k][1]
+            target = ordered[k][1]
             c = target.get(pivot)
             if c is not None:
                 _eliminate(target, c, row, field.p)
-    return [[row.get(j, 0) for j in range(width)] for _, row in echelon]
+    return [[row.get(j, 0) for j in range(width)] for _, row in ordered]

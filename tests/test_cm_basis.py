@@ -2,10 +2,11 @@ import itertools
 import random
 import sys
 import threading
+from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from facering import (
     Balancing,
@@ -35,7 +36,7 @@ from facering.errors import BasisInvalid, InputError, OrderNotCompatible
 from facering.face_ring import ParameterPolynomial
 from facering.linalg import RowSpan, row_rank, rref
 
-from conftest import GF2, GF5, RATIONAL
+from conftest import GF2, GF5, RATIONAL, make_disk
 
 FIELDS = (RATIONAL, GF2, GF5)
 
@@ -177,17 +178,18 @@ def test_order_violation_matches_quadratic_reference():
 
 
 def _random_compatible_order(c, balancing, rng):
-    faces = list(range(len(c)))
-    # random topological shuffle of the label-set containment order
-    remaining = set(faces)
+    # random topological shuffle of the label-set containment order: a face
+    # is ready once no remaining face has a strictly smaller label set
+    remaining = set(range(len(c)))
+    left = Counter(balancing.label_set(f) for f in remaining)
     order = []
     while remaining:
-        ready = [f for f in remaining
-                 if not any(balancing.label_set(g) < balancing.label_set(f)
-                            for g in remaining if g != f)]
+        blocked = {s for s in left if any(left[t] for t in left if t < s)}
+        ready = [f for f in remaining if balancing.label_set(f) not in blocked]
         pick = rng.choice(sorted(ready))
         order.append(pick)
         remaining.remove(pick)
+        left[balancing.label_set(pick)] -= 1
     return order
 
 
@@ -215,6 +217,67 @@ def test_verdict_invariant_over_compatible_orders(
                 assert report.valid
 
 
+def _reference_verdict(c, bal, field, order, early_exit):
+    """The facet-vector test as it was first written: every processed face
+    goes into one span of facet vectors that tracks combinations, and a
+    dependent face is a witness when its representation uses a member whose
+    label set is not inside its own.  (verdict, members, witness,
+    representation)."""
+    m = len(c.facets)
+    columns = _columns(c.facets)
+    full = frozenset(range(1, bal.n + 1))
+    span = RowSpan(field, m)
+    members = []
+    for pos, face in enumerate(order):
+        if (early_exit and span.dim == m
+                and all(bal.label_set(g) == full for g in order[pos:])):
+            break
+        rep = span.insert(face, _incidence(c, face, columns))
+        if rep is None:
+            members.append(face)
+        elif any(not bal.label_set(b) <= bal.label_set(face) for b in rep):
+            return False, members, face, [(b, rep[b]) for b in members
+                                          if b in rep]
+    return True, members, None, None
+
+
+GF3 = FieldSpec.gf(3)
+
+
+@st.composite
+def balanced_complexes(draw):
+    """The colored disk with its balancing, or the subdivision of 2-3 random
+    facets of one dimension 1..3 (some not Cohen-Macaulay)."""
+    if draw(st.integers(0, 5)) == 0:
+        disk = make_disk()
+        return disk, Balancing(disk, {"s": 1, "t": 1, "u": 2, "v": 3})
+    d = draw(st.integers(1, 3))
+    names = [str(i) for i in range(d + 3)]
+    facets = draw(st.lists(st.lists(st.sampled_from(names), min_size=d + 1,
+                                    max_size=d + 1, unique=True),
+                           min_size=2, max_size=2 if d == 3 else 3,
+                           unique_by=frozenset))
+    sd = barycentric_subdivision(build_from_facets(facets))
+    return sd.target, sd.balancing
+
+
+@settings(max_examples=200)
+@given(balanced_complexes(), st.sampled_from([RATIONAL, GF2, GF3]),
+       st.booleans(), st.randoms(use_true_random=False))
+def test_label_set_restricted_test_matches_combination_tracking(
+        case, field, early_exit, rng):
+    c, bal = case
+    order = _random_compatible_order(c, bal, rng)
+    verdict = compute_basis(c, bal, field, order=order, early_exit=early_exit)
+    cm, members, witness, representation = _reference_verdict(
+        c, bal, field, order, early_exit)
+    assert verdict.cohen_macaulay == cm
+    assert verdict.witness == witness
+    assert verdict.representation == representation
+    if cm:
+        assert list(verdict.basis.members) == members
+
+
 def test_early_exit_matches_full_processing(
         double_edge_sd, disk, disk_balancing, triangle_sd):
     cases = [(double_edge_sd.target, double_edge_sd.balancing),
@@ -239,13 +302,18 @@ def test_processed_faces_cover_smaller_label_sets(double_edge_sd, disk,
             for s in itertools.combinations(range(1, bal.n + 1), r):
                 m_rows[frozenset(s)] = subspace_M_S(c, bal, RATIONAL, s)
 
+        seen = []
+
         def check(face, span):
+            seen.append(face)
             for t, rows in m_rows.items():
                 if t < bal.label_set(face):
                     for row in rows:
                         assert span.contains(dict(enumerate(row)))
 
         compute_basis(c, bal, RATIONAL, early_exit=False, trace=check)
+        # without the early exit every face is processed, each once
+        assert sorted(seen) == list(range(len(c)))
 
 
 def test_subdivision_of_nonsimplicial_disk(disk, disk_balancing):
@@ -436,11 +504,9 @@ def test_representation_roundtrip(disk, disk_balancing, double_edge_sd):
 
 def test_representation_rejects_broken_basis(double_edge_sd):
     target, bal = double_edge_sd.target, double_edge_sd.balancing
-    good = compute_basis(target, bal, RATIONAL).basis
     from facering.cm_basis import CellBasis
     broken = CellBasis(target, bal, RATIONAL,
-                       [target.resolve(f) for f in ("", "v", "w", "v_alpha")],
-                       good.span)
+                       [target.resolve(f) for f in ("", "v", "w", "v_alpha")])
     f = RingElement.monomial(target, RATIONAL, ((target.resolve("alpha"), 1),))
     with pytest.raises(BasisInvalid):
         represent_on_cell_basis(target, bal, RATIONAL, broken, f)

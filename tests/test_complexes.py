@@ -1,4 +1,6 @@
+import glob
 import itertools
+import os
 from math import comb, factorial
 
 import pytest
@@ -14,6 +16,7 @@ from facering import (
     validate_balancing,
 )
 from facering.complexes import EMPTY
+from facering.documents import complex_from_document, load_json
 from facering.errors import (
     DuplicateFaceId,
     EmptyInput,
@@ -74,6 +77,22 @@ def test_shared_vertex_set_rejected():
             {"id": "e3", "covers": ["b", "c"]},
             {"id": "t", "covers": ["e1", "e2", "e3"]},
         ])
+
+
+def test_missing_cover_rejected():
+    # f has 4 atoms and 16 faces below it but covers only three triangles:
+    # two of them carry different edges on {a, b}
+    faces = [{"id": v} for v in "abcd"]
+    faces += [{"id": e, "covers": list(vs)} for e, vs in [
+        ("ab1", "ab"), ("ab2", "ab"), ("ac", "ac"), ("bc", "bc"),
+        ("ad", "ad"), ("bd", "bd"), ("cd", "cd")]]
+    faces += [{"id": "t1", "covers": ["ab1", "bc", "ac"]},
+              {"id": "t2", "covers": ["ab2", "bd", "ad"]},
+              {"id": "t3", "covers": ["ac", "cd", "ad"]},
+              {"id": "f", "covers": ["t1", "t2", "t3"]}]
+    with pytest.raises(LowerIntervalNotBoolean,
+                       match="two faces below 'f' share a vertex set"):
+        build_from_poset(faces)
 
 
 # cover lists (indices of nonempty faces) of small boolean complexes: a
@@ -160,6 +179,8 @@ def test_duplicate_and_unknown_ids():
         build_from_poset([{"id": "a"}, {"id": "a"}])
     with pytest.raises(UnknownFace):
         build_from_poset([{"id": "a", "covers": ["missing"]}])
+    with pytest.raises(UnknownFace):
+        BooleanComplex(["a", "b"], [[], [3]])
 
 
 def test_poset_forward_references_and_facet_order():
@@ -259,6 +280,55 @@ def test_sd_facet_count_is_chain_count(double_edge, triangle):
     for c in (double_edge, triangle):
         sd = barycentric_subdivision(c)
         assert len(sd.target.facets) == c.maximal_chain_count
+
+
+DATA = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                    "data")
+DATA_COMPLEXES = sorted(
+    os.path.basename(path) for path in glob.glob(os.path.join(DATA, "*.json"))
+    if not path.endswith(("_balancing.json", "_group.json")))
+
+
+def _string_built_subdivision(source):
+    """The subdivision built from its Hasse diagram with string ids and string
+    covers, through ``build_from_poset``, with its rank balancing."""
+    chains = []
+
+    def grow(chain):
+        chains.append(chain)
+        for g in range(1, len(source)):
+            if g != chain[-1] and source.leq(chain[-1], g):
+                grow(chain + (g,))
+
+    for f in range(1, len(source)):
+        grow((f,))
+    chains.sort(key=lambda c: (len(c), tuple(reversed(c))))
+
+    def name(chain):
+        return "_".join(source.ids[f] for f in chain)
+
+    target = build_from_poset([
+        {"id": name(c),
+         "covers": [name(c[:k] + c[k + 1:]) for k in range(len(c))]
+         if len(c) > 1 else []}
+        for c in chains])
+    ranks = {source.ids[f]: source.rank[f] for f in range(1, len(source))}
+    return target, Balancing(target, ranks)
+
+
+@pytest.mark.parametrize("source", DATA_COMPLEXES + ["simplex2", "simplex3",
+                                                     "simplex4"])
+def test_sd_matches_string_built_reference(source):
+    if source.startswith("simplex"):
+        d = int(source[-1])
+        c = build_from_facets([[str(i) for i in range(d + 1)]])
+    else:
+        c = complex_from_document(load_json(os.path.join(DATA, source)))
+    sd = barycentric_subdivision(c)
+    target, balancing = _string_built_subdivision(c)
+    for attr in ("ids", "covers", "rank", "down", "up", "facets"):
+        assert getattr(sd.target, attr) == getattr(target, attr)
+    assert sd.balancing.label_sets == balancing.label_sets
 
 
 def test_sd_simplex_facet_count_is_factorial():
