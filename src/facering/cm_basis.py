@@ -41,6 +41,7 @@ from .face_ring import (
     ParameterPolynomial,
     RingElement,
     add_terms,
+    evaluate_parameters,
     mono_label_multidegree,
 )
 from .linalg import Echelon, RowSpan, row_rank, rref
@@ -362,11 +363,8 @@ def evaluate_cell_representation(complex: BooleanComplex, balancing: Balancing,
     """Expand sum of q_b(label rows) * z_b back into the face ring."""
     field = next(iter(coefficients.values())).field
     terms: dict[Mono, Raw] = {}
-    for member in sorted(coefficients):
-        poly = coefficients[member]
-        if poly.is_zero:
-            continue
+    for member, poly in sorted(coefficients.items()):
         z = RingElement.monomial(complex, field, ((member, 1),))
-        add_terms(terms, (poly.evaluate(complex, "omega", balancing)
-                          * z).terms.items())
+        add_terms(terms, evaluate_parameters(z, poly.terms, "omega",
+                                             balancing).terms.items())
     return RingElement(complex, field, False, terms)

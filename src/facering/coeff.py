@@ -97,10 +97,6 @@ class FieldSpec:
     def characteristic(self) -> int:
         return 0 if self.p is None else self.p
 
-    @property
-    def is_rational(self) -> bool:
-        return self.p is None
-
     def parse_coefficient(self, text: str) -> Raw:
         """Parse ``3`` or ``3/2`` into a canonical scalar of this field."""
         try:

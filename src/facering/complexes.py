@@ -96,7 +96,6 @@ class BooleanComplex:
         # memo tables for ring arithmetic and the subdivision; append-only,
         # each key stored once with its finished value by setdefault
         self._straighten_cache: dict = {}
-        self._param_cache: dict = {}
         self._theta_step_cache: dict = {}
         self._sd_cache: dict[str, SdMap] = {}
 
@@ -280,10 +279,6 @@ class Balancing:
 
     def label_set(self, f: int) -> frozenset[int]:
         return self.label_sets[f]
-
-    def key(self) -> tuple:
-        """Hashable identity used for caching expansions of label-row sums."""
-        return tuple(sorted(self.vertex_label.items()))
 
 
 def validate_balancing(complex: BooleanComplex, balancing: Balancing) -> bool:

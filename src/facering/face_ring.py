@@ -11,10 +11,11 @@ barycentric subdivision is carried on the poset of the original complex.
 
 A standard monomial is a tuple of (face index, exponent) pairs sorted by
 rank; the empty tuple is the monomial 1.  Operations return new elements and
-never modify their inputs.  Straightening results, the steps x^m * theta_j
-and parameter-monomial expansions have integer coefficients, so they are
-memoized on the complex once, as integer counts and as rational elements,
-and reduced into a prime field on use; the caches are field-independent.
+never modify their inputs.  Straightening results and the steps
+x^m * theta_j have integer coefficients, so they are memoized on the complex
+once, as integer counts, and reduced into a prime field on use; the caches
+are field-independent.  Sums c * P^a * x over parameter monomials are formed
+by Horner's rule (:func:`evaluate_parameters`): no P^a is expanded.
 The memo caches are append-only and each key is stored once, with its
 finished value, by ``dict.setdefault``: concurrent readers may repeat work
 but never see a partial result, and all of them get the first stored value.
@@ -32,8 +33,6 @@ from .errors import ComplexMismatch, FieldMismatch, InputError
 from .partitions import Partition, sh, sh_inverse
 
 Mono = tuple[tuple[int, int], ...]
-
-RATIONAL = FieldSpec.rational()
 
 
 def canonical_mono(complex: BooleanComplex, pairs: Iterable[tuple[int, int]]) -> Mono:
@@ -207,10 +206,8 @@ class RingElement:
         memoized :func:`times_parameter` step per term."""
         if self.discrete:
             raise ComplexMismatch("theta_j steps straighten: face ring only")
-        out: dict[Mono, Raw] = {}
-        add_terms(out, ((t, c * k) for m, c in self.terms.items()
-                        for t, k in times_parameter(self.complex, m, j).items()))
-        return RingElement(self.complex, self.field, False, out)
+        return RingElement._canonical(self.complex, self.field, False, _step_terms(
+            self.complex, self.terms, j, "theta", None, self.field.p))
 
     def sorted_terms(self) -> list[tuple[Mono, Raw]]:
         return sorted(self.terms.items(),
@@ -387,56 +384,83 @@ def peeled_memo(cache: dict, tag, exponents: Sequence[int],
     return value
 
 
-def times_parameter(complex: BooleanComplex, mono: Mono, j: int) -> dict[Mono, int]:
-    """Integer normal form of x^mono * theta_j as ``{monomial: count}``,
-    summed over the faces of rank j; memoized on the complex, at most n
-    entries per monomial multiplied, and field-independent."""
-    cache = complex._theta_step_cache
-    hit = cache.get((mono, j))
-    if hit is None:
-        hit = {}
-        for f in complex.faces_of_rank(j):
-            add_terms(hit, _straighten_counts(
-                complex, canonical_mono(complex, mono + ((f, 1),))).items())
-        hit = cache.setdefault((mono, j), hit)
-    return hit
+def times_parameter(complex: BooleanComplex, mono: Mono, j: int,
+                    variant: str = "theta",
+                    balancing: Balancing | None = None) -> dict[Mono, int]:
+    """Integer normal form of x^mono * P_j as ``{monomial: count}``.  P_j is
+    theta_j (the faces of rank j, straightened), gamma_j (the faces of rank
+    j, dropping products that are not chains) or omega_j (the vertices
+    labelled j, straightened).  Theta steps are memoized on the complex, at
+    most n entries per monomial; nothing is validated here."""
+    if variant == "theta":
+        hit = complex._theta_step_cache.get((mono, j))
+        if hit is not None:
+            return hit
+    faces = (balancing.faces_by_label_set.get(frozenset((j,)), ())
+             if variant == "omega" else complex.faces_of_rank(j))
+    out: dict[Mono, int] = {}
+    for f in faces:
+        m = canonical_mono(complex, mono + ((f, 1),))
+        if variant != "gamma":
+            add_terms(out, _straighten_counts(complex, m).items())
+        elif mono_is_chain(complex, m):
+            out[m] = 1
+    if variant == "theta":
+        out = complex._theta_step_cache.setdefault((mono, j), out)
+    return out
 
 
-def _variant_key(variant: str, balancing: Balancing | None):
+def _step_terms(complex: BooleanComplex, terms: dict[Mono, Raw], j: int, variant: str,
+                balancing: Balancing | None, p: int | None) -> dict[Mono, Raw]:
+    """``terms`` times P_j, with canonical nonzero coefficients."""
+    out = add_terms({}, ((t, c * k) for m, c in terms.items() for t, k
+                         in times_parameter(complex, m, j, variant, balancing).items()))
+    return {m: y for m, c in out.items() if (y := normal(c, p))}
+
+
+def evaluate_parameters(element: RingElement,
+                        terms: Mapping[tuple[int, ...], Raw],
+                        variant: str = "theta",
+                        balancing: Balancing | None = None) -> RingElement:
+    """The sum of c * P^a * element over the pairs (a, c) of ``terms`` (c a
+    canonical scalar), P the parameters of :func:`times_parameter`, by
+    Horner's rule: level i steps an accumulator by P_i from the largest
+    exponent down, adding level i + 1's sum at each exponent met."""
+    complex, field = element.complex, element.field
+    if variant not in ("theta", "gamma", "omega"):
+        raise InputError(f"unknown parameter variant {variant!r}")
+    if element.discrete != (variant == "gamma"):
+        raise ComplexMismatch(f"element is in the wrong presentation for {variant}")
     if variant == "omega":
         if balancing is None:
             raise InputError("the omega variant needs a balancing")
-        return ("omega", balancing.key())
-    if variant in ("theta", "gamma"):
-        return (variant,)
-    raise InputError(f"unknown parameter variant {variant!r}")
+        require_valid_balancing(complex, balancing)  # so balancing.n == n
+    n = complex.n
+    if any(min(a, default=0) < 0 or any(a[n:]) for a in terms):
+        raise InputError(f"exponents must be nonnegative and vanish beyond P_{n}")
+
+    def horner(layer: Mapping[tuple[int, ...], Raw], i: int) -> dict[Mono, Raw]:
+        if i == len(next(iter(layer))):
+            (c,) = layer.values()
+            return {m: x * c for m, x in element.terms.items()}
+        acc: dict[Mono, Raw] = {}
+        for k in range(max(a[i] for a in layer), -1, -1):
+            acc = _step_terms(complex, acc, i + 1, variant, balancing, field.p)
+            if sub := {a: c for a, c in layer.items() if a[i] == k}:
+                add_terms(acc, horner(sub, i + 1).items())
+        return acc
+
+    return RingElement(complex, field, element.discrete,
+                       horner(terms, 0) if terms else {})
 
 
 def parameter_monomial(complex: BooleanComplex, exponents: Sequence[int],
                        variant: str, field: FieldSpec,
                        balancing: Balancing | None = None) -> RingElement:
-    """Expansion of a monomial in the chosen parameters on the monomial basis.
-
-    Variants: ``theta`` (rank rows in the face ring), ``gamma`` (rank rows in
-    the discrete ring), ``omega`` (label rows on a balanced complex).
-    Expansions have integer coefficients; they are memoized over the
-    rationals and reduced into a prime field on use.
-    """
-    discrete = variant == "gamma"
-
-    def times_param(expansion: RingElement, j: int) -> RingElement:
-        if variant == "omega":
-            return expansion * label_row_parameter(complex, balancing, j + 1,
-                                                   RATIONAL)
-        return expansion * rank_row_parameter(complex, j + 1, RATIONAL, discrete)
-
-    cached = peeled_memo(complex._param_cache, _variant_key(variant, balancing),
-                         exponents,
-                         lambda: RingElement.one(complex, RATIONAL, discrete),
-                         times_param)
-    if field.is_rational:
-        return cached
-    return RingElement(complex, field, discrete, cached.terms)
+    """P^exponents on the monomial basis, for the ``theta``, ``gamma`` or
+    ``omega`` parameters (:func:`times_parameter`)."""
+    return evaluate_parameters(RingElement.one(complex, field, variant == "gamma"),
+                               {tuple(exponents): 1}, variant, balancing)
 
 
 class ParameterPolynomial:
@@ -498,12 +522,10 @@ class ParameterPolynomial:
 
     def evaluate(self, complex: BooleanComplex, variant: str,
                  balancing: Balancing | None = None) -> RingElement:
-        terms: dict[Mono, Raw] = {}
-        for a, c in sorted(self.terms.items()):
-            expansion = parameter_monomial(complex, a, variant, self.field,
-                                           balancing)
-            add_terms(terms, ((m, c * x) for m, x in expansion.terms.items()))
-        return RingElement(complex, self.field, variant == "gamma", terms)
+        """This polynomial in the chosen parameters (:func:`evaluate_parameters`)."""
+        return evaluate_parameters(
+            RingElement.one(complex, self.field, variant == "gamma"),
+            self.terms, variant, balancing)
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Raw]]:
         return sorted(self.terms.items(),

@@ -11,19 +11,20 @@ generators; the cell form is what the basis machinery consumes.
 transfer: repeatedly represent the pulled-back remainder on the subdivision
 basis, push the parameter coefficients to the face ring, and subtract; each
 pass strictly lowers the remainder's shapes in dominance order.  Each sum
-c_a theta^a * x_chain is formed by Horner's rule in theta_1, ..., theta_n,
-one memoized theta_j step (:func:`facering.face_ring.times_parameter`) at a
-time, so no theta^a is expanded and no memo grows with the exponents.
+c_a theta^a * x_chain is formed by the face ring's Horner evaluator
+(:func:`facering.face_ring.evaluate_parameters`), one memoized theta_j step
+at a time, so no theta^a is expanded and no memo grows with the exponents.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .coeff import FieldSpec, Raw
+from .coeff import FieldSpec
 from .complexes import SdMap
 from .errors import BasisInvalid, ComplexMismatch, InputError
-from .face_ring import Mono, ParameterPolynomial, RingElement, add_terms
+from .face_ring import (Mono, ParameterPolynomial, RingElement, add_terms,
+                        evaluate_parameters)
 from .cm_basis import CellBasis, represent_on_cell_basis
 from .partitions import count_partitions
 
@@ -114,21 +115,6 @@ class TransferRepresentation:
     remainders: list[RingElement] = dc_field(default_factory=list)
 
 
-def _theta_horner(element: RingElement, terms: dict[tuple[int, ...], Raw],
-                  i: int = 0) -> RingElement:
-    """The sum of c * theta_{i+1}^a_i ... theta_n^a_(n-1) * element over the
-    pairs (a, c) of ``terms``, whose exponents before i agree, by Horner's
-    rule in theta_{i+1}: the recursion is one level deep per parameter."""
-    if i == len(next(iter(terms))):
-        return element.scale(sum(terms.values()))
-    acc = RingElement.zero(element.complex, element.field)
-    for k in range(max(a[i] for a in terms), -1, -1):
-        acc = acc.times_theta(i + 1)
-        if layer := {a: c for a, c in terms.items() if a[i] == k}:
-            acc = acc + _theta_horner(element, layer, i + 1)
-    return acc
-
-
 def express_on_transferred_basis(ctx: TransferContext, sd_basis: CellBasis,
                                  element: RingElement) -> TransferRepresentation:
     """Write a face-ring element over the parameter subring on the transferred
@@ -163,8 +149,8 @@ def express_on_transferred_basis(ctx: TransferContext, sd_basis: CellBasis,
         for member, poly in rep.items():
             add_terms(totals[member], poly.terms.items())
             if not poly.is_zero:
-                add_terms(evaluated, _theta_horner(ctx.member_image(member),
-                                                   poly.terms).terms.items())
+                add_terms(evaluated, evaluate_parameters(
+                    ctx.member_image(member), poly.terms).terms.items())
         remainder = remainder - RingElement(ctx.sd.source, ctx.field, False,
                                             evaluated)
         remainders.append(remainder)

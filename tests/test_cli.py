@@ -56,6 +56,18 @@ def test_check_cm_not_cm_verdict(docs, capsys):
     assert payload["representation"] == [["a", "1"]]
 
 
+@pytest.mark.parametrize("field, verdict", [
+    ("rational", "cm"), ("gf:3", "cm"), ("gf:2", "not-cm")])
+def test_check_cm_depends_on_characteristic(capsys, field, verdict):
+    # the 6-vertex RP^2 is Cohen-Macaulay exactly over fields of
+    # characteristic other than 2 (Reisner 1976), and so is its subdivision
+    code, payload = run_json(capsys, [
+        "check-cm", "--sd", "--input", os.path.join(DATA, "rp2.json"),
+        "--field", field])
+    assert code == 0
+    assert payload["verdict"] == verdict
+
+
 def test_basis_subdivision(docs, capsys):
     code, payload = run_json(capsys, [
         "basis", "--input", docs["double_edge"], "--sd", "--field", "rational"])

@@ -21,10 +21,16 @@ from facering import (
     straighten,
 )
 from facering.coeff import normal
-from facering.errors import ComplexMismatch, FieldMismatch, InputError
+from facering.errors import (
+    ComplexMismatch,
+    FieldMismatch,
+    InputError,
+    InvalidBalancing,
+)
 from facering.face_ring import (
     ParameterPolynomial,
     canonical_mono,
+    evaluate_parameters,
     mono_degree,
     mono_label_multidegree,
     mono_rank_multidegree,
@@ -76,9 +82,8 @@ def test_deep_power_memo_stays_linear():
 
 
 def test_deep_parameter_power_needs_no_recursion():
-    # theta_1^k on a point is x_0^k; the expansion walks its prefix chain in
-    # a loop, so a recursion limit below k is no obstacle
-    from facering.face_ring import parameter_monomial
+    # theta_1^k on a point is x_0^k; the evaluator steps by theta_1 in a
+    # loop, so a recursion limit below k is no obstacle
     c = build_from_facets([["0"]])
     depth, frame = 0, sys._getframe()
     while frame is not None:
@@ -91,23 +96,25 @@ def test_deep_parameter_power_needs_no_recursion():
     finally:
         sys.setrecursionlimit(limit)
     assert got == el(c, [("0", k)])
-    assert len(c._param_cache) == k + 1
+    # one memoized step x_0^i * theta_1 for each i < k
+    assert len(c._theta_step_cache) == k
 
 
-def test_parameter_memo_keys_follow_the_prefix_chain():
-    # each expansion lowers the first nonzero exponent once, and every prefix
-    # on that chain is memoized
-    from facering.face_ring import parameter_monomial
-    c = make_double_edge()
-    theta1 = rank_row_parameter(c, 1, RATIONAL)
-    theta2 = rank_row_parameter(c, 2, RATIONAL)
-    assert parameter_monomial(c, (2, 1), "theta", RATIONAL) \
-        == theta2 * theta1 * theta1
-    assert set(c._param_cache) == {(("theta",), a) for a in
-                                   [(2, 1), (1, 1), (0, 1), (0, 0)]}
-    assert c._param_cache[(("theta",), (1, 1))] == theta2 * theta1
-    parameter_monomial(c, (3, 1), "theta", RATIONAL)
-    assert len(c._param_cache) == 5
+def test_parameter_step_memo_is_bounded():
+    # only theta steps are memoized, at most n per monomial, and evaluating
+    # again adds no entries
+    c, disk = make_double_edge(), make_disk()
+    bal = Balancing(disk, DISK_LABELS)
+    poly = ParameterPolynomial(2, RATIONAL, {(3, 1): 1, (0, 2): -2, (1, 0): 3})
+    first = poly.evaluate(c, "theta")
+    entries = len(c._theta_step_cache)
+    assert 0 < entries
+    assert max(Counter(m for m, _ in c._theta_step_cache).values()) <= c.n
+    assert poly.evaluate(c, "theta") == first
+    poly.evaluate(c, "gamma")
+    parameter_monomial(disk, (2, 1, 1), "omega", RATIONAL, bal)
+    assert len(c._theta_step_cache) == entries
+    assert not disk._theta_step_cache
 
 
 THETA_STEP_COMPLEXES = {"double edge": make_double_edge(), "disk": make_disk(),
@@ -127,6 +134,111 @@ def test_times_parameter_matches_product(name, degree, data):
     assert max(Counter(m for m, _ in c._theta_step_cache).values()) <= c.n
     with pytest.raises(ComplexMismatch):
         RingElement(c, RATIONAL, True, {m: 1}).times_theta(j)
+
+
+def _repeated_products(element, terms, variant, balancing):
+    """The sum of c * P^a * element by repeated ``RingElement.__mul__`` with
+    whole parameter elements: the reference the Horner evaluator must meet."""
+    c, field = element.complex, element.field
+    params = [label_row_parameter(c, balancing, j, field) if variant == "omega"
+              else rank_row_parameter(c, j, field, variant == "gamma")
+              for j in range(1, c.n + 1)]
+    total = RingElement.zero(c, field, element.discrete)
+    for a, coeff in terms.items():
+        product = element
+        for param, e in zip(params, a):
+            for _ in range(e):
+                product = product * param
+        total = total + product.scale(coeff)
+    return total
+
+
+DISK_LABELS = {"s": 1, "t": 1, "u": 2, "v": 3}
+STEP_BALANCINGS = {"disk": Balancing(THETA_STEP_COMPLEXES["disk"], DISK_LABELS)}
+
+
+@pytest.mark.parametrize("field", [RATIONAL, GF5], ids=["rational", "gf:5"])
+@given(data=st.data())
+def test_evaluate_parameters_matches_repeated_products(field, data):
+    variant, name = data.draw(st.sampled_from([
+        ("theta", "double edge"), ("gamma", "double edge"),
+        ("theta", "triangle"), ("gamma", "triangle"), ("omega", "disk")]))
+    c, bal = THETA_STEP_COMPLEXES[name], STEP_BALANCINGS.get(name)
+    discrete = variant == "gamma"
+    exponents = st.lists(st.integers(0, 5), min_size=c.n, max_size=c.n).filter(
+        lambda a: sum(a) <= 5).map(tuple)
+    scalars = st.sampled_from([-3, -1, 1, 2, Fraction(1, 2)])
+    terms = ParameterPolynomial(c.n, field, data.draw(st.dictionaries(
+        exponents, scalars, min_size=1, max_size=4))).terms
+    monos = [m for d in range(3) for m in graded_monomials(c, degree=d)]
+    element = RingElement(c, field, discrete, data.draw(st.dictionaries(
+        st.sampled_from(monos), scalars, min_size=1, max_size=2)))
+    assert evaluate_parameters(element, terms, variant, bal) \
+        == _repeated_products(element, terms, variant, bal)
+
+
+# expansions pinned from the implementation that multiplied whole parameter
+# elements, as an oracle that shares no code with the Horner evaluator
+PINNED_EXPANSIONS = [
+    ("double edge", (4, 0), "theta", RATIONAL, {
+        (("alpha", 2),): 6, (("beta", 2),): 6, (("v", 4),): 1, (("w", 4),): 1,
+        (("v", 2), ("alpha", 1)): 4, (("v", 2), ("beta", 1)): 4,
+        (("w", 2), ("alpha", 1)): 4, (("w", 2), ("beta", 1)): 4}),
+    ("double edge", (4, 0), "theta", GF5, {
+        (("alpha", 2),): 1, (("beta", 2),): 1, (("v", 4),): 1, (("w", 4),): 1,
+        (("v", 2), ("alpha", 1)): 4, (("v", 2), ("beta", 1)): 4,
+        (("w", 2), ("alpha", 1)): 4, (("w", 2), ("beta", 1)): 4}),
+    ("triangle", (1, 1, 0), "gamma", RATIONAL, {
+        (("0", 1), ("0,1", 1)): 1, (("0", 1), ("0,2", 1)): 1,
+        (("1", 1), ("0,1", 1)): 1, (("1", 1), ("1,2", 1)): 1,
+        (("2", 1), ("0,2", 1)): 1, (("2", 1), ("1,2", 1)): 1}),
+    ("disk", (2, 1, 0), "omega", RATIONAL, {
+        (("s", 1), ("alpha", 1)): 1, (("t", 1), ("beta", 1)): 1}),
+    ("disk", (1, 1, 1), "omega", GF5, {
+        (("P", 1),): 1, (("Q", 1),): 1, (("R", 1),): 1}),
+]
+
+
+@pytest.mark.parametrize("name, exponents, variant, field, expected",
+                         PINNED_EXPANSIONS)
+def test_parameter_monomial_pinned_values(name, exponents, variant, field,
+                                          expected):
+    c = THETA_STEP_COMPLEXES[name]
+    got = parameter_monomial(c, exponents, variant, field,
+                             STEP_BALANCINGS.get(name))
+    assert got.terms == {mono(c, pairs): y for pairs, y in expected.items()}
+
+
+EDGE, DISK = THETA_STEP_COMPLEXES["double edge"], THETA_STEP_COMPLEXES["disk"]
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: parameter_monomial(EDGE, (1, 0), "delta", RATIONAL), InputError),
+    (lambda: parameter_monomial(DISK, (1, 0, 0), "omega", RATIONAL), InputError),
+    (lambda: parameter_monomial(DISK, (1, 0, 0), "omega", RATIONAL,
+                                Balancing(make_disk(), DISK_LABELS)),
+     InvalidBalancing),
+    (lambda: parameter_monomial(DISK, (1, 0, 0), "omega", RATIONAL, Balancing(
+        DISK, {"s": 1, "t": 2, "u": 2, "v": 3})), InvalidBalancing),
+    (lambda: parameter_monomial(EDGE, (0, 0, 1), "theta", RATIONAL), InputError),
+    (lambda: parameter_monomial(DISK, (0, 0, 0, 1), "omega", RATIONAL,
+                                STEP_BALANCINGS["disk"]), InputError),
+    (lambda: evaluate_parameters(RingElement.one(EDGE, RATIONAL, True),
+                                 {(1, 0): 1}), ComplexMismatch),
+    (lambda: evaluate_parameters(RingElement.one(EDGE, RATIONAL),
+                                 {(1, 0): 1}, "gamma"), ComplexMismatch),
+], ids=["unknown variant", "omega without balancing", "foreign balancing",
+        "invalid balancing", "theta beyond n", "omega beyond n",
+        "theta on the discrete ring", "gamma on the face ring"])
+def test_evaluation_input_checks(call, error):
+    with pytest.raises(InputError) as info:
+        call()
+    assert info.type is error
+
+
+def test_zero_exponents_beyond_n_are_accepted():
+    assert parameter_monomial(EDGE, (1, 0, 0), "theta", RATIONAL) \
+        == parameter_monomial(EDGE, (1, 0), "theta", RATIONAL)
 
 
 def test_empty_face_acts_as_one(double_edge):

@@ -3,7 +3,6 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
 
 from facering import (
     Partition,
@@ -21,7 +20,6 @@ from facering.linalg import RowSpan
 from facering.partitions import strictly_dominates
 from facering.transfer import (
     TransferContext,
-    _theta_horner,
     express_on_transferred_basis,
 )
 
@@ -309,19 +307,3 @@ def test_canonical_copies_match_normalizing_constructor(double_edge, triangle,
                      RingElement(ctx.sd.target, field, False, cell_terms))]:
                 assert got == expected
                 assert_canonical(got)
-
-
-@pytest.mark.parametrize("field", [RATIONAL, GF5], ids=["rational", "gf:5"])
-@given(data=st.data())
-def test_theta_horner_matches_evaluate(double_edge_sd, triangle_sd, field, data):
-    sd = data.draw(st.sampled_from([double_edge_sd, triangle_sd]))
-    n = sd.source.n
-    terms = data.draw(st.dictionaries(
-        st.tuples(*[st.integers(0, 3)] * n),
-        st.sampled_from([-3, -1, 1, 2, Fraction(1, 2)]), min_size=1, max_size=4))
-    member = data.draw(st.integers(0, len(sd.target) - 1))
-    ctx = TransferContext(sd, field)
-    poly = ParameterPolynomial(n, field, terms)
-    image = ctx.member_image(member)
-    assert _theta_horner(image, poly.terms) \
-        == poly.evaluate(sd.source, "theta") * image
