@@ -91,11 +91,9 @@ def default_processing_order(complex: BooleanComplex,
                              balancing: Balancing) -> list[int]:
     """Label-set blocks sorted by (cardinality, lexicographic), faces within a
     block by internal index."""
-    faces = range(len(complex))
-    return sorted(faces, key=lambda f: (
-        len(balancing.label_set(f)),
-        tuple(sorted(balancing.label_set(f))),
-        f))
+    blocks = sorted(balancing.faces_by_label_set.items(),
+                    key=lambda block: (len(block[0]), sorted(block[0])))
+    return [f for _, faces in blocks for f in faces]
 
 
 def validate_processing_order(complex: BooleanComplex, balancing: Balancing,
@@ -351,7 +349,7 @@ def represent_on_cell_basis(complex: BooleanComplex, balancing: Balancing,
     if element.field != field or basis.field != field:
         raise FieldMismatch("element, basis, and field must agree")
     out: dict[int, dict] = {b: {} for b in basis.members}
-    for mono, coeff in element.sorted_terms():
+    for mono, coeff in element.terms.items():
         for member, lifted, c in basis.represent_monomial(mono):
             add_terms(out[member], [(lifted, coeff * c)])
     return {b: ParameterPolynomial(balancing.n, field, t) for b, t in out.items()}

@@ -93,10 +93,6 @@ class FieldSpec:
             return cls.gf(p)
         raise InputError(f"bad field selector {text!r}")
 
-    @property
-    def characteristic(self) -> int:
-        return 0 if self.p is None else self.p
-
     def parse_coefficient(self, text: str) -> Raw:
         """Parse ``3`` or ``3/2`` into a canonical scalar of this field."""
         try:

@@ -3,11 +3,13 @@
 A boolean complex is stored through its augmented face poset: the unique
 empty face (always index 0, id ``""``) plus the nonempty faces.  Construction
 validates the simplicial-poset axioms: the poset is ranked, and every lower
-interval is a boolean lattice.  All derived structure (downsets, upsets, atom
-sets, facet list, chain counts) is built eagerly and never changes.  The
-memo caches for ring arithmetic and the subdivision are the only mutable
-state: they are append-only, and each key is stored once, with its finished
-value, by ``dict.setdefault``.  Concurrent readers may repeat work, but they
+interval is a boolean lattice.  One topological order of the covers, one
+pass up it and one pass down it build every derived table (ranks, downsets,
+upsets, atom sets, faces by rank, facets, chain counts); queries read these
+tables, which never change, and never rescan the faces.  The memo caches for
+ring arithmetic and the subdivision are the only mutable state: they are
+append-only, and each key is stored once, with its finished value, by
+``dict.setdefault``.  Concurrent readers may repeat work, but they
 never see a partial result, and all of them get the first stored value.
 
 Faces are referenced by stable integer indices internally; string ids appear
@@ -71,13 +73,7 @@ class BooleanComplex:
                              or (EMPTY,))
         self.covers: tuple[tuple[int, ...], ...] = tuple(cover_idx)
 
-        self.rank, self.down, self.up = self._ranks_and_bounds()
-        vertex_mask = sum(1 << v for v in self.vertices())
-        self.atoms: tuple[int, ...] = tuple(d & vertex_mask for d in self.down)
-        by_rank = sorted(range(len(self.ids)), key=self.rank.__getitem__)
-        self._validate_boolean_intervals(by_rank)
-
-        maximal = [f for f in range(len(self.ids)) if self.up[f] == 1 << f]
+        maximal = self._build_tables()
         if facet_order is not None:
             order = []
             for fid in facet_order:
@@ -90,26 +86,26 @@ class BooleanComplex:
         else:
             self.facets = tuple(maximal)
 
-        self.dim: int = max(self.rank) - 1
-        self.maximal_chain_count: int = self._count_maximal_chains(by_rank)
-
         # memo tables for ring arithmetic and the subdivision; append-only,
         # each key stored once with its finished value by setdefault
         self._straighten_cache: dict = {}
         self._theta_step_cache: dict = {}
         self._sd_cache: dict[str, SdMap] = {}
 
-    # -- construction helpers -------------------------------------------------
+    # -- construction ----------------------------------------------------------
 
-    def _topo_order(self) -> list[int]:
-        n = len(self.ids)
-        indeg = [0] * n
-        above: list[list[int]] = [[] for _ in range(n)]
-        for f in range(n):
-            for c in self.covers[f]:
+    def _build_tables(self) -> list[int]:
+        """Derived tables from one topological order of the covers, the only
+        cycle check: ranks, downsets, atom sets and chain counts in one pass
+        up it, checking each lower interval; upsets in one pass down it; the
+        faces of each rank.  Returns the maximal faces in index order."""
+        ids, covers, size = self.ids, self.covers, len(self.ids)
+        indeg = [len(cs) for cs in covers]
+        above: list[list[int]] = [[] for _ in range(size)]
+        for f, cs in enumerate(covers):
+            for c in cs:
                 above[c].append(f)
-                indeg[f] += 1
-        order, queue = [], [f for f in range(n) if indeg[f] == 0]
+        order, queue = [], [EMPTY]
         while queue:
             f = queue.pop()
             order.append(f)
@@ -117,65 +113,62 @@ class BooleanComplex:
                 indeg[g] -= 1
                 if indeg[g] == 0:
                     queue.append(g)
-        if len(order) != n:
-            stuck = [self.ids[f] for f in range(n) if indeg[f] > 0]
+        if len(order) != size:
+            stuck = [ids[f] for f in range(size) if indeg[f] > 0]
             raise NotRanked(f"cover relations contain a cycle through {stuck}")
-        return order
 
-    def _ranks_and_bounds(self) -> tuple[tuple[int, ...], ...]:
-        """Ranks, and downsets and upsets as face bitmasks, from one pass up
-        the topological order and one pass down it."""
-        order = self._topo_order()
-        rank = [0] * len(order)
-        down = [1 << f for f in range(len(order))]
-        for f in order:
-            if f == EMPTY:
+        rank = [0] * size
+        down = [1 << f for f in range(size)]
+        atoms = [0] * size
+        chains = [1] * size
+        failure: tuple[int, int, str] | None = None  # (rank, index, message)
+        for f in order[1:]:
+            cs = covers[f]
+            r = rank[f] = rank[cs[0]] + 1
+            d, a, k = down[f], 0, 0
+            for c in cs:
+                if rank[c] + 1 != r:
+                    raise NotRanked(f"face {ids[f]!r} covers faces of unequal rank")
+                d |= down[c]
+                a |= atoms[c]
+                k += chains[c]
+            down[f], atoms[f], chains[f] = d, a if r > 1 else 1 << f, k
+            # f of rank r needs r atoms, 2^r faces in ``down f`` and r covers
+            # with distinct atom sets, the r sets ``atoms f - {v}``.  When the
+            # covers' intervals are boolean, ``b -> atoms b`` maps the 2^r
+            # faces of ``down f`` onto the 2^r subsets of ``atoms f``, hence
+            # bijectively; and a boolean interval passes, its rank r - 1
+            # faces being f's covers.  Atom sets then order faces with no
+            # check of their own: if ``atoms b`` is inside ``atoms c`` with
+            # b, c <= f, the bijection at c gives b' <= c with the atoms of b,
+            # and injectivity at f gives b = b', so b <= c.  So the failure
+            # with the least (rank, index) is the one reported, after the pass:
+            # only boolean intervals lie below it, and NotRanked wins over it.
+            if failure is not None and failure[:2] < (r, f):
                 continue
-            ranks_below = {rank[c] for c in self.covers[f]}
-            if len(ranks_below) != 1:
-                raise NotRanked(
-                    f"face {self.ids[f]!r} covers faces of unequal rank")
-            rank[f] = ranks_below.pop() + 1
-            for c in self.covers[f]:
-                down[f] |= down[c]
-        up = [1 << f for f in range(len(order))]
+            if atoms[f].bit_count() != r or d.bit_count() != 1 << r:
+                failure = (r, f, f"lower interval of face {ids[f]!r} is not "
+                                 f"a boolean lattice of rank {r}")
+            elif len(cs) != r or len({atoms[c] for c in cs}) != r:
+                failure = (r, f, f"two faces below {ids[f]!r} share a vertex set")
+        if failure is not None:
+            raise LowerIntervalNotBoolean(failure[2])
+
+        up = [1 << f for f in range(size)]
         for f in reversed(order):
-            for c in self.covers[f]:
+            for c in covers[f]:
                 up[c] |= up[f]
-        return tuple(rank), tuple(down), tuple(up)
-
-    def _validate_boolean_intervals(self, by_rank: Sequence[int]) -> None:
-        """Check that every lower interval is a boolean lattice.
-
-        In rank order, a face f of rank r needs r atoms, 2^r faces in
-        ``down f`` and r covers with distinct atom sets, the r sets
-        ``atoms f - {v}``.  The covers' intervals are already boolean, so
-        ``b -> atoms b`` maps the 2^r faces of ``down f`` onto the 2^r
-        subsets of ``atoms f``, hence bijectively; and a boolean interval
-        passes, its rank r - 1 faces being f's covers.  Atom sets then order
-        faces with no check of their own: if ``atoms b`` is inside
-        ``atoms c`` with b, c <= f, the bijection at c gives b' <= c with the
-        atoms of b, and injectivity at f gives b = b', so b <= c.
-        """
-        for f in by_rank:
-            r = self.rank[f]
-            if (self.atoms[f].bit_count() != r
-                    or self.down[f].bit_count() != 1 << r):
-                raise LowerIntervalNotBoolean(
-                    f"lower interval of face {self.ids[f]!r} is not a boolean "
-                    f"lattice of rank {r}")
-            covers = self.covers[f]
-            if len(covers) != r or len({self.atoms[c] for c in covers}) != r:
-                raise LowerIntervalNotBoolean(
-                    f"two faces below {self.ids[f]!r} share a vertex set")
-
-    def _count_maximal_chains(self, by_rank: Sequence[int]) -> int:
-        count = [0] * len(self.ids)
-        count[EMPTY] = 1
-        for f in by_rank:
-            if f != EMPTY:
-                count[f] = sum(count[c] for c in self.covers[f])
-        return sum(count[f] for f in self.facets)
+        by_rank: list[list[int]] = [[] for _ in range(max(rank) + 1)]
+        for f in range(size):
+            by_rank[rank[f]].append(f)
+        maximal = [f for f in range(size) if up[f] == 1 << f]
+        self.rank: tuple[int, ...] = tuple(rank)
+        self.down: tuple[int, ...] = tuple(down)
+        self.up: tuple[int, ...] = tuple(up)
+        self.atoms: tuple[int, ...] = tuple(atoms)
+        self._by_rank = tuple(map(tuple, by_rank))
+        self.maximal_chain_count: int = sum(chains[f] for f in maximal)
+        return maximal
 
     # -- queries ---------------------------------------------------------------
 
@@ -201,18 +194,23 @@ class BooleanComplex:
         return list(mask_members(self.down[f]))
 
     def vertices(self) -> list[int]:
-        return [f for f in range(len(self.ids)) if self.rank[f] == 1]
+        return self.faces_of_rank(1)
 
     def vertices_of(self, f: int) -> list[int]:
         return list(mask_members(self.atoms[f]))
 
     def faces_of_rank(self, r: int) -> list[int]:
-        return [f for f in range(len(self.ids)) if self.rank[f] == r]
+        """The faces of rank r in index order (none outside 0..n)."""
+        return list(self._by_rank[r]) if 0 <= r < len(self._by_rank) else []
 
     @property
     def n(self) -> int:
         """Maximal rank: the number of labels a balancing must use."""
-        return max(self.rank)
+        return len(self._by_rank) - 1
+
+    @property
+    def dim(self) -> int:
+        return len(self._by_rank) - 2
 
     def is_pure(self) -> bool:
         return len({self.rank[f] for f in self.facets}) <= 1
@@ -243,11 +241,14 @@ class Balancing:
 
     Top-level balancings use the labels 1..n; label-selected subcomplexes
     inherit sub-collections, which is why validation only asks that every
-    facet see each used label exactly once.  ``faces_by_label_set`` holds
-    the faces of each label set that occurs, in index order; it never changes.
+    facet see each used label exactly once.  Label sets are built in rank
+    order from covers: a vertex's is its own label, and a face of rank at
+    least 2 takes the union of its first two covers' sets, which together
+    hold its vertices.  ``faces_by_label_set`` holds the faces of each label
+    set that occurs, in index order; it never changes.
     """
 
-    def __init__(self, complex: BooleanComplex, labels: Mapping[str, int]):
+    def __init__(self, complex: BooleanComplex, labels: Mapping[int | str, int]):
         self.complex = complex
         got = {}
         for fid, lb in labels.items():
@@ -263,9 +264,14 @@ class Balancing:
         self.vertex_label: dict[int, int] = got
         self.labels: frozenset[int] = frozenset(got.values())
         self.n: int = max(got.values(), default=0)
-        self.label_sets: tuple[frozenset[int], ...] = tuple(
-            frozenset(got[v] for v in complex.vertices_of(f))
-            for f in range(len(complex)))
+        sets: list[frozenset[int]] = [frozenset()] * len(complex)
+        for v in complex.vertices():
+            sets[v] = frozenset((got[v],))
+        for r in range(2, complex.n + 1):
+            for f in complex.faces_of_rank(r):
+                c0, c1 = complex.covers[f][:2]
+                sets[f] = sets[c0] | sets[c1]
+        self.label_sets: tuple[frozenset[int], ...] = tuple(sets)
         grouped: dict[frozenset[int], list[int]] = {}
         for f, s in enumerate(self.label_sets):
             grouped.setdefault(s, []).append(f)
@@ -287,13 +293,8 @@ def validate_balancing(complex: BooleanComplex, balancing: Balancing) -> bool:
     collection = balancing.labels
     if not complex.is_pure() or complex.n != len(collection):
         return False
-    for eps in complex.facets:
-        verts = complex.vertices_of(eps)
-        if len(verts) != len(collection):
-            return False
-        if frozenset(balancing.vertex_label[v] for v in verts) != collection:
-            return False
-    return True
+    # every facet has rank n, so n vertices
+    return all(balancing.label_sets[eps] == collection for eps in complex.facets)
 
 
 def require_valid_balancing(complex: BooleanComplex, balancing: Balancing,
@@ -438,8 +439,7 @@ def barycentric_subdivision(complex: BooleanComplex) -> SdMap:
               if len(c) > 1 else [] for c in chains]
     target = BooleanComplex(ids, covers)
     chain_of = ((),) + tuple(chains)
-    labels = {sd_face_id(complex, (f,)): complex.rank[f]
-              for f in range(1, len(complex))}
+    labels = {face_of_chain[(f,)]: complex.rank[f] for f in range(1, len(complex))}
     balancing = Balancing(target, labels)
     sd = SdMap(complex, target, chain_of, face_of_chain, balancing)
     return complex._sd_cache.setdefault("sd", sd)

@@ -675,8 +675,8 @@ def fine_vectors(complex: BooleanComplex, balancing: Balancing,
         subsets.extend(itertools.combinations(range(1, n + 1), r))
     subsets.sort(key=lambda s: (len(s), s))
     f_vec = {s: 0 for s in subsets}
-    for face in range(len(complex)):
-        f_vec[tuple(sorted(balancing.label_set(face)))] += 1
+    for labels, faces in balancing.faces_by_label_set.items():
+        f_vec[tuple(sorted(labels))] += len(faces)
     h_vec = {}
     for s in subsets:
         total = 0

@@ -79,6 +79,35 @@ def test_shared_vertex_set_rejected():
         ])
 
 
+def test_boolean_failure_named_by_rank_then_index():
+    # z (rank 2) covers three vertices; t (rank 3) sits over two edges on
+    # {a, b}.  Whatever order the construction visits them in, the failure
+    # with the smallest (rank, index) is reported.
+    with pytest.raises(LowerIntervalNotBoolean) as info:
+        build_from_poset([
+            {"id": "p"}, {"id": "q"}, {"id": "r"},
+            {"id": "z", "covers": ["p", "q", "r"]},
+            {"id": "a"}, {"id": "b"}, {"id": "c"},
+            {"id": "e1", "covers": ["a", "b"]},
+            {"id": "e2", "covers": ["a", "b"]},
+            {"id": "e3", "covers": ["b", "c"]},
+            {"id": "t", "covers": ["e1", "e2", "e3"]},
+        ])
+    assert str(info.value) == ("lower interval of face 'z' is not a boolean "
+                               "lattice of rank 2")
+
+
+def test_not_ranked_wins_over_boolean_failure():
+    # e fails the boolean check first, but g covers faces of unequal rank
+    with pytest.raises(NotRanked) as info:
+        build_from_poset([
+            {"id": "a"}, {"id": "b"}, {"id": "c"},
+            {"id": "e", "covers": ["a", "b", "c"]},
+            {"id": "g", "covers": ["e", "a"]},
+        ])
+    assert str(info.value) == "face 'g' covers faces of unequal rank"
+
+
 def test_missing_cover_rejected():
     # f has 4 atoms and 16 faces below it but covers only three triangles:
     # two of them carry different edges on {a, b}
@@ -130,9 +159,11 @@ def hasse_diagrams(draw):
     return covers
 
 
-def _reference_rejection(covers):
-    """Exception class the original construction raises on these covers (None
-    when it accepts), with its all-pairs test that vertex sets order faces."""
+def _reference_construction(covers):
+    """Exception class the original construction raises on these covers, with
+    its all-pairs test that vertex sets order faces; or, when it accepts, the
+    ranks, downsets and atom sets by face index and the maximal-chain count
+    (r! chains below each maximal face of rank r, a boolean interval)."""
     n = len(covers) + 1
     below = [set()] + [{c + 1 for c in cs} or {0} for cs in covers]
     rank = {0: 0}
@@ -159,19 +190,32 @@ def _reference_rejection(covers):
             if (b in down[c] or c in down[b]) != (atoms[b] <= atoms[c]
                                                   or atoms[c] <= atoms[b]):
                 return LowerIntervalNotBoolean
-    return None
+    maximal = [f for f in range(n)
+               if not any(f in down[g] for g in range(n) if g != f)]
+    chains = sum(factorial(rank[f]) for f in maximal)
+    return ([rank[f] for f in range(n)], [sorted(down[f]) for f in range(n)],
+            [atoms[f] for f in range(n)], chains)
 
 
 @given(hasse_diagrams())
 def test_validation_matches_all_pairs_reference(covers):
     ids = [f"f{i}" for i in range(len(covers))]
-    expected = _reference_rejection(covers)
+    expected = _reference_construction(covers)
     try:
-        BooleanComplex(ids, [[ids[c] for c in cs] for cs in covers])
+        c = BooleanComplex(ids, [[ids[c] for c in cs] for cs in covers])
     except InvalidComplex as exc:
         assert type(exc) is expected
-    else:
-        assert expected is None
+        return
+    assert isinstance(expected, tuple)
+    rank, down, atoms, chains = expected
+    assert list(c.rank) == rank
+    assert [c.downset(f) for f in range(len(c))] == down
+    assert list(c.atoms) == [sum(1 << g for g in a) for a in atoms]
+    for r in range(-1, max(rank) + 2):
+        assert c.faces_of_rank(r) == [f for f in range(len(c)) if rank[f] == r]
+    assert c.vertices() == c.faces_of_rank(1)
+    assert c.n == max(rank) and c.dim == max(rank) - 1
+    assert c.maximal_chain_count == chains
 
 
 def test_duplicate_and_unknown_ids():
@@ -336,6 +380,27 @@ def test_sd_simplex_facet_count_is_factorial():
         c = build_from_facets([[str(i) for i in range(d + 1)]])
         sd = barycentric_subdivision(c)
         assert len(sd.target.facets) == factorial(d + 1)
+
+
+def _descent_set_counts(m):
+    counts = {}
+    for w in itertools.permutations(range(m)):
+        s = tuple(i for i in range(1, m) if w[i - 1] > w[i])
+        counts[s] = counts.get(s, 0) + 1
+    return counts
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_sd_simplex_flag_h_vector_counts_descents(d):
+    # on sd of the d-simplex, with each chain labelled by the ranks in it,
+    # h_S is the number of permutations of [d+1] with descent set S
+    # (Stanley, Balanced Cohen-Macaulay complexes, 1979)
+    from facering.face_ring import fine_vectors
+    sd = barycentric_subdivision(build_from_facets([[str(i) for i in range(d + 1)]]))
+    _, h_vec = fine_vectors(sd.target, sd.balancing)
+    descents = _descent_set_counts(d + 1)
+    assert h_vec == {s: descents.get(s, 0) for s in h_vec}
+    assert sum(h_vec.values()) == factorial(d + 1)
 
 
 def test_label_selected_examples(double_edge_sd):
