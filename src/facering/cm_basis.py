@@ -14,8 +14,18 @@ Every facet e has one face e_S with label set S, and a face G with label set
 inside S lies in e iff it lies in e_S.  So the facet vectors of such faces
 satisfy the same linear relations as their incidence rows against the faces
 with label set S, where a face F with label set S has a unit row: whether F
-needs only members with label sets inside S is decided there.  Those
-echelons and :func:`verify_basis` take members in reverse order, which
+needs only members with label sets inside S is decided there.
+
+That decision is read off one pivot set per label set.  Let W_S be the span
+of the rows of the members with label sets strictly inside S.  When F comes
+up, the local span is W_S plus the unit rows of the S-faces processed before
+F (a discarded one already lies in it), so e_F lies in it iff some vector of
+W_S has its last nonzero entry, in processing order, at F.  With the
+S-columns numbered in reverse processing order, that entry is a vector's
+first, and the first entries of W_S are the pivots of any echelon of it:
+F needs only members inside S iff its column is a pivot.
+
+Those echelons and :func:`verify_basis` take members in reverse order, which
 changes no rank or representation: a larger label set lies in fewer facets,
 and the empty face's all-ones row, taken last, fills in no later row.
 """
@@ -237,12 +247,13 @@ def compute_basis(complex: BooleanComplex, balancing: Balancing,
     (validated when supplied).  A face whose vector leaves the current span
     joins the basis; one whose unique representation uses only members with
     smaller-or-equal label sets is discarded; any other face is a witness
-    that no cell basis exists.  The discard test runs against the faces
-    with F's label set S (module docstring), in an echelon started once
-    every smaller label set is done; only a witness is represented on the
-    members.  ``early_exit`` stops once the span is full and only facets
-    remain, which cannot change the output.  ``trace`` is called with each
-    face and the echelon of the members' facet vectors before processing it.
+    that no cell basis exists.  The discard test reads the pivot set of the
+    members with label sets strictly inside F's label set S, against the
+    faces with label set S (module docstring), taken once every smaller
+    label set is done; only a witness is represented on the members.
+    ``early_exit`` stops once the span is full and only facets remain, which
+    cannot change the output.  ``trace`` is called with each face and the
+    echelon of the members' facet vectors before processing it.
     """
     require_valid_balancing(complex, balancing)
     if order is None:
@@ -254,7 +265,10 @@ def compute_basis(complex: BooleanComplex, balancing: Balancing,
     full = frozenset(range(1, balancing.n + 1))
     span = Echelon(field, m)
     members: list[int] = []
-    inside: dict[frozenset[int], tuple[Columns, Echelon]] = {}
+    blocks: dict[frozenset[int], list[int]] = {}  # each label set's faces, in order
+    for face in idx_order:
+        blocks.setdefault(balancing.label_set(face), []).append(face)
+    discarded: dict[frozenset[int], set[int]] = {}
     for pos, face in enumerate(idx_order):
         if (early_exit and len(span.rows) == m
                 and all(balancing.label_set(g) == full for g in idx_order[pos:])):
@@ -262,15 +276,16 @@ def compute_basis(complex: BooleanComplex, balancing: Balancing,
         if trace is not None:
             trace(face, span)
         labels = balancing.label_set(face)
-        if labels not in inside:
-            local_columns = _columns(selected_facets(complex, balancing, labels))
-            inside[labels] = local_columns, Echelon(
-                field, len(local_columns[1]),
+        if labels not in discarded:
+            # columns in reverse processing order: a pivot is a discarded face
+            local_faces = blocks[labels][::-1]
+            local_columns = _columns(local_faces)
+            local = Echelon(
+                field, len(local_faces),
                 (_incidence(complex, b, local_columns)
                  for b in reversed(members) if balancing.label_set(b) < labels))
-        local_columns, local = inside[labels]
-        local_residual = local.reduce({local_columns[1][face]: 1})
-        if not local_residual:
+            discarded[labels] = {local_faces[pivot] for pivot, _ in local.rows}
+        if face in discarded[labels]:
             continue
         residual = span.reduce(_incidence(complex, face, columns))
         if not residual:
@@ -280,7 +295,6 @@ def compute_basis(complex: BooleanComplex, balancing: Balancing,
             rep = witness.represent(_incidence(complex, face, columns))
             ordered = [(b, rep[b]) for b in members if b in rep]
             return CMVerdict(False, witness=face, representation=ordered)
-        local.append(local_residual)
         span.append(residual)
         members.append(face)
     return CMVerdict(True, basis=CellBasis(complex, balancing, field, members))

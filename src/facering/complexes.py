@@ -1,16 +1,20 @@
 """Boolean complexes as validated augmented face posets.
 
 A boolean complex is stored through its augmented face poset: the unique
-empty face (always index 0, id ``""``) plus the nonempty faces.  Construction
-validates the simplicial-poset axioms: the poset is ranked, and every lower
-interval is a boolean lattice.  One topological order of the covers, one
-pass up it and one pass down it build every derived table (ranks, downsets,
-upsets, atom sets, faces by rank, facets, chain counts); queries read these
-tables, which never change, and never rescan the faces.  The memo caches for
-ring arithmetic and the subdivision are the only mutable state: they are
-append-only, and each key is stored once, with its finished value, by
-``dict.setdefault``.  Concurrent readers may repeat work, but they
-never see a partial result, and all of them get the first stored value.
+empty face (always index 0, id ``""``) plus the nonempty faces.  A complex
+built from a document is validated against the simplicial-poset axioms: its
+covers resolve, they have a topological order (the cycle check), the poset
+is ranked, and every lower interval is a boolean lattice.  A barycentric
+subdivision is the order complex of a face poset, so a simplicial complex by
+construction; its faces come after their covers, and it is not validated.
+Both paths share one derivation: a pass up a topological order and a pass
+down it build every derived table (ranks, downsets, upsets, atom sets, faces
+by rank, facets, chain counts); queries read these tables, which never
+change, and never rescan the faces.  The memo caches for ring arithmetic and
+the subdivision are the only mutable state: they are append-only, and each
+key is stored once, with its finished value, by ``dict.setdefault``.
+Concurrent readers may repeat work, but they never see a partial result,
+and all of them get the first stored value.
 
 Faces are referenced by stable integer indices internally; string ids appear
 only at the I/O boundary and in error messages.  The facet order is fixed at
@@ -73,32 +77,39 @@ class BooleanComplex:
                              or (EMPTY,))
         self.covers: tuple[tuple[int, ...], ...] = tuple(cover_idx)
 
-        maximal = self._build_tables()
+        order = self._cover_order()
+        self._derive_tables(order)
+        self._validate(order)
         if facet_order is not None:
-            order = []
+            facets = []
             for fid in facet_order:
                 if fid not in self.index_of:
                     raise UnknownFace(fid)
-                order.append(self.index_of[fid])
-            if sorted(order) != sorted(maximal):
+                facets.append(self.index_of[fid])
+            if sorted(facets) != sorted(self.facets):
                 raise InputError("facet_order must list exactly the maximal faces")
-            self.facets: tuple[int, ...] = tuple(order)
-        else:
-            self.facets = tuple(maximal)
+            self.facets = tuple(facets)
 
-        # memo tables for ring arithmetic and the subdivision; append-only,
-        # each key stored once with its finished value by setdefault
-        self._straighten_cache: dict = {}
-        self._theta_step_cache: dict = {}
-        self._sd_cache: dict[str, SdMap] = {}
+    @classmethod
+    def _from_order_complex(cls, ids: Sequence[str],
+                            covers: Sequence[tuple[int, ...]]) -> BooleanComplex:
+        """The order complex of a boolean complex's face poset, which is
+        simplicial by construction, so nothing is validated.  ``ids`` and
+        ``covers`` describe the nonempty faces as ``__init__`` takes them,
+        except that each cover tuple holds sorted indices (``(EMPTY,)`` for a
+        vertex), every face comes after its covers, and the ids are distinct."""
+        self = object.__new__(cls)
+        self.ids = ("",) + tuple(ids)
+        self.index_of = {fid: i for i, fid in enumerate(self.ids)}
+        self.covers = ((),) + tuple(covers)
+        self._derive_tables(range(len(self.ids)))
+        return self
 
     # -- construction ----------------------------------------------------------
 
-    def _build_tables(self) -> list[int]:
-        """Derived tables from one topological order of the covers, the only
-        cycle check: ranks, downsets, atom sets and chain counts in one pass
-        up it, checking each lower interval; upsets in one pass down it; the
-        faces of each rank.  Returns the maximal faces in index order."""
+    def _cover_order(self) -> list[int]:
+        """One topological order of the covers, by Kahn's algorithm: the only
+        cycle check."""
         ids, covers, size = self.ids, self.covers, len(self.ids)
         indeg = [len(cs) for cs in covers]
         above: list[list[int]] = [[] for _ in range(size)]
@@ -116,23 +127,61 @@ class BooleanComplex:
         if len(order) != size:
             stuck = [ids[f] for f in range(size) if indeg[f] > 0]
             raise NotRanked(f"cover relations contain a cycle through {stuck}")
+        return order
 
+    def _derive_tables(self, order: Sequence[int]) -> None:
+        """Every derived table from a topological order of the covers, which
+        are not checked: ranks, downsets, atom sets and chain counts in one
+        pass up it, upsets in one pass down it, then the faces of each rank,
+        the facets (the maximal faces in index order) and empty memos."""
+        covers, size = self.covers, len(self.ids)
         rank = [0] * size
         down = [1 << f for f in range(size)]
         atoms = [0] * size
         chains = [1] * size
-        failure: tuple[int, int, str] | None = None  # (rank, index, message)
         for f in order[1:]:
             cs = covers[f]
             r = rank[f] = rank[cs[0]] + 1
             d, a, k = down[f], 0, 0
             for c in cs:
-                if rank[c] + 1 != r:
-                    raise NotRanked(f"face {ids[f]!r} covers faces of unequal rank")
                 d |= down[c]
                 a |= atoms[c]
                 k += chains[c]
             down[f], atoms[f], chains[f] = d, a if r > 1 else 1 << f, k
+        up = [1 << f for f in range(size)]
+        for f in reversed(order):
+            u = up[f]
+            for c in covers[f]:
+                up[c] |= u
+        by_rank: list[list[int]] = [[] for _ in range(max(rank) + 1)]
+        for f in range(size):
+            by_rank[rank[f]].append(f)
+        maximal = [f for f in range(size) if up[f] == 1 << f]
+        self.rank: tuple[int, ...] = tuple(rank)
+        self.down: tuple[int, ...] = tuple(down)
+        self.up: tuple[int, ...] = tuple(up)
+        self.atoms: tuple[int, ...] = tuple(atoms)
+        self._by_rank = tuple(map(tuple, by_rank))
+        self.maximal_chain_count: int = sum(chains[f] for f in maximal)
+        self.facets: tuple[int, ...] = tuple(maximal)
+        # memo tables for ring arithmetic and the subdivision; append-only,
+        # each key stored once with its finished value by setdefault
+        self._straighten_cache: dict = {}
+        self._theta_step_cache: dict = {}
+        self._sd_cache: dict[str, SdMap] = {}
+
+    def _validate(self, order: list[int]) -> None:
+        """Validate a document's poset up the topological order the tables
+        were derived over: every face covers faces of one rank (``NotRanked``
+        at the first that does not), and every lower interval is boolean."""
+        ids, covers, rank, down, atoms = (
+            self.ids, self.covers, self.rank, self.down, self.atoms)
+        failure: tuple[int, int, str] | None = None  # (rank, index, message)
+        for f in order[1:]:
+            cs, r = covers[f], rank[f]
+            for c in cs:
+                if rank[c] + 1 != r:
+                    raise NotRanked(f"face {ids[f]!r} covers faces of unequal rank")
             # f of rank r needs r atoms, 2^r faces in ``down f`` and r covers
             # with distinct atom sets, the r sets ``atoms f - {v}``.  When the
             # covers' intervals are boolean, ``b -> atoms b`` maps the 2^r
@@ -146,29 +195,13 @@ class BooleanComplex:
             # only boolean intervals lie below it, and NotRanked wins over it.
             if failure is not None and failure[:2] < (r, f):
                 continue
-            if atoms[f].bit_count() != r or d.bit_count() != 1 << r:
+            if atoms[f].bit_count() != r or down[f].bit_count() != 1 << r:
                 failure = (r, f, f"lower interval of face {ids[f]!r} is not "
                                  f"a boolean lattice of rank {r}")
             elif len(cs) != r or len({atoms[c] for c in cs}) != r:
                 failure = (r, f, f"two faces below {ids[f]!r} share a vertex set")
         if failure is not None:
             raise LowerIntervalNotBoolean(failure[2])
-
-        up = [1 << f for f in range(size)]
-        for f in reversed(order):
-            for c in covers[f]:
-                up[c] |= up[f]
-        by_rank: list[list[int]] = [[] for _ in range(max(rank) + 1)]
-        for f in range(size):
-            by_rank[rank[f]].append(f)
-        maximal = [f for f in range(size) if up[f] == 1 << f]
-        self.rank: tuple[int, ...] = tuple(rank)
-        self.down: tuple[int, ...] = tuple(down)
-        self.up: tuple[int, ...] = tuple(up)
-        self.atoms: tuple[int, ...] = tuple(atoms)
-        self._by_rank = tuple(map(tuple, by_rank))
-        self.maximal_chain_count: int = sum(chains[f] for f in maximal)
-        return maximal
 
     # -- queries ---------------------------------------------------------------
 
@@ -405,39 +438,40 @@ def sd_face_id(source: BooleanComplex, chain: Sequence[int]) -> str:
 
 
 def barycentric_subdivision(complex: BooleanComplex) -> SdMap:
-    """The order complex of the face poset, as a validated boolean complex.
+    """The order complex of the face poset, a boolean complex by construction.
 
     Faces of the target are the nonempty chains of nonempty faces of the
     source; ids join the chain's member ids with underscores.  Faces are
     ordered by (length, top-down member indices), which also fixes the facet
-    order.
+    order.  The chains are listed level by level in that order, so each comes
+    after its covers, the chains one shorter, and the target's tables are
+    derived from them with no validation.
     """
     if "sd" in complex._sd_cache:
         return complex._sd_cache["sd"]
+    src_ids, down, size = complex.ids, complex.down, len(complex)
+    # the chains of one length, grouped by top face, each group in target order
+    by_top: list[list[tuple[int, ...]]] = [[]] + [[(f,)] for f in range(1, size)]
     chains: list[tuple[int, ...]] = []
-
-    def grow(chain: tuple[int, ...]) -> None:
-        chains.append(chain)
-        top = chain[-1]
-        for g in mask_members(complex.up[top] ^ 1 << top):
-            grow(chain + (g,))
-
-    for f in range(1, len(complex)):
-        grow((f,))
-    chains.sort(key=lambda c: (len(c), tuple(reversed(c))))
+    while any(by_top):
+        chains += (c for cs in by_top for c in cs)
+        by_top = [[]] + [[c + (g,) for t in mask_members(down[g] ^ 1 << g ^ 1)
+                          for c in by_top[t]] for g in range(1, size)]
     face_of_chain = {c: i for i, c in enumerate(chains, 1)}
 
-    ids = [sd_face_id(complex, c) for c in chains]
-    named: dict[str, tuple[int, ...]] = {}
-    for fid, c in zip(ids, chains):
-        if (other := named.setdefault(fid, c)) is not c:
-            raise InputError(f"subdivision face id {fid!r} names two chains, "
-                             f"{[complex.ids[f] for f in other]} and "
-                             f"{[complex.ids[f] for f in c]}; rename the "
-                             "faces whose ids contain '_'")
-    covers = [[face_of_chain[c[:k] + c[k + 1:]] for k in range(len(c))]
-              if len(c) > 1 else [] for c in chains]
-    target = BooleanComplex(ids, covers)
+    ids = ["_".join(src_ids[f] for f in c) for c in chains]
+    if len(set(ids)) != len(ids):
+        named: dict[str, tuple[int, ...]] = {}
+        for fid, c in zip(ids, chains):
+            if (other := named.setdefault(fid, c)) is not c:
+                raise InputError(f"subdivision face id {fid!r} names two chains, "
+                                 f"{[src_ids[f] for f in other]} and "
+                                 f"{[src_ids[f] for f in c]}; rename the "
+                                 "faces whose ids contain '_'")
+    covers = [tuple(sorted(face_of_chain[c[:k] + c[k + 1:]]
+                           for k in range(len(c)))) if len(c) > 1 else (EMPTY,)
+              for c in chains]
+    target = BooleanComplex._from_order_complex(ids, covers)
     chain_of = ((),) + tuple(chains)
     labels = {face_of_chain[(f,)]: complex.rank[f] for f in range(1, len(complex))}
     balancing = Balancing(target, labels)

@@ -59,6 +59,29 @@ def test_composite_modulus_rejected():
     FieldSpec.gf(97)
 
 
+def test_modulus_primality_exact_below_2_64():
+    for p in (2, 3, 32003, 2**61 - 1, 2**64 - 59):
+        assert FieldSpec.gf(p).p == p
+    # 561 is a Carmichael number; 3215031751 is a strong pseudoprime to the
+    # bases 2, 3, 5 and 7, so only the larger bases reject it
+    for bad in (0, 1, 4, 561, 3215031751):
+        with pytest.raises(InputError, match="is not prime"):
+            FieldSpec.gf(bad)
+    # 2^64 + 13 is the least prime above 2^64
+    with pytest.raises(InputError, match=r"below 2\^64"):
+        FieldSpec.gf(2**64 + 13)
+
+
+def test_modulus_primality_matches_trial_division():
+    for p in range(-3, 3000):
+        trial = p >= 2 and all(p % d for d in range(2, int(p ** 0.5) + 1))
+        if trial:
+            FieldSpec.gf(p)
+        else:
+            with pytest.raises(InputError):
+                FieldSpec.gf(p)
+
+
 def test_parse_selector():
     assert FieldSpec.parse("rational") == Q
     assert FieldSpec.parse("gf:5") == F5

@@ -360,6 +360,21 @@ def _string_built_subdivision(source):
     return target, Balancing(target, ranks)
 
 
+def _assert_matches_validated_rebuild(sd):
+    # the target's tables are derived from its chains without validation;
+    # the validating constructor on the same Hasse diagram agrees with them
+    target = sd.target
+    rebuilt = BooleanComplex(target.ids[1:], target.covers[1:])
+    for attr in ("ids", "covers", "rank", "down", "up", "atoms", "facets",
+                 "maximal_chain_count"):
+        assert getattr(target, attr) == getattr(rebuilt, attr)
+    for r in range(target.n + 2):
+        assert target.faces_of_rank(r) == rebuilt.faces_of_rank(r)
+    balancing = Balancing(rebuilt, sd.balancing.vertex_label)
+    assert balancing.label_sets == sd.balancing.label_sets
+    assert balancing.faces_by_label_set == sd.balancing.faces_by_label_set
+
+
 @pytest.mark.parametrize("source", DATA_COMPLEXES + ["simplex2", "simplex3",
                                                      "simplex4"])
 def test_sd_matches_string_built_reference(source):
@@ -369,10 +384,18 @@ def test_sd_matches_string_built_reference(source):
     else:
         c = complex_from_document(load_json(os.path.join(DATA, source)))
     sd = barycentric_subdivision(c)
+    _assert_matches_validated_rebuild(sd)
     target, balancing = _string_built_subdivision(c)
     for attr in ("ids", "covers", "rank", "down", "up", "facets"):
         assert getattr(sd.target, attr) == getattr(target, attr)
     assert sd.balancing.label_sets == balancing.label_sets
+
+
+@given(st.lists(st.lists(st.sampled_from("abcde"), min_size=1, max_size=4,
+                         unique=True), min_size=1, max_size=4))
+def test_sd_tables_match_validating_constructor_on_random_facets(facets):
+    _assert_matches_validated_rebuild(
+        barycentric_subdivision(build_from_facets(facets)))
 
 
 def test_sd_simplex_facet_count_is_factorial():
