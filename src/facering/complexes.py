@@ -433,10 +433,6 @@ class SdMap:
     balancing: Balancing
 
 
-def sd_face_id(source: BooleanComplex, chain: Sequence[int]) -> str:
-    return "_".join(source.ids[f] for f in chain)
-
-
 def barycentric_subdivision(complex: BooleanComplex) -> SdMap:
     """The order complex of the face poset, a boolean complex by construction.
 

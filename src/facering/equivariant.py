@@ -38,7 +38,6 @@ from .face_ring import (
     add_terms,
     graded_monomials,
     mono_shape,
-    peeled_memo,
 )
 from .linalg import row_rank
 from .partitions import Partition, sh, strictly_dominates
@@ -257,10 +256,24 @@ class Morphism:
 
     def _product(self, exponents: tuple[int, ...], member: int) -> RingElement:
         """theta^exponents * images[member], memoized under (member,
-        exponents), one theta_j step at a time."""
-        return peeled_memo(self._product_cache, member, exponents,
-                           lambda: self.images[member],
-                           lambda product, j: product.times_theta(j + 1))
+        exponents), one theta_j step at a time: walks down the keys, lowering
+        the first nonzero exponent, to the first one memoized, then steps back
+        up in a loop, so no exponent is deep enough to exhaust the
+        interpreter stack."""
+        cache = self._product_cache
+        exps = list(exponents)
+        pending: list[tuple[tuple[int, tuple[int, ...]], int]] = []
+        while (key := (member, tuple(exps))) not in cache:
+            j = next((i for i, e in enumerate(exps) if e > 0), None)
+            if j is None:
+                cache.setdefault(key, self.images[member])
+                break
+            pending.append((key, j))
+            exps[j] -= 1
+        product = cache[key]
+        for key, j in reversed(pending):
+            product = cache.setdefault(key, product.times_theta(j + 1))
+        return product
 
 
 def build_phi(ctx: TransferContext, sd_basis: CellBasis) -> Morphism:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .coeff import FieldSpec
 from .complexes import BooleanComplex
 from .errors import ParseError
-from .face_ring import RingElement, straighten
+from .face_ring import RingElement, signed_sum, straighten
 
 
 @dataclass(frozen=True)
@@ -153,23 +153,7 @@ def format_element(element: RingElement, letter: str | None = None) -> str:
     """Canonical text form; parses back to the same element in the same ring."""
     if letter is None:
         letter = "y" if element.discrete else "x"
-    if element.is_zero:
-        return "0"
-    complex = element.complex
-    chunks: list[str] = []
-    for mono, coeff in element.sorted_terms():
-        negative = coeff < 0
-        mag = -coeff if negative else coeff
-        factors = [f"{letter}[{complex.ids[f]}]" + (f"^{e}" if e > 1 else "")
-                   for f, e in mono]
-        if not factors:
-            body = str(mag)
-        elif mag == 1:
-            body = "*".join(factors)
-        else:
-            body = str(mag) + "*" + "*".join(factors)
-        if not chunks:
-            chunks.append(("-" if negative else "") + body)
-        else:
-            chunks.append(("- " if negative else "+ ") + body)
-    return " ".join(chunks)
+    ids = element.complex.ids
+    return signed_sum((coeff, [f"{letter}[{ids[f]}]" + (f"^{e}" if e > 1 else "")
+                               for f, e in mono])
+                      for mono, coeff in element.sorted_terms())

@@ -8,6 +8,8 @@ share this basis: the face ring itself (products of incomparable generators
 straighten through the meet/minimal-upper-bound rewrite) and the associated
 discrete ring (such products vanish), which is how the ring of the
 barycentric subdivision is carried on the poset of the original complex.
+That choice is the one product rule, :func:`_product_counts`, behind ``*``,
+:func:`straighten` and the parameter steps of :func:`times_parameter`.
 
 A standard monomial is a tuple of (face index, exponent) pairs sorted by
 rank; the empty tuple is the monomial 1.  Operations return new elements and
@@ -28,7 +30,8 @@ from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .coeff import FieldSpec, Raw, normal
-from .complexes import EMPTY, Balancing, BooleanComplex, require_valid_balancing
+from .complexes import (EMPTY, Balancing, BooleanComplex, mask_members,
+                        require_valid_balancing)
 from .errors import ComplexMismatch, FieldMismatch, InputError
 from .partitions import Partition, sh, sh_inverse
 
@@ -178,13 +181,9 @@ class RingElement:
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 c = c1 * c2
-                merged = canonical_mono(self.complex, m1 + m2)
-                if not self.discrete:
-                    add_terms(out, ((mono, c * mult) for mono, mult
-                                    in _straighten_counts(self.complex,
-                                                          merged).items()))
-                elif mono_is_chain(self.complex, merged):
-                    add_terms(out, [(merged, c)])
+                add_terms(out, ((mono, c * k) for mono, k in _product_counts(
+                    self.complex, canonical_mono(self.complex, m1 + m2),
+                    self.discrete).items()))
         return RingElement(self.complex, self.field, self.discrete, out)
 
     def __rmul__(self, other):
@@ -299,6 +298,16 @@ def _straighten_counts(complex: BooleanComplex, mono: Mono,
     return memo[mono]
 
 
+def _product_counts(complex: BooleanComplex, mono: Mono,
+                   discrete: bool) -> dict[Mono, int]:
+    """The product rule of the two presentations, as ``{monomial: count}``
+    for a canonical exponent multiset: straightened in the face ring; in the
+    discrete ring kept if its support is a chain, else zero."""
+    if not discrete:
+        return _straighten_counts(complex, mono)
+    return {mono: 1} if mono_is_chain(complex, mono) else {}
+
+
 def straighten(complex: BooleanComplex, raw: Iterable[tuple[int | str, int]],
                field: FieldSpec, coeff: Raw = 1,
                discrete: bool = False) -> RingElement:
@@ -314,14 +323,9 @@ def straighten(complex: BooleanComplex, raw: Iterable[tuple[int | str, int]],
         if e < 0:
             raise InputError("exponents must be nonnegative")
         pairs.append((i, e))
-    mono = canonical_mono(complex, pairs)
-    if discrete:
-        if not mono_is_chain(complex, mono):
-            return RingElement.zero(complex, field, True)
-        return RingElement(complex, field, True, {mono: coeff})
-    return RingElement(complex, field, False,
-                       {m: coeff * k
-                        for m, k in _straighten_counts(complex, mono).items()})
+    counts = _product_counts(complex, canonical_mono(complex, pairs), discrete)
+    return RingElement(complex, field, discrete,
+                       {m: coeff * k for m, k in counts.items()})
 
 
 def straighten_with_strategy(complex: BooleanComplex,
@@ -362,28 +366,6 @@ def label_row_parameter(complex: BooleanComplex, balancing: Balancing,
                         if balancing.vertex_label[v] == j})
 
 
-def peeled_memo(cache: dict, tag, exponents: Sequence[int],
-                base: Callable[[], object], step: Callable[[object, int], object]):
-    """The value memoized under ``(tag, exponents)``: ``base()`` for the zero
-    vector, else ``step(value, j)`` on the value for the exponents with the
-    first nonzero one, j, lowered by one.  Walks down the keys to the first
-    one memoized, then steps back up in a loop, so no exponent is deep
-    enough to exhaust the interpreter stack."""
-    exps = list(exponents)
-    pending: list[tuple[tuple, int]] = []
-    while (key := (tag, tuple(exps))) not in cache:
-        j = next((i for i, e in enumerate(exps) if e > 0), None)
-        if j is None:
-            cache.setdefault(key, base())
-            break
-        pending.append((key, j))
-        exps[j] -= 1
-    value = cache[key]
-    for key, j in reversed(pending):
-        value = cache.setdefault(key, step(value, j))
-    return value
-
-
 def times_parameter(complex: BooleanComplex, mono: Mono, j: int,
                     variant: str = "theta",
                     balancing: Balancing | None = None) -> dict[Mono, int]:
@@ -398,13 +380,11 @@ def times_parameter(complex: BooleanComplex, mono: Mono, j: int,
             return hit
     faces = (balancing.faces_by_label_set.get(frozenset((j,)), ())
              if variant == "omega" else complex.faces_of_rank(j))
+    discrete = variant == "gamma"
     out: dict[Mono, int] = {}
     for f in faces:
-        m = canonical_mono(complex, mono + ((f, 1),))
-        if variant != "gamma":
-            add_terms(out, _straighten_counts(complex, m).items())
-        elif mono_is_chain(complex, m):
-            out[m] = 1
+        add_terms(out, _product_counts(
+            complex, canonical_mono(complex, mono + ((f, 1),)), discrete).items())
     if variant == "theta":
         out = complex._theta_step_cache.setdefault((mono, j), out)
     return out
@@ -461,6 +441,28 @@ def parameter_monomial(complex: BooleanComplex, exponents: Sequence[int],
     ``omega`` parameters (:func:`times_parameter`)."""
     return evaluate_parameters(RingElement.one(complex, field, variant == "gamma"),
                                {tuple(exponents): 1}, variant, balancing)
+
+
+def signed_sum(terms: Iterable[tuple[Raw, Sequence[str]]]) -> str:
+    """Text of a sum of (coefficient, factor texts) pairs: ``c*f1*f2`` with
+    a unit magnitude left out, joined by ``+ `` and ``- ``, a leading ``-``
+    on a negative first term; ``0`` for no terms."""
+    chunks: list[str] = []
+    for c, factors in terms:
+        negative = c < 0
+        mag = -c if negative else c
+        body = "*".join(factors)
+        if not factors:
+            text = str(mag)
+        elif mag == 1:
+            text = body
+        else:
+            text = f"{mag}*{body}"
+        if not chunks:
+            chunks.append(("-" if negative else "") + text)
+        else:
+            chunks.append(("- " if negative else "+ ") + text)
+    return " ".join(chunks) or "0"
 
 
 class ParameterPolynomial:
@@ -532,26 +534,9 @@ class ParameterPolynomial:
                       key=lambda ac: (-sum(ac[0]), tuple(-x for x in ac[0])))
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        chunks = []
-        for a, c in self.sorted_terms():
-            factors = [f"t{j + 1}" + (f"^{e}" if e > 1 else "")
-                       for j, e in enumerate(a) if e > 0]
-            body = "*".join(factors)
-            negative = c < 0
-            mag = -c if negative else c
-            if not factors:
-                text = str(mag)
-            elif mag == 1:
-                text = body
-            else:
-                text = f"{mag}*{body}"
-            if not chunks:
-                chunks.append(("-" if negative else "") + text)
-            else:
-                chunks.append(("- " if negative else "+ ") + text)
-        return " ".join(chunks)
+        return signed_sum((c, [f"t{j + 1}" + (f"^{e}" if e > 1 else "")
+                               for j, e in enumerate(a) if e > 0])
+                          for a, c in self.sorted_terms())
 
     def __repr__(self) -> str:
         return f"<ParameterPolynomial {self}>"
@@ -571,18 +556,22 @@ def graded_monomials(complex: BooleanComplex, *, degree: int | None = None,
     Selectors: total ``degree`` (weights are face ranks unless
     ``face_degree`` overrides them), ``shape`` (rank convention), or
     ``multidegree`` (rank convention, or label convention when a balancing
-    is supplied).  Monomials are multichains: chains with positive
-    exponents; callers always bound the enumeration through the selector.
+    is supplied); a multidegree has length n.  Monomials are multichains:
+    chains with positive exponents; callers always bound the enumeration
+    through the selector.  One loop over an explicit stack serves every
+    selector, a total degree being a weight vector of length 1, and each
+    next face comes from the upset of the last one.
     """
     selectors = [degree is not None, shape is not None, multidegree is not None]
     if sum(selectors) != 1:
         raise InputError("exactly one selector is required")
     if shape is not None:
         multidegree = sh_inverse(shape, complex.n)
-    results: list[Mono] = []
     faces = range(1, len(complex))
-
     if multidegree is not None:
+        if len(multidegree) != complex.n:
+            raise InputError(f"multidegree {tuple(multidegree)} must have "
+                             f"length n = {complex.n}")
         if balancing is not None:
             require_valid_balancing(complex, balancing)
             weight = {f: mono_label_multidegree(complex, balancing, ((f, 1),))
@@ -590,44 +579,27 @@ def graded_monomials(complex: BooleanComplex, *, degree: int | None = None,
         else:
             weight = {f: mono_rank_multidegree(complex, ((f, 1),)) for f in faces}
         target = tuple(multidegree)
-
-        def extend_vec(last: int | None, remaining: tuple[int, ...], acc):
-            if all(r == 0 for r in remaining):
-                results.append(tuple(acc))
-                return
-            for f in faces:
-                if last is not None and not (last != f and complex.leq(last, f)):
-                    continue
-                w = weight[f]
-                if all(x == 0 for x in w):
-                    continue
-                e = 1
-                rem = tuple(r - x for r, x in zip(remaining, w))
-                while all(r >= 0 for r in rem):
-                    extend_vec(f, rem, acc + [(f, e)])
-                    e += 1
-                    rem = tuple(r - x for r, x in zip(rem, w))
-
-        extend_vec(None, target, [])
     else:
         fd = face_degree or (lambda f: complex.rank[f])
-
-        def extend_deg(last: int | None, remaining: int, acc):
-            if remaining == 0:
-                results.append(tuple(acc))
-                return
-            for f in faces:
-                if last is not None and not (last != f and complex.leq(last, f)):
-                    continue
-                w = fd(f)
-                if w <= 0:
-                    raise InputError("face degrees must be positive")
-                e = 1
-                while e * w <= remaining:
-                    extend_deg(f, remaining - e * w, acc + [(f, e)])
-                    e += 1
-
-        extend_deg(None, degree, [])
+        weight = {f: (fd(f),) for f in faces}
+        if any(w <= 0 for (w,) in weight.values()):
+            raise InputError("face degrees must be positive")
+        target = (degree,)
+    # every weight is nonzero and nonnegative, so each step uses up target
+    results: list[Mono] = []
+    stack: list[tuple[int, tuple[int, ...], Mono]] = [(EMPTY, target, ())]
+    while stack:
+        last, remaining, acc = stack.pop()
+        if not any(remaining):
+            results.append(acc)
+            continue
+        for f in mask_members(complex.up[last] ^ 1 << last):  # faces above last
+            w, e = weight[f], 1
+            rem = tuple(r - x for r, x in zip(remaining, w))
+            while min(rem) >= 0:
+                stack.append((f, rem, acc + ((f, e),)))
+                e += 1
+                rem = tuple(r - x for r, x in zip(rem, w))
     results.sort(key=lambda m: term_sort_key(complex, m))
     return results
 

@@ -1,11 +1,15 @@
 """Exact row reduction over a coefficient field, on one elimination core.
 
-:class:`Echelon` is the combination-free core of :func:`row_rank`,
-:func:`rref` and the Cohen-Macaulay test.  :class:`RowSpan` also keeps the
-combination of inserted vectors behind every row, giving the unique
-representation that the cell basis and a Cohen-Macaulay witness need.  Both
-run on :func:`_eliminate`, for rows and combinations alike.  Pivots are the
-first nonzero column; arithmetic is exact, there are no thresholds.
+:class:`Echelon` is the one elimination loop: the core of :func:`row_rank`,
+:func:`rref` and the Cohen-Macaulay test.  :class:`RowSpan` is an
+:class:`Echelon` whose rows carry, after the ``width`` real columns, one
+combination column per inserted vector that grew the span: column
+``width + k`` is the row's coefficient on the k-th such vector.  Reducing a
+vector of the span clears its real columns and leaves the negated
+combination in those extra columns, which is the unique representation that
+the cell basis and a Cohen-Macaulay witness need.  Pivots are the first
+nonzero column, so never a combination column; arithmetic is exact, there
+are no thresholds.
 
 A vector is a sparse mapping ``{column: scalar}``; the scalars are brought to
 the canonical form of :func:`facering.coeff.normal` on the way in, and zeros
@@ -46,18 +50,6 @@ def _eliminate(target: SparseRow, c: Raw, row: SparseRow, p: int | None) -> None
             del target[j]
 
 
-def _sparse(vec: Mapping[int, Raw], p: int | None, width: int) -> SparseRow:
-    """The canonical nonzero entries of ``vec``, after a width check."""
-    if vec and (min(vec) < 0 or max(vec) >= width):
-        raise ValueError("vector width mismatch")
-    return {j: y for j, x in vec.items() if (y := normal(x, p))}
-
-
-def _scaled(vec: SparseRow, c: Raw, p: int | None) -> SparseRow:
-    """``c * vec``, for a nonzero ``c``."""
-    return {j: normal(c * x, p) for j, x in vec.items()}
-
-
 class Echelon:
     """One row with a leading 1 for each vector of ``rows`` independent of
     the earlier ones, then for each appended residual, in that order; no
@@ -74,10 +66,12 @@ class Echelon:
                 self.append(residual)
 
     def reduce(self, vec: Mapping[int, Raw]) -> SparseRow:
-        """The residual of ``vec`` after eliminating every pivot; it is empty
-        iff ``vec`` lies in the span."""
+        """The residual of ``vec`` after eliminating every pivot; it has no
+        real column iff ``vec`` lies in the span."""
+        if vec and (min(vec) < 0 or max(vec) >= self.width):
+            raise ValueError("vector width mismatch")
         p = self.field.p
-        residual = _sparse(vec, p, self.width)
+        residual = {j: y for j, x in vec.items() if (y := normal(x, p))}
         for pivot, row in self.rows:
             c = residual.get(pivot)
             if c is not None:
@@ -88,39 +82,35 @@ class Echelon:
         """Add a nonzero residual returned by :meth:`reduce` as a new row."""
         pivot = min(residual)
         p = self.field.p
-        self.rows.append((pivot, _scaled(residual, inverse(residual[pivot], p), p)))
+        c = inverse(residual[pivot], p)
+        self.rows.append((pivot, {j: normal(c * x, p) for j, x in residual.items()}))
 
     def contains(self, vec: Mapping[int, Raw]) -> bool:
-        return not self.reduce(vec)
+        """Whether ``vec`` lies in the span: no real column is left."""
+        return min(self.reduce(vec), default=self.width) >= self.width
 
 
-class RowSpan:
+class RowSpan(Echelon):
+    """An :class:`Echelon` that also represents vectors on the tagged ones
+    that grew it: column ``width + k`` of a row is its coefficient on
+    ``tags[k]``.  Those columns come after every real column, so no pivot
+    lands in one."""
+
     def __init__(self, field: FieldSpec, width: int):
-        self.field = field
-        self.width = width
-        # each row: (pivot column, sparse row with leading 1, {tag: coefficient})
-        self.rows: list[tuple[int, SparseRow, dict[Hashable, Raw]]] = []
+        super().__init__(field, width)
+        self.tags: list[Hashable] = []
 
     @property
     def dim(self) -> int:
         return len(self.rows)
 
-    def _reduce(self, vec: SparseRow) -> dict[Hashable, Raw]:
-        """Eliminate existing pivots from ``vec`` in place.
-
-        Returns the combination of inserted vectors removed, so that
-        ``original = sum(combo[t] * inserted[t]) + residual``; tags whose
-        coefficients cancel are dropped.
-        """
-        p = self.field.p
-        combo: dict[Hashable, Raw] = {}
-        for pivot, row, rcombo in self.rows:
-            c = vec.get(pivot)
-            if c is None:
-                continue
-            _eliminate(vec, c, row, p)
-            _eliminate(combo, -c, rcombo, p)
-        return combo
+    def _combination(self, residual: SparseRow) -> dict[Hashable, Raw] | None:
+        """The vector behind ``residual`` on the tagged ones (the negated
+        combination columns), or None if a real column is left."""
+        width, p = self.width, self.field.p
+        if min(residual, default=width) < width:
+            return None
+        return {self.tags[j - width]: normal(-c, p) for j, c in residual.items()}
 
     def insert(self, tag: Hashable, vec: Mapping[int, Raw]):
         """Add a tagged vector to the span.
@@ -129,26 +119,18 @@ class RowSpan:
         the representation ``{tag: coeff}`` of the vector on the previously
         inserted ones if it was already in the span.
         """
-        residual = _sparse(vec, self.field.p, self.width)
-        combo = self._reduce(residual)
-        if not residual:
+        residual = self.reduce(vec)
+        combo = self._combination(residual)
+        if combo is not None:
             return combo
-        p = self.field.p
-        pivot = min(residual)
-        inv = inverse(residual[pivot], p)
-        rcombo = _scaled(combo, -inv, p)
-        _eliminate(rcombo, -inv, {tag: 1}, p)  # rcombo[tag] += inv
-        self.rows.append((pivot, _scaled(residual, inv, p), rcombo))
+        residual[self.width + len(self.tags)] = 1
+        self.append(residual)
+        self.tags.append(tag)
         return None
 
     def represent(self, vec: Mapping[int, Raw]):
         """Representation of ``vec`` on the inserted vectors, or None if outside."""
-        residual = _sparse(vec, self.field.p, self.width)
-        combo = self._reduce(residual)
-        return None if residual else combo
-
-    def contains(self, vec: Mapping[int, Raw]) -> bool:
-        return self.represent(vec) is not None
+        return self._combination(self.reduce(vec))
 
 
 def row_rank(rows: Iterable[Mapping[int, Raw]], field: FieldSpec,

@@ -37,6 +37,7 @@ from facering.face_ring import (
     mono_shape,
     parameter_monomial,
     straighten_with_strategy,
+    term_sort_key,
     times_parameter,
 )
 from facering.linalg import RowSpan
@@ -343,9 +344,10 @@ def test_stored_scalars_are_canonical(field, double_edge, disk):
         vec = {j: rng.choice(SCALARS) for j in range(width)}
         span.insert(tag, vec)
         vectors.append(vec)
-    for _, row, combo in span.rows:
-        assert_canonical(row.values(), p)
-        assert_canonical(combo.values(), p)
+    for _, row in span.rows:
+        # real columns, then the combination columns on the inserted vectors
+        assert_canonical([x for j, x in row.items() if j < width], p)
+        assert_canonical([x for j, x in row.items() if j >= width], p)
     for _ in range(20):
         ks = [rng.choice(SCALARS) for _ in vectors]
         target = {j: sum(k * v[j] for k, v in zip(ks, vectors))
@@ -517,6 +519,71 @@ def test_graded_monomials_selector_validation(double_edge):
         graded_monomials(double_edge)
     with pytest.raises(InputError):
         graded_monomials(double_edge, degree=1, shape=Partition((1,)))
+
+
+@pytest.mark.parametrize("vec", [(1,), (1, 0, 0), (0, 0, 1)])
+def test_graded_monomials_multidegree_of_wrong_length(double_edge,
+                                                      double_edge_balancing, vec):
+    # a truncated target was never used up by an edge's weight (0, 1)
+    for balancing in (None, double_edge_balancing):
+        with pytest.raises(InputError, match="length n = 2"):
+            graded_monomials(double_edge, multidegree=vec, balancing=balancing)
+
+
+def test_graded_monomials_face_degrees_must_be_positive(double_edge):
+    with pytest.raises(InputError, match="positive"):
+        graded_monomials(double_edge, degree=2, face_degree=lambda f: f - 2)
+
+
+def _multichains(c, bound):
+    """Every multichain of ``c`` with exponents in 1..bound, the monomial 1
+    included: chains of nonempty faces grown one face at a time by scanning
+    the order relation, times every exponent vector."""
+    chains, frontier = [()], [()]
+    while frontier:
+        frontier = [ch + (f,) for ch in frontier for f in range(1, len(c))
+                    if not ch or (f != ch[-1] and c.leq(ch[-1], f))]
+        chains += frontier
+    return [canonical_mono(c, zip(ch, es)) for ch in chains
+            for es in itertools.product(range(1, bound + 1), repeat=len(ch))]
+
+
+BRUTE_FORCE_LABELS = {"double_edge": {"v": 1, "w": 2},
+                      "triangle": {"0": 1, "1": 2, "2": 3}, "disk": DISK_LABELS}
+
+
+@pytest.mark.parametrize("name", ["double_edge", "triangle", "disk",
+                                  "double_edge_sd"])
+def test_graded_monomials_match_brute_force(name, request):
+    c = request.getfixturevalue(name)
+    if name == "double_edge_sd":
+        c, balancing = c.target, c.balancing
+    else:
+        balancing = Balancing(c, BRUTE_FORCE_LABELS[name])
+    key = lambda m: term_sort_key(c, m)
+
+    def reference(monos, keep):
+        return sorted((m for m in monos if keep(m)), key=key)
+
+    # a degree-d monomial has exponents at most d
+    upto4 = _multichains(c, 4)
+    weights = {f: 1 + f % 2 for f in range(1, len(c))}
+    for d in range(5):
+        assert graded_monomials(c, degree=d) == reference(
+            upto4, lambda m: mono_degree(c, m) == d)
+        assert graded_monomials(
+            c, degree=d, face_degree=lambda f: weights[f]) == reference(
+            upto4, lambda m: sum(e * weights[f] for f, e in m) == d)
+    # every face weighs in some entry, so exponents are at most the largest
+    upto2 = _multichains(c, 2)
+    for vec in itertools.product(range(3), repeat=c.n):
+        assert graded_monomials(c, multidegree=vec) == reference(
+            upto2, lambda m: mono_rank_multidegree(c, m) == vec)
+        assert graded_monomials(c, shape=sh(vec)) == reference(
+            upto2, lambda m: mono_shape(c, m) == sh(vec))
+        assert graded_monomials(c, multidegree=vec, balancing=balancing) == \
+            reference(upto2,
+                      lambda m: mono_label_multidegree(c, balancing, m) == vec)
 
 
 def test_gamma_monomials_cover_shape_component(double_edge, triangle):
