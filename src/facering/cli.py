@@ -51,6 +51,8 @@ def _face_ids(text: str | None) -> list[str] | None:
             ids = json.loads(text)
         except json.JSONDecodeError as exc:
             raise InputError(f"not valid JSON and not a file: {text!r} ({exc})")
+        except RecursionError as exc:
+            raise InputError("inline JSON nests too deeply to decode") from exc
     if not isinstance(ids, list):
         raise InputError(f"expected a JSON list of face ids, got {text!r}")
     return [str(f) for f in ids]
@@ -114,8 +116,8 @@ def _lexicon_for(args, expr: str, field: FieldSpec) -> RingLexicon:
     letter = _detect_letter(expr)
     if letter == "z":
         sd = barycentric_subdivision(base)
-        return RingLexicon(sd.target, field, discrete=False, letter="z")
-    return RingLexicon(base, field, discrete=(letter == "y"), letter=letter)
+        return RingLexicon(sd.target, field, letter="z")
+    return RingLexicon(base, field, letter=letter)
 
 
 def _emit_element(args, element, letter: str) -> None:
@@ -138,11 +140,11 @@ def _run_transfer(args) -> int:
     base = _base_complex(args)
     ctx = TransferContext(barycentric_subdivision(base), field)
     if args.inverse:
-        lexicon = RingLexicon(base, field, discrete=False, letter="x")
+        lexicon = RingLexicon(base, field, letter="x")
         element = ctx.garsia_inverse(parse_element(args.expr, lexicon))
         _emit_element(args, element, "y")
     else:
-        lexicon = RingLexicon(base, field, discrete=True, letter="y")
+        lexicon = RingLexicon(base, field, letter="y")
         element = ctx.garsia(parse_element(args.expr, lexicon))
         _emit_element(args, element, "x")
     return 0
@@ -163,7 +165,7 @@ def _run_represent(args) -> int:
         _emit(args, _verdict_payload(sd.target, verdict))
         return 0
     ctx = TransferContext(sd, field)
-    lexicon = RingLexicon(base, field, discrete=False, letter="x")
+    lexicon = RingLexicon(base, field, letter="x")
     element = parse_element(args.expr, lexicon)
     rep = express_on_transferred_basis(ctx, verdict.basis, element)
     coefficients = [

@@ -35,7 +35,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from operator import sub
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .coeff import FieldSpec, Raw
 from .complexes import (
@@ -154,9 +154,9 @@ class CellBasis:
     entry per face (at most ``len(complex)`` entries).
     """
 
-    def __init__(self, complex: BooleanComplex, balancing: Balancing,
-                 field: FieldSpec, members: Sequence[int]):
-        self.complex = complex
+    def __init__(self, balancing: Balancing, field: FieldSpec,
+                 members: Sequence[int]):
+        self.complex = balancing.complex
         self.balancing = balancing
         self.field = field
         self.members = tuple(members)
@@ -232,14 +232,9 @@ class CMVerdict:
     witness: int | None = None
     representation: list[tuple[int, Raw]] | None = None
 
-    def __bool__(self) -> bool:
-        return self.cohen_macaulay
-
 
 def compute_basis(complex: BooleanComplex, balancing: Balancing,
                   field: FieldSpec, order: Sequence[int | str] | None = None,
-                  early_exit: bool = True,
-                  trace: Callable[[int, Echelon], None] | None = None,
                   ) -> CMVerdict:
     """Run the incremental facet-vector test and build a cell basis.
 
@@ -251,9 +246,9 @@ def compute_basis(complex: BooleanComplex, balancing: Balancing,
     members with label sets strictly inside F's label set S, against the
     faces with label set S (module docstring), taken once every smaller
     label set is done; only a witness is represented on the members.
-    ``early_exit`` stops once the span is full and only facets remain, which
-    cannot change the output.  ``trace`` is called with each face and the
-    echelon of the members' facet vectors before processing it.
+    Facets, with the full label set, come last and are never witnesses (the
+    local span there is all the members'), so the scan stops at the first
+    facet met with the span full.
     """
     require_valid_balancing(complex, balancing)
     if order is None:
@@ -269,13 +264,10 @@ def compute_basis(complex: BooleanComplex, balancing: Balancing,
     for face in idx_order:
         blocks.setdefault(balancing.label_set(face), []).append(face)
     discarded: dict[frozenset[int], set[int]] = {}
-    for pos, face in enumerate(idx_order):
-        if (early_exit and len(span.rows) == m
-                and all(balancing.label_set(g) == full for g in idx_order[pos:])):
-            break
-        if trace is not None:
-            trace(face, span)
+    for face in idx_order:
         labels = balancing.label_set(face)
+        if labels == full and len(span.rows) == m:
+            break
         if labels not in discarded:
             # columns in reverse processing order: a pivot is a discarded face
             local_faces = blocks[labels][::-1]
@@ -297,7 +289,7 @@ def compute_basis(complex: BooleanComplex, balancing: Balancing,
             return CMVerdict(False, witness=face, representation=ordered)
         span.append(residual)
         members.append(face)
-    return CMVerdict(True, basis=CellBasis(complex, balancing, field, members))
+    return CMVerdict(True, basis=CellBasis(balancing, field, members))
 
 
 @dataclass
@@ -349,24 +341,23 @@ def subspace_M_S(complex: BooleanComplex, balancing: Balancing,
     return rref(rows, field, len(complex.facets))
 
 
-def represent_on_cell_basis(complex: BooleanComplex, balancing: Balancing,
-                            field: FieldSpec, basis: CellBasis,
-                            element: RingElement,
+def represent_on_cell_basis(basis: CellBasis, element: RingElement,
                             ) -> dict[int, ParameterPolynomial]:
     """Coefficients q_b with element = sum of q_b(parameters) * z_b over the basis.
 
     Each standard monomial is represented by
     :meth:`CellBasis.represent_monomial`, and the triples are summed.
     """
-    if element.complex is not complex or element.discrete:
+    if element.complex is not basis.complex or element.discrete:
         raise InputError("element must live in the face ring of this complex")
-    if element.field != field or basis.field != field:
-        raise FieldMismatch("element, basis, and field must agree")
+    if element.field != basis.field:
+        raise FieldMismatch("element and basis must agree on the field")
     out: dict[int, dict] = {b: {} for b in basis.members}
     for mono, coeff in element.terms.items():
         for member, lifted, c in basis.represent_monomial(mono):
             add_terms(out[member], [(lifted, coeff * c)])
-    return {b: ParameterPolynomial(balancing.n, field, t) for b, t in out.items()}
+    return {b: ParameterPolynomial(basis.balancing.n, basis.field, t)
+            for b, t in out.items()}
 
 
 def evaluate_cell_representation(complex: BooleanComplex, balancing: Balancing,

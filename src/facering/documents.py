@@ -40,6 +40,8 @@ def load_json(path: str) -> Any:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
+    except (UnicodeDecodeError, RecursionError) as exc:  # not UTF-8, too deep
+        raise InputError(f"cannot decode {path}: {exc}") from exc
 
 
 def complex_from_document(doc: Any) -> BooleanComplex:
@@ -84,8 +86,7 @@ def _label(face: str, value: Any) -> int:
     raise InputError(f"label of {face!r} must be an integer, got {value!r}")
 
 
-def group_from_document(complex: BooleanComplex, doc: Any,
-                        cap: int = 10000) -> Group:
+def group_from_document(complex: BooleanComplex, doc: Any) -> Group:
     if not isinstance(doc, dict) or not isinstance(doc.get("generators"), list):
         raise InputError('group documents need a "generators" list')
     generators = []
@@ -106,7 +107,7 @@ def group_from_document(complex: BooleanComplex, doc: Any,
         except InputError as exc:
             exc.args = (f"generator {i}: {exc}",)  # keeps the class
             raise
-    return close_group(complex, generators, cap)
+    return close_group(complex, generators)
 
 
 def element_to_document(element) -> dict:

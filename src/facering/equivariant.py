@@ -44,6 +44,8 @@ from .partitions import Partition, sh, strictly_dominates
 from .transfer import TransferContext
 from .cm_basis import CellBasis
 
+GROUP_ORDER_CAP = 10000  # the largest group order close_group builds
+
 
 @dataclass(frozen=True)
 class Automorphism:
@@ -152,8 +154,8 @@ class Group:
         return iter(self.elements)
 
 
-def close_group(complex: BooleanComplex, generators: Iterable[Automorphism],
-                cap: int = 10000) -> Group:
+def close_group(complex: BooleanComplex,
+                generators: Iterable[Automorphism]) -> Group:
     """Close a generating set under composition (inverses follow by finiteness)."""
     gens = list(generators)
     for g in gens:
@@ -167,8 +169,8 @@ def close_group(complex: BooleanComplex, generators: Iterable[Automorphism],
         for g in gens:
             tau = g.compose(sigma)
             if tau.perm not in seen:
-                if len(seen) >= cap:
-                    raise GroupTooLarge(f"group exceeds cap {cap}")
+                if len(seen) >= GROUP_ORDER_CAP:
+                    raise GroupTooLarge(f"group exceeds cap {GROUP_ORDER_CAP}")
                 seen[tau.perm] = tau
                 frontier.append(tau)
     return Group(complex, tuple(sorted(seen.values(), key=lambda a: a.perm)),
@@ -325,9 +327,10 @@ class MorphismReport:
 
 
 def verify_map(apply_fn: Callable[[RingElement], RingElement],
-               source: BooleanComplex, field: FieldSpec, group: Group,
+               field: FieldSpec, group: Group,
                degree_bound: int) -> MorphismReport:
-    """Property-check a linear map from the subdivision's ring to the face ring.
+    """Property-check a linear map from the subdivision's ring to the face ring
+    of the complex the group acts on.
 
     Each degree up to the bound applies the map once to every standard
     monomial.  Equivariance is checked on the group's generators, by lookup:
@@ -340,6 +343,7 @@ def verify_map(apply_fn: Callable[[RingElement], RingElement],
     negative bound checks nothing, so it is an input error.
     """
     check_degree_bound(degree_bound)
+    source = group.complex
     failures: list[dict] = []
     equivariant = True
     isomorphism = True
@@ -376,12 +380,10 @@ def verify_map(apply_fn: Callable[[RingElement], RingElement],
 
 def verify_morphism(morphism: Morphism, group: Group,
                     degree_bound: int | None = None) -> MorphismReport:
-    source = morphism.ctx.sd.source
     if degree_bound is None:
-        n = source.n
+        n = group.complex.n
         degree_bound = n * (n + 1)
-    return verify_map(morphism.apply, source, morphism.ctx.field, group,
-                      degree_bound)
+    return verify_map(morphism.apply, morphism.ctx.field, group, degree_bound)
 
 
 # -- the odd cross-term computation ---------------------------------------------------

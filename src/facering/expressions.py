@@ -23,12 +23,16 @@ from .face_ring import RingElement, signed_sum, straighten
 
 @dataclass(frozen=True)
 class RingLexicon:
-    """Which complex, field, presentation, and generator letter an expression uses."""
+    """Which complex, field, and generator letter an expression uses; ``y``
+    names the discrete presentation."""
 
     complex: BooleanComplex
     field: FieldSpec
-    discrete: bool = False
     letter: str = "x"
+
+    @property
+    def discrete(self) -> bool:
+        return self.letter == "y"
 
 
 class _Scanner:

@@ -217,13 +217,6 @@ class RingElement:
                            {m: c for m, c in self.terms.items()
                             if mono_shape(self.complex, m) == lam})
 
-    def degree_components(self) -> dict[int, "RingElement"]:
-        split: dict[int, dict[Mono, Raw]] = {}
-        for m, c in self.terms.items():
-            split.setdefault(mono_degree(self.complex, m), {})[m] = c
-        return {d: RingElement(self.complex, self.field, self.discrete, t)
-                for d, t in split.items()}
-
     def __repr__(self) -> str:
         from .expressions import format_element
         return f"<RingElement {format_element(self)}>"

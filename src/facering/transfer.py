@@ -24,7 +24,7 @@ from .coeff import FieldSpec
 from .complexes import SdMap
 from .errors import BasisInvalid, ComplexMismatch, InputError
 from .face_ring import (Mono, ParameterPolynomial, RingElement, add_terms,
-                        evaluate_parameters)
+                        evaluate_parameters, mono_degree)
 from .cm_basis import CellBasis, represent_on_cell_basis
 from .partitions import count_partitions
 
@@ -133,8 +133,8 @@ def express_on_transferred_basis(ctx: TransferContext, sd_basis: CellBasis,
         raise ComplexMismatch("basis must live on the subdivision complex")
     totals: dict[int, dict] = {b: {} for b in sd_basis.members}
     remainders: list[RingElement] = []
-    cap = 1 + sum(count_partitions(d)
-                  for d in sorted(element.degree_components()))
+    cap = 1 + sum(count_partitions(d) for d in
+                  {mono_degree(ctx.sd.source, m) for m in element.terms})
     remainder = element
     passes = 0
     while not remainder.is_zero:
@@ -143,8 +143,7 @@ def express_on_transferred_basis(ctx: TransferContext, sd_basis: CellBasis,
             raise BasisInvalid("descent failed to terminate; the proposed "
                                "basis does not span")
         cell = ctx.to_cell_form(ctx.garsia_inverse(remainder))
-        rep = represent_on_cell_basis(ctx.sd.target, sd_basis.balancing,
-                                      ctx.field, sd_basis, cell)
+        rep = represent_on_cell_basis(sd_basis, cell)
         evaluated: dict[Mono, object] = {}
         for member, poly in rep.items():
             add_terms(totals[member], poly.terms.items())

@@ -159,7 +159,7 @@ def test_criterion_6_representation_golden(double_edge_sd):
         basis = compute_basis(target, bal, RATIONAL).basis
         f = RingElement.monomial(target, RATIONAL, (
             (target.resolve("w"), 1), (target.resolve("w_beta"), 1)))
-        rep = represent_on_cell_basis(target, bal, RATIONAL, basis, f)
+        rep = represent_on_cell_basis(basis, f)
         assert {target.ids[m]: p for m, p in rep.items()} == {
             "": poly(2, {(2, 1): 1}),
             "v": poly(2, {(1, 1): -1}),

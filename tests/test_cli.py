@@ -255,6 +255,62 @@ def test_order_flag(docs, capsys):
     assert code == 2
 
 
+def test_order_from_file_matches_inline(docs, tmp_path, capsys):
+    order = '["", "a", "b", "c", "d", "a,c", "b,d"]'
+    path = tmp_path / "order.json"
+    path.write_text(order)
+    outputs = []
+    for value in (order, str(path)):
+        assert run(["check-cm", "--input", docs["disjoint_edges"],
+                    "--balancing", docs["disjoint_balancing"],
+                    "--order", value]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("command", ["represent", "equivariant-iso"])
+def test_not_cm_subdivision_is_a_result(command, tmp_path, capsys):
+    # the subdivision of two disjoint edges is not Cohen-Macaulay, so there
+    # is no basis to represent on or average over
+    group = tmp_path / "group.json"
+    group.write_text(json.dumps({"generators": [
+        {"vertex_map": {"a": "b", "b": "a", "c": "d", "d": "c"}}]}))
+    extra = {"represent": ["--expr", "x[a]"],
+             "equivariant-iso": ["--group", str(group)]}[command]
+    code, payload = run_json(capsys, [
+        command, "--input", os.path.join(DATA, "disjoint_edges.json"), *extra])
+    assert code == 0
+    assert payload["verdict"] == "not-cm"
+    assert payload["witness"] == "a,c"
+
+
+# documents that cannot be decoded: not UTF-8, or nested past the decoder
+UNDECODABLE = {
+    "--input not UTF-8": (["check-cm", "--sd", "--input", "{bad}"], b"\xff\xfe{}"),
+    "--balancing not UTF-8": (["check-cm", "--input", "{double_edge}",
+                               "--balancing", "{bad}"], b'{"labels": "\xe9"}'),
+    "--input nested 200000 deep": (["check-cm", "--sd", "--input", "{bad}"],
+                                   b"[" * 200000 + b"]" * 200000),
+    "--order nested 5000 deep inline": (
+        ["check-cm", "--sd", "--input", "{double_edge}",
+         "--order", "[" * 5000 + "]" * 5000], None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNDECODABLE))
+def test_undecodable_documents_exit_2(name, docs, tmp_path, capsys):
+    argv, content = UNDECODABLE[name]
+    bad = tmp_path / "bad.json"
+    if content is not None:
+        bad.write_bytes(content)
+    code = run([arg.format(bad=bad, **docs) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
 def test_missing_balancing(docs, capsys):
     code = run(["check-cm", "--input", docs["double_edge"]])
     assert code == 2

@@ -32,7 +32,8 @@ from facering.cm_basis import (
     validate_processing_order,
 )
 from facering.coeff import normal
-from facering.errors import BasisInvalid, InputError, OrderNotCompatible
+from facering.errors import (BasisInvalid, FieldMismatch, InputError,
+                             OrderNotCompatible)
 from facering.face_ring import ParameterPolynomial
 from facering.linalg import RowSpan, row_rank, rref
 
@@ -275,8 +276,10 @@ SD4 = barycentric_subdivision(simplex_complex(4))
 def test_label_set_restricted_test_matches_combination_tracking(
         case, field, early_exit, rng):
     c, bal = case
+    # compute_basis always stops at the first facet met with the span full;
+    # the reference runs with and without that stop, as drawn
     order = _random_compatible_order(c, bal, rng)
-    verdict = compute_basis(c, bal, field, order=order, early_exit=early_exit)
+    verdict = compute_basis(c, bal, field, order=order)
     cm, members, witness, representation = _reference_verdict(
         c, bal, field, order, early_exit)
     assert verdict.cohen_macaulay == cm
@@ -286,22 +289,10 @@ def test_label_set_restricted_test_matches_combination_tracking(
         assert list(verdict.basis.members) == members
 
 
-def test_early_exit_matches_full_processing(
-        double_edge_sd, disk, disk_balancing, triangle_sd):
-    cases = [(double_edge_sd.target, double_edge_sd.balancing),
-             (disk, disk_balancing),
-             (triangle_sd.target, triangle_sd.balancing)]
-    for c, bal in cases:
-        fast = compute_basis(c, bal, RATIONAL, early_exit=True)
-        slow = compute_basis(c, bal, RATIONAL, early_exit=False)
-        assert fast.cohen_macaulay == slow.cohen_macaulay
-        assert fast.basis.members == slow.basis.members
-
-
 def test_processed_faces_cover_smaller_label_sets(double_edge_sd, disk,
                                                   disk_balancing):
     # when a face comes up, the spans of all strictly smaller label sets are
-    # already inside the tracked subspace
+    # already inside the span of the members processed before it
     cases = [(double_edge_sd.target, double_edge_sd.balancing),
              (disk, disk_balancing)]
     for c, bal in cases:
@@ -309,19 +300,16 @@ def test_processed_faces_cover_smaller_label_sets(double_edge_sd, disk,
         for r in range(bal.n + 1):
             for s in itertools.combinations(range(1, bal.n + 1), r):
                 m_rows[frozenset(s)] = subspace_M_S(c, bal, RATIONAL, s)
-
-        seen = []
-
-        def check(face, span):
-            seen.append(face)
+        members = set(compute_basis(c, bal, RATIONAL).basis.members)
+        columns = _columns(c.facets)
+        span = RowSpan(RATIONAL, len(c.facets))
+        for face in default_processing_order(c, bal):
             for t, rows in m_rows.items():
                 if t < bal.label_set(face):
                     for row in rows:
                         assert span.contains(dict(enumerate(row)))
-
-        compute_basis(c, bal, RATIONAL, early_exit=False, trace=check)
-        # without the early exit every face is processed, each once
-        assert sorted(seen) == list(range(len(c)))
+            if face in members:
+                span.insert(face, _incidence(c, face, columns))
 
 
 def test_subdivision_of_nonsimplicial_disk(disk, disk_balancing):
@@ -339,8 +327,7 @@ def test_subdivision_of_nonsimplicial_disk(disk, disk_balancing):
     for d in range(3):
         for m in graded_monomials(sd.target, degree=d):
             f = RingElement.monomial(sd.target, RATIONAL, m)
-            rep = represent_on_cell_basis(sd.target, sd.balancing, RATIONAL,
-                                          verdict.basis, f)
+            rep = represent_on_cell_basis(verdict.basis, f)
             assert evaluate_cell_representation(sd.target, sd.balancing, rep) == f
 
 
@@ -389,7 +376,7 @@ def test_named_complexes_cm_in_every_test_characteristic(
         for d in range(bound + 1):
             for m in graded_monomials(c, degree=d):
                 f = RingElement.monomial(c, field, m)
-                rep = represent_on_cell_basis(c, bal, field, verdict.basis, f)
+                rep = represent_on_cell_basis(verdict.basis, f)
                 assert evaluate_cell_representation(c, bal, rep) == f
 
 
@@ -460,7 +447,7 @@ def test_representation_golden(double_edge_sd):
     # y_w^2 y_beta in cell form is z_w * z_{w beta}
     f = RingElement.monomial(target, RATIONAL, (
         (target.resolve("w"), 1), (target.resolve("w_beta"), 1)))
-    rep = represent_on_cell_basis(target, bal, RATIONAL, basis, f)
+    rep = represent_on_cell_basis(basis, f)
     expected = {
         "": poly(2, {(2, 1): 1}),
         "v": poly(2, {(1, 1): -1}),
@@ -476,7 +463,7 @@ def test_representation_of_member_is_trivial(double_edge_sd):
     basis = compute_basis(target, bal, RATIONAL).basis
     for member in basis.members:
         f = RingElement.monomial(target, RATIONAL, ((member, 1),))
-        rep = represent_on_cell_basis(target, bal, RATIONAL, basis, f)
+        rep = represent_on_cell_basis(basis, f)
         for other, p in rep.items():
             if other == member:
                 assert p == poly(2, {(0, 0): 1})
@@ -488,7 +475,7 @@ def test_representation_golden_z_wbeta(double_edge_sd):
     target, bal = double_edge_sd.target, double_edge_sd.balancing
     basis = compute_basis(target, bal, RATIONAL).basis
     f = RingElement.monomial(target, RATIONAL, ((target.resolve("w_beta"), 1),))
-    rep = represent_on_cell_basis(target, bal, RATIONAL, basis, f)
+    rep = represent_on_cell_basis(basis, f)
     expected = {
         "": poly(2, {(1, 1): 1}),
         "v": poly(2, {(0, 1): -1}),
@@ -506,18 +493,31 @@ def test_representation_roundtrip(disk, disk_balancing, double_edge_sd):
         for d in range(bound + 1):
             for m in graded_monomials(c, degree=d):
                 f = RingElement.monomial(c, RATIONAL, m)
-                rep = represent_on_cell_basis(c, bal, RATIONAL, basis, f)
+                rep = represent_on_cell_basis(basis, f)
                 assert evaluate_cell_representation(c, bal, rep) == f
 
 
 def test_representation_rejects_broken_basis(double_edge_sd):
     target, bal = double_edge_sd.target, double_edge_sd.balancing
     from facering.cm_basis import CellBasis
-    broken = CellBasis(target, bal, RATIONAL,
+    broken = CellBasis(bal, RATIONAL,
                        [target.resolve(f) for f in ("", "v", "w", "v_alpha")])
     f = RingElement.monomial(target, RATIONAL, ((target.resolve("alpha"), 1),))
     with pytest.raises(BasisInvalid):
-        represent_on_cell_basis(target, bal, RATIONAL, broken, f)
+        represent_on_cell_basis(broken, f)
+
+
+def test_representation_checks_element_against_basis(double_edge, double_edge_sd):
+    target, bal = double_edge_sd.target, double_edge_sd.balancing
+    basis = compute_basis(target, bal, RATIONAL).basis
+    v = ((target.resolve("v"), 1),)
+    with pytest.raises(InputError, match="face ring of this complex"):
+        represent_on_cell_basis(basis, RingElement.monomial(
+            double_edge, RATIONAL, ((double_edge.resolve("v"), 1),)))
+    with pytest.raises(InputError, match="face ring of this complex"):
+        represent_on_cell_basis(basis, RingElement(target, RATIONAL, True, {v: 1}))
+    with pytest.raises(FieldMismatch):
+        represent_on_cell_basis(basis, RingElement.monomial(target, GF5, v))
 
 
 # -- linear algebra helper -----------------------------------------------------------

@@ -18,10 +18,13 @@ from facering import (
     straighten,
 )
 from facering.equivariant import (
+    GROUP_ORDER_CAP,
+    Morphism,
     automorphism_from_face_map,
     automorphism_from_vertex_map,
     theta_product_count,
     verify_map,
+    verify_morphism,
 )
 from facering.errors import (
     DomainError,
@@ -87,11 +90,18 @@ def test_group_closure_properties(s3_group):
             assert a.compose(b).perm in elements
 
 
-def test_group_cap(triangle):
-    g1 = automorphism_from_vertex_map(triangle, {"0": "1", "1": "0"})
-    g2 = automorphism_from_vertex_map(triangle, {"0": "1", "1": "2", "2": "0"})
-    with pytest.raises(GroupTooLarge):
-        close_group(triangle, [g1, g2], cap=3)
+def test_group_cap():
+    # S_7 (order 5040) stays within GROUP_ORDER_CAP; S_8 (order 40320) does not
+    def symmetric_group_generators(d):
+        c = simplex_complex(d)
+        cycle = {str(i): str((i + 1) % (d + 1)) for i in range(d + 1)}
+        return c, [automorphism_from_vertex_map(c, {"0": "1", "1": "0"}),
+                   automorphism_from_vertex_map(c, cycle)]
+
+    assert close_group(*symmetric_group_generators(6)).order == 5040
+    with pytest.raises(GroupTooLarge,
+                       match=f"^group exceeds cap {GROUP_ORDER_CAP}$"):
+        close_group(*symmetric_group_generators(7))
 
 
 def test_not_an_automorphism(double_edge, triangle):
@@ -253,15 +263,37 @@ def test_full_pipeline_on_tetrahedron():
 
 def test_verify_identity_map(double_edge, double_edge_sd, swap_group):
     ctx = TransferContext(double_edge_sd, RATIONAL)
-    report = verify_map(ctx.garsia, double_edge, RATIONAL, swap_group, 6)
+    report = verify_map(ctx.garsia, RATIONAL, swap_group, 6)
     assert report.equivariant and report.isomorphism and not report.failures
+
+
+def test_verify_map_reports_singular_degrees(double_edge, swap_group):
+    # the zero map is equivariant and singular in every degree
+    report = verify_map(lambda f: RingElement.zero(double_edge, RATIONAL),
+                        RATIONAL, swap_group, 2)
+    assert report.equivariant and not report.isomorphism
+    assert report.failures == [
+        {"kind": "isomorphism", "degree": d, "rank": 0,
+         "dimension": len(graded_monomials(double_edge, degree=d))}
+        for d in range(3)]
+
+
+def test_verify_morphism_default_bound(double_edge, de_phi, swap_group):
+    # the default bound is n(n+1), 6 on the double edge: the zero morphism
+    # fails in each degree 0..6
+    zero = Morphism(de_phi.ctx, de_phi.basis,
+                    {m: RingElement.zero(double_edge, RATIONAL)
+                     for m in de_phi.basis.members})
+    report = verify_morphism(zero, swap_group)
+    assert [f["degree"] for f in report.failures] == list(range(7))
+    assert report == verify_morphism(zero, swap_group, 6)
 
 
 def test_verify_map_rejects_negative_bound(double_edge, double_edge_sd,
                                           swap_group):
     ctx = TransferContext(double_edge_sd, RATIONAL)
     with pytest.raises(InputError, match="degree bound"):
-        verify_map(ctx.garsia, double_edge, RATIONAL, swap_group, -1)
+        verify_map(ctx.garsia, RATIONAL, swap_group, -1)
 
 
 def test_group_document_names_failing_generator(double_edge):
@@ -489,8 +521,7 @@ def test_product_memo_matches_reference(triangle, triangle_sd, s3_group, field):
         bound += len(monos)
         for m in monos:
             f = RingElement(triangle, field, True, {m: 1})
-            rep = represent_on_cell_basis(triangle_sd.target, basis.balancing,
-                                          field, basis, ctx.to_cell_form(f))
+            rep = represent_on_cell_basis(basis, ctx.to_cell_form(f))
             expected = RingElement.zero(triangle, field)
             for member, poly in rep.items():
                 expected = expected + (poly.evaluate(triangle, "theta")
@@ -543,7 +574,7 @@ def test_equivariance_failure_at_image_with_extra_term(double_edge,
         image = ctx.garsia(f)
         return image + extra if list(f.terms) == [beta] else image
 
-    report = verify_map(apply_fn, double_edge, RATIONAL, swap_group, 2)
+    report = verify_map(apply_fn, RATIONAL, swap_group, 2)
     assert report.isomorphism and not report.equivariant
     assert report.failures == [{"kind": "equivariance", "degree": 2,
                                 "monomial": [["alpha", 1]]}]

@@ -8,8 +8,8 @@ from facering.errors import ParseError, UnknownFace
 from conftest import GF5, RATIONAL
 
 
-def lex(c, field=RATIONAL, discrete=False, letter="x"):
-    return RingLexicon(c, field, discrete, letter)
+def lex(c, field=RATIONAL, letter="x"):
+    return RingLexicon(c, field, letter)
 
 
 def test_parse_monomial(double_edge):
@@ -43,7 +43,7 @@ def test_parse_unknown_face(double_edge):
 def test_letter_must_match_ring(double_edge):
     with pytest.raises(ParseError):
         parse_element("y[v]", lex(double_edge, letter="x"))
-    parse_element("y[v]", lex(double_edge, discrete=True, letter="y"))
+    parse_element("y[v]", lex(double_edge, letter="y"))
 
 
 def test_coefficients_and_signs(double_edge):
@@ -93,5 +93,5 @@ def test_print_parse_roundtrip(double_edge, disk, triangle, disjoint_edges):
                     letter = "y" if discrete else "x"
                     text = format_element(f, letter)
                     back = parse_element(
-                        text, lex(c, field, discrete, letter))
+                        text, lex(c, field, letter))
                     assert back == f, text

@@ -271,7 +271,7 @@ def test_express_detects_broken_basis(double_edge, double_edge_sd, de_ctx):
     target, bal = double_edge_sd.target, double_edge_sd.balancing
     good = compute_basis(target, bal, RATIONAL).basis
     # drop a member: representation of some faces must now fail
-    broken = CellBasis(target, bal, RATIONAL, good.members[:-1])
+    broken = CellBasis(bal, RATIONAL, good.members[:-1])
     g = asl(double_edge, [("w", 2), ("beta", 1)])
     with pytest.raises(BasisInvalid):
         express_on_transferred_basis(de_ctx, broken, g)
