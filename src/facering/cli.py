@@ -58,14 +58,11 @@ def _face_ids(text: str | None) -> list[str] | None:
     return [str(f) for f in ids]
 
 
-def _balanced_context(args) -> tuple[BooleanComplex, Balancing]:
+def _balancing(args) -> Balancing:
     base = documents.complex_from_document(documents.load_json(args.input))
     if args.sd:
-        sd = barycentric_subdivision(base)
-        return sd.target, sd.balancing
-    balancing = documents.balancing_from_document(
-        base, documents.load_json(args.balancing))
-    return base, balancing
+        return barycentric_subdivision(base).balancing
+    return documents.balancing_from_document(base, documents.load_json(args.balancing))
 
 
 def _verdict_payload(complex: BooleanComplex, verdict: CMVerdict) -> dict:
@@ -74,7 +71,7 @@ def _verdict_payload(complex: BooleanComplex, verdict: CMVerdict) -> dict:
         payload: dict = {
             "verdict": "cm",
             "basis": [{"face": complex.ids[m],
-                       "label_set": sorted(basis.balancing.label_set(m))}
+                       "label_set": sorted(basis.balancing.label_sets[m])}
                       for m in basis.members],
         }
     else:
@@ -90,10 +87,9 @@ def _verdict_payload(complex: BooleanComplex, verdict: CMVerdict) -> dict:
 
 def _run_basis_command(args) -> int:
     field = FieldSpec.parse(args.field)
-    complex, balancing = _balanced_context(args)
-    verdict = compute_basis(complex, balancing, field,
-                            order=_face_ids(args.order))
-    _emit(args, _verdict_payload(complex, verdict))
+    balancing = _balancing(args)
+    verdict = compute_basis(balancing, field, order=_face_ids(args.order))
+    _emit(args, _verdict_payload(balancing.complex, verdict))
     return 0
 
 
@@ -138,7 +134,7 @@ def _run_straighten(args) -> int:
 def _run_transfer(args) -> int:
     field = FieldSpec.parse(args.field)
     base = _base_complex(args)
-    ctx = TransferContext(barycentric_subdivision(base), field)
+    ctx = TransferContext(barycentric_subdivision(base))
     if args.inverse:
         lexicon = RingLexicon(base, field, letter="x")
         element = ctx.garsia_inverse(parse_element(args.expr, lexicon))
@@ -153,8 +149,7 @@ def _run_transfer(args) -> int:
 def _sd_basis_or_verdict(args, field: FieldSpec):
     base = _base_complex(args)
     sd = barycentric_subdivision(base)
-    verdict = compute_basis(sd.target, sd.balancing, field,
-                            order=_face_ids(args.order))
+    verdict = compute_basis(sd.balancing, field, order=_face_ids(args.order))
     return base, sd, verdict
 
 
@@ -164,13 +159,13 @@ def _run_represent(args) -> int:
     if not verdict.cohen_macaulay:
         _emit(args, _verdict_payload(sd.target, verdict))
         return 0
-    ctx = TransferContext(sd, field)
+    ctx = TransferContext(sd)
     lexicon = RingLexicon(base, field, letter="x")
     element = parse_element(args.expr, lexicon)
     rep = express_on_transferred_basis(ctx, verdict.basis, element)
     coefficients = [
         {"member": sd.target.ids[m],
-         "image": format_element(ctx.member_image(m), "x"),
+         "image": format_element(ctx.member_image(m, field), "x"),
          "polynomial": str(rep.coefficients[m])}
         for m in verdict.basis.members]
     _emit(args, {"basis": [sd.target.ids[m] for m in verdict.basis.members],
@@ -187,8 +182,7 @@ def _run_equivariant_iso(args) -> int:
         _emit(args, _verdict_payload(sd.target, verdict))
         return 0
     group = documents.group_from_document(base, documents.load_json(args.group))
-    ctx = TransferContext(sd, field)
-    averaged = average(build_phi(ctx, verdict.basis), group)
+    averaged = average(build_phi(TransferContext(sd), verdict.basis), group)
     report = verify_morphism(averaged, group, args.degree_bound)
     payload = {
         "group_order": group.order,
@@ -206,9 +200,7 @@ def _run_equivariant_iso(args) -> int:
 
 def _run_verify(args) -> int:
     field = FieldSpec.parse(args.field)
-    complex, balancing = _balanced_context(args)
-    candidate = _face_ids(args.candidate)
-    report = verify_basis(complex, balancing, field, candidate)
+    report = verify_basis(_balancing(args), field, _face_ids(args.candidate))
     payload = {
         "valid": report.valid,
         "label_sets": [{"labels": list(s), **info}
@@ -220,8 +212,8 @@ def _run_verify(args) -> int:
 
 
 def _run_fine_vectors(args) -> int:
-    complex, balancing = _balanced_context(args)
-    f_vec, h_vec = fine_vectors(complex, balancing)
+    balancing = _balancing(args)
+    f_vec, h_vec = fine_vectors(balancing)
     payload = {
         "n": balancing.n,
         "f": [{"labels": list(s), "count": c} for s, c in f_vec.items()],

@@ -1,6 +1,8 @@
 """Linear-algebraic Cohen-Macaulayness test and cell-basis machinery.
 
-Everything here runs on a pure, balanced boolean complex.  The facet vector
+Everything here runs on a pure, balanced boolean complex, read off its
+balancing (``balancing.complex``) or off a :class:`CellBasis`, which also
+carries the field.  The facet vector
 of a face is its 0/1 incidence row against the facet list; the test
 processes faces in an order refining containment of label sets, growing a
 candidate basis of faces whose facet vectors are independent, and fails
@@ -72,12 +74,11 @@ def _incidence(complex: BooleanComplex, face: int,
     return {column[eps]: 1 for eps in mask_members(complex.up[face] & mask)}
 
 
-def facet_vector(complex: BooleanComplex, face: int | str,
-                 field: FieldSpec) -> tuple[int, ...]:
+def facet_vector(complex: BooleanComplex, face: int | str) -> tuple[int, ...]:
     """0/1 incidence of the face with each facet, in facet order.
 
     0 and 1 are canonical scalars of every field, so the vector does not
-    depend on ``field``.
+    depend on one.
     """
     if not complex.is_pure():
         raise InputError("facet vectors need a pure complex")
@@ -85,10 +86,9 @@ def facet_vector(complex: BooleanComplex, face: int | str,
     return tuple(row.get(j, 0) for j in range(len(complex.facets)))
 
 
-def selected_facets(complex: BooleanComplex, balancing: Balancing,
-                    labels: frozenset[int]) -> list[int]:
-    """Facets of ``label_selected(complex, balancing, labels)`` as indices of
-    the complex, without building the subcomplex.
+def selected_facets(balancing: Balancing, labels: frozenset[int]) -> list[int]:
+    """Facets of ``label_selected(balancing, labels)`` as indices of the
+    balanced complex, without building the subcomplex.
 
     On a pure balanced complex these are exactly the faces whose label set is
     ``labels`` (restricted to the labels in use), in index order; for the
@@ -97,8 +97,7 @@ def selected_facets(complex: BooleanComplex, balancing: Balancing,
     return list(balancing.faces_by_label_set.get(labels & balancing.labels, ()))
 
 
-def default_processing_order(complex: BooleanComplex,
-                             balancing: Balancing) -> list[int]:
+def default_processing_order(balancing: Balancing) -> list[int]:
     """Label-set blocks sorted by (cardinality, lexicographic), faces within a
     block by internal index."""
     blocks = sorted(balancing.faces_by_label_set.items(),
@@ -106,20 +105,21 @@ def default_processing_order(complex: BooleanComplex,
     return [f for _, faces in blocks for f in faces]
 
 
-def validate_processing_order(complex: BooleanComplex, balancing: Balancing,
+def validate_processing_order(balancing: Balancing,
                               order: Sequence[int | str]) -> list[int]:
     """Check that an explicit order covers every face and refines containment
     of label sets (strictly smaller label sets come first).
 
     A violation names the pair of positions i < j with the smallest i, then j.
     """
+    complex = balancing.complex
     idx = [complex.resolve(f) for f in order]
     if sorted(idx) != list(range(len(complex))):
         raise OrderNotCompatible("order must list every face exactly once")
     first: dict[frozenset[int], int] = {}
     pairs: list[tuple[int, int]] = []
     for j, b in enumerate(idx):
-        labels = balancing.label_set(b)
+        labels = balancing.label_sets[b]
         pairs += [(i, j) for s, i in first.items() if labels < s]
         first.setdefault(labels, j)
     if pairs:
@@ -176,8 +176,8 @@ class CellBasis:
         if cached is not None:
             return cached
         members = [m for m in self.members
-                   if self.balancing.label_set(m) <= key]
-        facets = selected_facets(self.complex, self.balancing, key)
+                   if self.balancing.label_sets[m] <= key]
+        facets = selected_facets(self.balancing, key)
         if len(members) != len(facets):
             raise BasisInvalid(
                 f"label set {sorted(key)}: {len(members)} members against "
@@ -207,7 +207,7 @@ class CellBasis:
         top = mono[-1][0] if mono else EMPTY
         rep = self._by_face.get(top)
         if rep is None:
-            data = self.selected(self.balancing.label_set(top))
+            data = self.selected(self.balancing.label_sets[top])
             combo = data.span.represent(
                 _incidence(self.complex, top, data.columns))
             if combo is None:
@@ -215,10 +215,9 @@ class CellBasis:
                     f"generator of face {self.complex.ids[top]!r} is outside "
                     f"the span of the selected members")
             rep = self._by_face.setdefault(top, tuple(
-                (m, mono_label_multidegree(self.complex, self.balancing,
-                                           ((m, 1),)), combo[m])
+                (m, mono_label_multidegree(self.balancing, ((m, 1),)), combo[m])
                 for m in data.members if m in combo))
-        degree = mono_label_multidegree(self.complex, self.balancing, mono)
+        degree = mono_label_multidegree(self.balancing, mono)
         return [(m, tuple(map(sub, degree, labels)), c) for m, labels, c in rep]
 
 
@@ -233,9 +232,8 @@ class CMVerdict:
     representation: list[tuple[int, Raw]] | None = None
 
 
-def compute_basis(complex: BooleanComplex, balancing: Balancing,
-                  field: FieldSpec, order: Sequence[int | str] | None = None,
-                  ) -> CMVerdict:
+def compute_basis(balancing: Balancing, field: FieldSpec,
+                  order: Sequence[int | str] | None = None) -> CMVerdict:
     """Run the incremental facet-vector test and build a cell basis.
 
     Faces are processed in an order refining containment of label sets
@@ -250,11 +248,12 @@ def compute_basis(complex: BooleanComplex, balancing: Balancing,
     local span there is all the members'), so the scan stops at the first
     facet met with the span full.
     """
-    require_valid_balancing(complex, balancing)
+    require_valid_balancing(balancing)
+    complex, label_sets = balancing.complex, balancing.label_sets
     if order is None:
-        idx_order = default_processing_order(complex, balancing)
+        idx_order = default_processing_order(balancing)
     else:
-        idx_order = validate_processing_order(complex, balancing, order)
+        idx_order = validate_processing_order(balancing, order)
     m = len(complex.facets)
     columns = _columns(complex.facets)
     full = frozenset(range(1, balancing.n + 1))
@@ -262,10 +261,10 @@ def compute_basis(complex: BooleanComplex, balancing: Balancing,
     members: list[int] = []
     blocks: dict[frozenset[int], list[int]] = {}  # each label set's faces, in order
     for face in idx_order:
-        blocks.setdefault(balancing.label_set(face), []).append(face)
+        blocks.setdefault(label_sets[face], []).append(face)
     discarded: dict[frozenset[int], set[int]] = {}
     for face in idx_order:
-        labels = balancing.label_set(face)
+        labels = label_sets[face]
         if labels == full and len(span.rows) == m:
             break
         if labels not in discarded:
@@ -275,7 +274,7 @@ def compute_basis(complex: BooleanComplex, balancing: Balancing,
             local = Echelon(
                 field, len(local_faces),
                 (_incidence(complex, b, local_columns)
-                 for b in reversed(members) if balancing.label_set(b) < labels))
+                 for b in reversed(members) if label_sets[b] < labels))
             discarded[labels] = {local_faces[pivot] for pivot, _ in local.rows}
         if face in discarded[labels]:
             continue
@@ -298,15 +297,16 @@ class BasisReport:
     per_label_set: dict[tuple[int, ...], dict]
 
 
-def verify_basis(complex: BooleanComplex, balancing: Balancing,
-                 field: FieldSpec, candidate: Sequence[int | str]) -> BasisReport:
+def verify_basis(balancing: Balancing, field: FieldSpec,
+                 candidate: Sequence[int | str]) -> BasisReport:
     """Square-and-nonsingular check of a proposed cell basis.
 
     For every label subset S, the members with label set inside S must match
     the facets of the label-selected subcomplex in number, and their
     incidence matrix there must be nonsingular.
     """
-    require_valid_balancing(complex, balancing)
+    require_valid_balancing(balancing)
+    complex = balancing.complex
     members = [complex.resolve(f) for f in candidate]
     n = balancing.n
     per: dict[tuple[int, ...], dict] = {}
@@ -314,8 +314,8 @@ def verify_basis(complex: BooleanComplex, balancing: Balancing,
     for r in range(n + 1):
         for s in itertools.combinations(range(1, n + 1), r):
             key = frozenset(s)
-            chosen = [m for m in members if balancing.label_set(m) <= key]
-            facets = selected_facets(complex, balancing, key)
+            chosen = [m for m in members if balancing.label_sets[m] <= key]
+            facets = selected_facets(balancing, key)
             square = len(chosen) == len(facets)
             nonsingular = False
             if square:
@@ -329,12 +329,13 @@ def verify_basis(complex: BooleanComplex, balancing: Balancing,
     return BasisReport(valid, per)
 
 
-def subspace_M_S(complex: BooleanComplex, balancing: Balancing,
-                 field: FieldSpec, labels: Iterable[int]) -> list[list[Raw]]:
+def subspace_M_S(balancing: Balancing, field: FieldSpec,
+                 labels: Iterable[int]) -> list[list[Raw]]:
     """Canonical row-space basis of the span of the facet vectors of the faces
     whose label set equals S (the image of their span inside the facet
     component)."""
-    require_valid_balancing(complex, balancing)
+    require_valid_balancing(balancing)
+    complex = balancing.complex
     columns = _columns(complex.facets)
     rows = [_incidence(complex, f, columns)
             for f in balancing.faces_by_label_set.get(frozenset(labels), ())]
@@ -360,14 +361,15 @@ def represent_on_cell_basis(basis: CellBasis, element: RingElement,
             for b, t in out.items()}
 
 
-def evaluate_cell_representation(complex: BooleanComplex, balancing: Balancing,
+def evaluate_cell_representation(basis: CellBasis,
                                  coefficients: dict[int, ParameterPolynomial],
                                  ) -> RingElement:
-    """Expand sum of q_b(label rows) * z_b back into the face ring."""
-    field = next(iter(coefficients.values())).field
+    """Expand sum of q_b(label rows) * z_b back into the face ring of the
+    basis's complex; the inverse of :func:`represent_on_cell_basis`."""
+    complex, field = basis.complex, basis.field
     terms: dict[Mono, Raw] = {}
     for member, poly in sorted(coefficients.items()):
         z = RingElement.monomial(complex, field, ((member, 1),))
         add_terms(terms, evaluate_parameters(z, poly.terms, "omega",
-                                             balancing).terms.items())
+                                             basis.balancing).terms.items())
     return RingElement(complex, field, False, terms)

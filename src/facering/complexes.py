@@ -270,7 +270,7 @@ class BooleanComplex:
 
 
 class Balancing:
-    """A vertex labeling with the derived label set of every face.
+    """A vertex labeling of ``complex`` with the label set of every face.
 
     Top-level balancings use the labels 1..n; label-selected subcomplexes
     inherit sub-collections, which is why validation only asks that every
@@ -316,27 +316,21 @@ class Balancing:
         """Do the labels form the full collection 1..n?"""
         return self.labels == frozenset(range(1, self.n + 1))
 
-    def label_set(self, f: int) -> frozenset[int]:
-        return self.label_sets[f]
 
-
-def validate_balancing(complex: BooleanComplex, balancing: Balancing) -> bool:
-    """True iff the complex is pure of the right dimension and every facet
-    sees each label of the collection exactly once."""
-    collection = balancing.labels
+def validate_balancing(balancing: Balancing) -> bool:
+    """True iff the labelled complex is pure of the right dimension and every
+    facet sees each label of the collection exactly once."""
+    complex, collection = balancing.complex, balancing.labels
     if not complex.is_pure() or complex.n != len(collection):
         return False
     # every facet has rank n, so n vertices
     return all(balancing.label_sets[eps] == collection for eps in complex.facets)
 
 
-def require_valid_balancing(complex: BooleanComplex, balancing: Balancing,
-                            standard: bool = True) -> None:
+def require_valid_balancing(balancing: Balancing, standard: bool = True) -> None:
     """Raise unless the balancing is valid; the vector-graded machinery also
     needs the label collection to be exactly 1..n."""
-    if balancing.complex is not complex:
-        raise InvalidBalancing("balancing belongs to a different complex")
-    if not validate_balancing(complex, balancing):
+    if not validate_balancing(balancing):
         raise InvalidBalancing("labeling is not a balancing of this complex")
     if standard and not balancing.is_standard:
         raise InvalidBalancing(
@@ -478,18 +472,17 @@ def barycentric_subdivision(complex: BooleanComplex) -> SdMap:
 # -- label-selected subcomplexes ---------------------------------------------------
 
 
-def label_selected(complex: BooleanComplex, balancing: Balancing,
-                   labels: Iterable[int]) -> BooleanComplex:
+def label_selected(balancing: Balancing, labels: Iterable[int]) -> BooleanComplex:
     """The subcomplex of faces whose label set is contained in ``labels``.
 
     The face set is downward closed, so the induced Hasse diagram is the
     restriction of the original one.  Face ids are preserved; facets are the
     maximal selected faces in original index order.
     """
-    require_valid_balancing(complex, balancing, standard=False)
-    selected = frozenset(labels)
+    require_valid_balancing(balancing, standard=False)
+    complex, selected = balancing.complex, frozenset(labels)
     member = [f for f in range(1, len(complex))
-              if balancing.label_set(f) <= selected]
+              if balancing.label_sets[f] <= selected]
     index = {f: i for i, f in enumerate(member, 1)}
     ids = [complex.ids[f] for f in member]
     covers = [[index[c] for c in complex.covers[f] if c in index]

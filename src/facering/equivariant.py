@@ -189,7 +189,7 @@ def act(sigma: Automorphism, element: RingElement) -> RingElement:
 
 class Morphism:
     """A parameter-linear map from the subdivision's ring to the face ring,
-    stored by its images of a cell basis.
+    stored by its images of a cell basis, over the basis's field.
 
     Three append-only memos serve ``apply``: the image of each standard
     monomial; each product theta^a * images[member] for an exponent vector
@@ -229,7 +229,7 @@ class Morphism:
     def member_element(self, member: int) -> RingElement:
         """The basis member as an element of the subdivision's ring."""
         mono = tuple((f, 1) for f in self.ctx.sd.chain_of[member])
-        return RingElement(self.ctx.sd.source, self.ctx.field, True, {mono: 1})
+        return RingElement(self.ctx.sd.source, self.basis.field, True, {mono: 1})
 
     def apply(self, element: RingElement) -> RingElement:
         """Represent on the stored basis, then evaluate the coefficients with
@@ -242,7 +242,7 @@ class Morphism:
         for mono, coeff in element.terms.items():
             add_terms(terms, ((m, coeff * x) for m, x
                               in self._apply_mono(mono).terms.items()))
-        return RingElement(self.ctx.sd.source, self.ctx.field, False, terms)
+        return RingElement(self.ctx.sd.source, self.basis.field, False, terms)
 
     def _apply_mono(self, mono: Mono) -> RingElement:
         cached = self._mono_cache.get(mono)
@@ -253,7 +253,7 @@ class Morphism:
                 add_terms(terms, ((m, c * x) for m, x
                                   in self._product(a, member).terms.items()))
             cached = self._mono_cache.setdefault(mono, RingElement(
-                self.ctx.sd.source, self.ctx.field, False, terms))
+                self.ctx.sd.source, self.basis.field, False, terms))
         return cached
 
     def _product(self, exponents: tuple[int, ...], member: int) -> RingElement:
@@ -280,7 +280,7 @@ class Morphism:
 
 def build_phi(ctx: TransferContext, sd_basis: CellBasis) -> Morphism:
     """The basis-transfer morphism: each member maps to its transferred monomial."""
-    images = {m: ctx.member_image(m) for m in sd_basis.members}
+    images = {m: ctx.member_image(m, sd_basis.field) for m in sd_basis.members}
     return Morphism(ctx, sd_basis, images)
 
 
@@ -290,7 +290,7 @@ def average(morphism: Morphism, group: Group) -> Morphism:
     ctx = morphism.ctx
     if group.complex is not ctx.sd.source:
         raise ComplexMismatch("group acts on a different complex")
-    field = ctx.field
+    field = morphism.basis.field
     if not is_unit_integer(field, group.order):
         raise OrderNotInvertible(
             f"group order {group.order} is zero in {field}")
@@ -383,7 +383,7 @@ def verify_morphism(morphism: Morphism, group: Group,
     if degree_bound is None:
         n = group.complex.n
         degree_bound = n * (n + 1)
-    return verify_map(morphism.apply, morphism.ctx.field, group, degree_bound)
+    return verify_map(morphism.apply, morphism.basis.field, group, degree_bound)
 
 
 # -- the odd cross-term computation ---------------------------------------------------

@@ -32,7 +32,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 from .coeff import FieldSpec, Raw, normal
 from .complexes import (EMPTY, Balancing, BooleanComplex, mask_members,
                         require_valid_balancing)
-from .errors import ComplexMismatch, FieldMismatch, InputError
+from .errors import ComplexMismatch, FieldMismatch, InputError, InvalidBalancing
 from .partitions import Partition, sh, sh_inverse
 
 Mono = tuple[tuple[int, int], ...]
@@ -71,12 +71,11 @@ def mono_shape(complex: BooleanComplex, mono: Mono) -> Partition:
     return sh(mono_rank_multidegree(complex, mono))
 
 
-def mono_label_multidegree(complex: BooleanComplex, balancing: Balancing,
-                           mono: Mono) -> tuple[int, ...]:
+def mono_label_multidegree(balancing: Balancing, mono: Mono) -> tuple[int, ...]:
     """Exponent-vector degree counting labels of the vertices under each factor."""
     vec = [0] * balancing.n
     for f, e in mono:
-        for j in balancing.label_set(f):
+        for j in balancing.label_sets[f]:
             vec[j - 1] += e
     return tuple(vec)
 
@@ -348,15 +347,14 @@ def rank_row_parameter(complex: BooleanComplex, j: int, field: FieldSpec,
                        {((f, 1),): 1 for f in complex.faces_of_rank(j)})
 
 
-def label_row_parameter(complex: BooleanComplex, balancing: Balancing,
-                        j: int, field: FieldSpec) -> RingElement:
-    """Sum of the vertex generators with label j on a balanced complex."""
-    require_valid_balancing(complex, balancing)
+def label_row_parameter(balancing: Balancing, j: int,
+                        field: FieldSpec) -> RingElement:
+    """Sum of the vertex generators with label j on the balanced complex."""
+    require_valid_balancing(balancing)
     if not 1 <= j <= balancing.n:
         raise InputError(f"label {j} out of range 1..{balancing.n}")
-    return RingElement(complex, field, False,
-                       {((v, 1),): 1 for v in complex.vertices()
-                        if balancing.vertex_label[v] == j})
+    return RingElement(balancing.complex, field, False, {
+        ((v, 1),): 1 for v in balancing.faces_by_label_set[frozenset((j,))]})
 
 
 def times_parameter(complex: BooleanComplex, mono: Mono, j: int,
@@ -407,7 +405,9 @@ def evaluate_parameters(element: RingElement,
     if variant == "omega":
         if balancing is None:
             raise InputError("the omega variant needs a balancing")
-        require_valid_balancing(complex, balancing)  # so balancing.n == n
+        if balancing.complex is not complex:
+            raise InvalidBalancing("balancing belongs to a different complex")
+        require_valid_balancing(balancing)  # so balancing.n == n
     n = complex.n
     if any(min(a, default=0) < 0 or any(a[n:]) for a in terms):
         raise InputError(f"exponents must be nonnegative and vanish beyond P_{n}")
@@ -566,8 +566,10 @@ def graded_monomials(complex: BooleanComplex, *, degree: int | None = None,
             raise InputError(f"multidegree {tuple(multidegree)} must have "
                              f"length n = {complex.n}")
         if balancing is not None:
-            require_valid_balancing(complex, balancing)
-            weight = {f: mono_label_multidegree(complex, balancing, ((f, 1),))
+            if balancing.complex is not complex:
+                raise InvalidBalancing("balancing belongs to a different complex")
+            require_valid_balancing(balancing)
+            weight = {f: mono_label_multidegree(balancing, ((f, 1),))
                       for f in faces}
         else:
             weight = {f: mono_rank_multidegree(complex, ((f, 1),)) for f in faces}
@@ -600,16 +602,16 @@ def graded_monomials(complex: BooleanComplex, *, degree: int | None = None,
 # -- projections and fine vectors ------------------------------------------------------
 
 
-def project_to_face(complex: BooleanComplex, beta: int | str,
-                    element: RingElement) -> tuple[tuple[int, ...],
-                                                   dict[tuple[int, ...], Raw]]:
+def project_to_face(element: RingElement, beta: int | str,
+                    ) -> tuple[tuple[int, ...], dict[tuple[int, ...], Raw]]:
     """Image of an element under the algebra map onto the polynomial ring of
-    one face: generators under beta map to the product of their vertex
-    variables, everything else to zero.
+    one face of its complex: generators under beta map to the product of
+    their vertex variables, everything else to zero.
 
     Returns the face's vertex list and the image as a map from vertex
     exponent vectors to coefficients.
     """
+    complex = element.complex
     b = complex.resolve(beta)
     verts = complex.vertices_of(b)
     pos = {v: i for i, v in enumerate(verts)}
@@ -626,14 +628,14 @@ def project_to_face(complex: BooleanComplex, beta: int | str,
     return tuple(verts), {a: y for a, c in image.items() if (y := normal(c, p))}
 
 
-def fine_vectors(complex: BooleanComplex, balancing: Balancing,
+def fine_vectors(balancing: Balancing,
                  ) -> tuple[dict[tuple[int, ...], int], dict[tuple[int, ...], int]]:
     """Counts of faces per label set, and their inclusion-exclusion transform.
 
     Keys are sorted label tuples over every subset of 1..n; the empty face
     contributes 1 at the empty set.
     """
-    require_valid_balancing(complex, balancing)
+    require_valid_balancing(balancing)
     n = balancing.n
     subsets = []
     for r in range(n + 1):

@@ -5,7 +5,9 @@ so the transfer map is the identity on monomials and only switches the
 presentation (discrete vs straightening).  The context also converts
 elements of the subdivision's ring between that multichain form and the
 cell form on the subdivision complex itself, where chains become single
-generators; the cell form is what the basis machinery consumes.
+generators; the cell form is what the basis machinery consumes.  The
+context holds no field: elements carry theirs, and the descent works in the
+cell basis's.
 
 ``express_on_transferred_basis`` realizes the constructive half of basis
 transfer: repeatedly represent the pulled-back remainder on the subdivision
@@ -31,10 +33,9 @@ from .partitions import count_partitions
 
 @dataclass(frozen=True)
 class TransferContext:
-    """The subdivision dictionary plus the working coefficient field."""
+    """The subdivision dictionary, both ways."""
 
     sd: SdMap
-    field: FieldSpec
 
     def garsia(self, element: RingElement) -> RingElement:
         """Subdivision ring -> face ring: identity on standard monomials."""
@@ -98,12 +99,12 @@ class TransferContext:
                                for m, c in element.terms.items()))
         return RingElement(self.sd.source, element.field, True, terms)
 
-    def member_image(self, member: int) -> RingElement:
-        """Transfer of a basis member's generator into the face ring: the
-        squarefree monomial on the member's chain."""
+    def member_image(self, member: int, field: FieldSpec) -> RingElement:
+        """Transfer of a basis member's generator into the face ring over
+        ``field``: the squarefree monomial on the member's chain."""
         chain = self.sd.chain_of[member]
         mono = tuple((f, 1) for f in chain)
-        return RingElement.monomial(self.sd.source, self.field, mono)
+        return RingElement.monomial(self.sd.source, field, mono)
 
 
 @dataclass
@@ -125,12 +126,15 @@ def express_on_transferred_basis(ctx: TransferContext, sd_basis: CellBasis,
     the face-ring parameters against the transferred members, and subtracts.
     Every term of the new remainder has strictly dominated shape, so the
     pass count is bounded by the number of partitions of the degrees
-    involved; exceeding the bound means the proposed basis is broken.
+    involved; exceeding the bound means the proposed basis is broken.  The
+    field is the basis's: an element over another one fails
+    (``FieldMismatch``) on the first pass.
     """
     if element.complex is not ctx.sd.source or element.discrete:
         raise ComplexMismatch("expected an element of the face ring")
     if sd_basis.complex is not ctx.sd.target:
         raise ComplexMismatch("basis must live on the subdivision complex")
+    field = sd_basis.field
     totals: dict[int, dict] = {b: {} for b in sd_basis.members}
     remainders: list[RingElement] = []
     cap = 1 + sum(count_partitions(d) for d in
@@ -149,11 +153,10 @@ def express_on_transferred_basis(ctx: TransferContext, sd_basis: CellBasis,
             add_terms(totals[member], poly.terms.items())
             if not poly.is_zero:
                 add_terms(evaluated, evaluate_parameters(
-                    ctx.member_image(member), poly.terms).terms.items())
-        remainder = remainder - RingElement(ctx.sd.source, ctx.field, False,
-                                            evaluated)
+                    ctx.member_image(member, field), poly.terms).terms.items())
+        remainder = remainder - RingElement(ctx.sd.source, field, False, evaluated)
         remainders.append(remainder)
     n = sd_basis.balancing.n
     return TransferRepresentation(
-        {b: ParameterPolynomial(n, ctx.field, t) for b, t in totals.items()},
+        {b: ParameterPolynomial(n, field, t) for b, t in totals.items()},
         remainders)

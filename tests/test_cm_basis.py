@@ -54,19 +54,19 @@ def test_facet_vectors_double_edge_sd(double_edge_sd):
     expect = {"": [1, 1, 1, 1], "v": [1, 0, 1, 0], "alpha": [1, 1, 0, 0],
               "v_alpha": [1, 0, 0, 0]}
     for fid, bits in expect.items():
-        assert vec_values(facet_vector(target, fid, RATIONAL)) == bits
+        assert vec_values(facet_vector(target, fid)) == bits
 
 
 def test_facet_vectors_disk(disk):
-    assert vec_values(facet_vector(disk, "s", RATIONAL)) == [1, 0, 0]
-    assert vec_values(facet_vector(disk, "epsilon", RATIONAL)) == [1, 1, 0]
+    assert vec_values(facet_vector(disk, "s")) == [1, 0, 0]
+    assert vec_values(facet_vector(disk, "epsilon")) == [1, 1, 0]
     # the vertex t is incident to the last two facets
-    assert vec_values(facet_vector(disk, "t", RATIONAL)) == [0, 1, 1]
+    assert vec_values(facet_vector(disk, "t")) == [0, 1, 1]
 
 
 def test_facet_vector_of_facet_is_unit(disk):
     for i, eps in enumerate(disk.facets):
-        v = vec_values(facet_vector(disk, eps, RATIONAL))
+        v = vec_values(facet_vector(disk, eps))
         assert v == [1 if j == i else 0 for j in range(len(disk.facets))]
 
 
@@ -78,7 +78,7 @@ def test_sparse_incidence_matches_dense_facet_vector(case, disk, disk_balancing)
         sd = barycentric_subdivision(build_from_facets([["0", "1", "2", "3"]]))
         c, bal = sd.target, sd.balancing
     facet_lists = [c.facets] + [
-        selected_facets(c, bal, frozenset(s)) for r in range(bal.n + 1)
+        selected_facets(bal, frozenset(s)) for r in range(bal.n + 1)
         for s in itertools.combinations(range(1, bal.n + 1), r)]
     for facets in facet_lists:
         columns = _columns(facets)
@@ -87,13 +87,13 @@ def test_sparse_incidence_matches_dense_facet_vector(case, disk, disk_balancing)
             row = _incidence(c, f, columns)
             assert [row.get(j, 0) for j in range(len(facets))] == dense
             if facets is c.facets:
-                assert vec_values(facet_vector(c, f, RATIONAL)) == dense
+                assert vec_values(facet_vector(c, f)) == dense
 
 
 def test_facet_vector_requires_pure():
     mixed = build_from_facets([["a", "b"], ["c"]])
     with pytest.raises(InputError):
-        facet_vector(mixed, "c", RATIONAL)
+        facet_vector(mixed, "c")
 
 
 # -- the basis algorithm ----------------------------------------------------------
@@ -101,7 +101,7 @@ def test_facet_vector_requires_pure():
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
 def test_basis_double_edge_sd(double_edge_sd, field):
-    verdict = compute_basis(double_edge_sd.target, double_edge_sd.balancing, field)
+    verdict = compute_basis(double_edge_sd.balancing, field)
     assert verdict.cohen_macaulay
     names = [double_edge_sd.target.ids[m] for m in verdict.basis.members]
     assert names == ["", "v", "alpha", "v_alpha"]
@@ -110,17 +110,16 @@ def test_basis_double_edge_sd(double_edge_sd, field):
 @pytest.mark.parametrize("field", FIELDS, ids=str)
 def test_disjoint_edges_not_cm(disjoint_edges, disjoint_edges_balancing, field):
     order = ["", "a", "b", "c", "d", "a,c", "b,d"]
-    verdict = compute_basis(disjoint_edges, disjoint_edges_balancing, field,
-                            order=order)
+    verdict = compute_basis(disjoint_edges_balancing, field, order=order)
     assert not verdict.cohen_macaulay
     assert disjoint_edges.ids[verdict.witness] == "c"
     rep = [(disjoint_edges.ids[m], c) for m, c in verdict.representation]
     assert rep == [("a", 1)]
     # the witness's facet vector is reproduced exactly by the representation
-    target = facet_vector(disjoint_edges, "c", field)
+    target = facet_vector(disjoint_edges, "c")
     combo = [0] * len(target)
     for m, c in verdict.representation:
-        row = facet_vector(disjoint_edges, m, field)
+        row = facet_vector(disjoint_edges, m)
         combo = [normal(acc + c * x, field.p) for acc, x in zip(combo, row)]
     assert combo == list(target)
 
@@ -129,19 +128,19 @@ def test_disk_basis(disk, disk_balancing):
     order = ["", "s", "t", "u", "v", "alpha", "beta", "gamma", "delta",
              "epsilon", "zeta", "P", "Q", "R"]
     for sequence in (order, None):
-        verdict = compute_basis(disk, disk_balancing, RATIONAL, order=sequence)
+        verdict = compute_basis(disk_balancing, RATIONAL, order=sequence)
         assert verdict.cohen_macaulay
-        labelled = [(disk.ids[m], tuple(sorted(disk_balancing.label_set(m))))
+        labelled = [(disk.ids[m], tuple(sorted(disk_balancing.label_sets[m])))
                     for m in verdict.basis.members]
         assert labelled == [("", ()), ("s", (1,)), ("epsilon", (2, 3))]
 
 
-def test_incompatible_order_rejected(disjoint_edges, disjoint_edges_balancing):
+def test_incompatible_order_rejected(disjoint_edges_balancing):
     with pytest.raises(OrderNotCompatible):
-        compute_basis(disjoint_edges, disjoint_edges_balancing, RATIONAL,
+        compute_basis(disjoint_edges_balancing, RATIONAL,
                       order=["", "a,c", "a", "b", "c", "d", "b,d"])
     with pytest.raises(OrderNotCompatible):
-        compute_basis(disjoint_edges, disjoint_edges_balancing, RATIONAL,
+        compute_basis(disjoint_edges_balancing, RATIONAL,
                       order=["", "a", "b", "c", "d", "a,c"])
 
 
@@ -153,13 +152,13 @@ def test_order_violation_matches_quadratic_reference():
         for i in range(len(order)):
             for j in range(i + 1, len(order)):
                 a, b = order[i], order[j]
-                if bal.label_set(b) < bal.label_set(a):
+                if bal.label_sets[b] < bal.label_sets[a]:
                     return (f"face {c.ids[b]!r} must be processed before "
                             f"{c.ids[a]!r}: its label set is strictly smaller")
         return None
 
     rng = random.Random(3)
-    compatible = default_processing_order(c, bal)
+    compatible = default_processing_order(bal)
     for trial in range(40):
         order = list(compatible)
         if trial % 2:
@@ -171,10 +170,10 @@ def test_order_violation_matches_quadratic_reference():
                 order[i], order[j] = order[j], order[i]
         expected = reference(order)
         if expected is None:
-            assert validate_processing_order(c, bal, order) == order
+            assert validate_processing_order(bal, order) == order
             continue
         with pytest.raises(OrderNotCompatible) as info:
-            validate_processing_order(c, bal, order)
+            validate_processing_order(bal, order)
         assert str(info.value) == expected
 
 
@@ -182,15 +181,15 @@ def _random_compatible_order(c, balancing, rng):
     # random topological shuffle of the label-set containment order: a face
     # is ready once no remaining face has a strictly smaller label set
     remaining = set(range(len(c)))
-    left = Counter(balancing.label_set(f) for f in remaining)
+    left = Counter(balancing.label_sets[f] for f in remaining)
     order = []
     while remaining:
         blocked = {s for s in left if any(left[t] for t in left if t < s)}
-        ready = [f for f in remaining if balancing.label_set(f) not in blocked]
+        ready = [f for f in remaining if balancing.label_sets[f] not in blocked]
         pick = rng.choice(sorted(ready))
         order.append(pick)
         remaining.remove(pick)
-        left[balancing.label_set(pick)] -= 1
+        left[balancing.label_sets[pick]] -= 1
     return order
 
 
@@ -206,14 +205,14 @@ def test_verdict_invariant_over_compatible_orders(
         (triangle_sd.target, triangle_sd.balancing),
     ]
     for c, bal in cases:
-        reference = compute_basis(c, bal, RATIONAL).cohen_macaulay
+        reference = compute_basis(bal, RATIONAL).cohen_macaulay
         for _ in range(10):
             order = _random_compatible_order(c, bal, rng)
-            validate_processing_order(c, bal, order)
-            verdict = compute_basis(c, bal, RATIONAL, order=order)
+            validate_processing_order(bal, order)
+            verdict = compute_basis(bal, RATIONAL, order=order)
             assert verdict.cohen_macaulay == reference
             if verdict.cohen_macaulay:
-                report = verify_basis(c, bal, RATIONAL,
+                report = verify_basis(bal, RATIONAL,
                                       [c.ids[m] for m in verdict.basis.members])
                 assert report.valid
 
@@ -231,12 +230,12 @@ def _reference_verdict(c, bal, field, order, early_exit):
     members = []
     for pos, face in enumerate(order):
         if (early_exit and span.dim == m
-                and all(bal.label_set(g) == full for g in order[pos:])):
+                and all(bal.label_sets[g] == full for g in order[pos:])):
             break
         rep = span.insert(face, _incidence(c, face, columns))
         if rep is None:
             members.append(face)
-        elif any(not bal.label_set(b) <= bal.label_set(face) for b in rep):
+        elif any(not bal.label_sets[b] <= bal.label_sets[face] for b in rep):
             return False, members, face, [(b, rep[b]) for b in members
                                           if b in rep]
     return True, members, None, None
@@ -279,7 +278,7 @@ def test_label_set_restricted_test_matches_combination_tracking(
     # compute_basis always stops at the first facet met with the span full;
     # the reference runs with and without that stop, as drawn
     order = _random_compatible_order(c, bal, rng)
-    verdict = compute_basis(c, bal, field, order=order)
+    verdict = compute_basis(bal, field, order=order)
     cm, members, witness, representation = _reference_verdict(
         c, bal, field, order, early_exit)
     assert verdict.cohen_macaulay == cm
@@ -299,13 +298,13 @@ def test_processed_faces_cover_smaller_label_sets(double_edge_sd, disk,
         m_rows = {}
         for r in range(bal.n + 1):
             for s in itertools.combinations(range(1, bal.n + 1), r):
-                m_rows[frozenset(s)] = subspace_M_S(c, bal, RATIONAL, s)
-        members = set(compute_basis(c, bal, RATIONAL).basis.members)
+                m_rows[frozenset(s)] = subspace_M_S(bal, RATIONAL, s)
+        members = set(compute_basis(bal, RATIONAL).basis.members)
         columns = _columns(c.facets)
         span = RowSpan(RATIONAL, len(c.facets))
-        for face in default_processing_order(c, bal):
+        for face in default_processing_order(bal):
             for t, rows in m_rows.items():
-                if t < bal.label_set(face):
+                if t < bal.label_sets[face]:
                     for row in rows:
                         assert span.contains(dict(enumerate(row)))
             if face in members:
@@ -317,24 +316,24 @@ def test_subdivision_of_nonsimplicial_disk(disk, disk_balancing):
     # on a non-simplicial source; each facet contributes 3! maximal chains
     sd = barycentric_subdivision(disk)
     assert len(sd.target.facets) == disk.maximal_chain_count == 18
-    verdict = compute_basis(sd.target, sd.balancing, RATIONAL)
+    verdict = compute_basis(sd.balancing, RATIONAL)
     assert verdict.cohen_macaulay
-    _, h = fine_vectors(sd.target, sd.balancing)
+    _, h = fine_vectors(sd.balancing)
     counts = {s: 0 for s in h}
     for m in verdict.basis.members:
-        counts[tuple(sorted(sd.balancing.label_set(m)))] += 1
+        counts[tuple(sorted(sd.balancing.label_sets[m]))] += 1
     assert counts == h and len(verdict.basis.members) == 18
     for d in range(3):
         for m in graded_monomials(sd.target, degree=d):
             f = RingElement.monomial(sd.target, RATIONAL, m)
             rep = represent_on_cell_basis(verdict.basis, f)
-            assert evaluate_cell_representation(sd.target, sd.balancing, rep) == f
+            assert evaluate_cell_representation(verdict.basis, rep) == f
 
 
 def test_basis_of_a_point():
     point = build_from_facets([["x"]])
     bal = Balancing(point, {"x": 1})
-    verdict = compute_basis(point, bal, RATIONAL)
+    verdict = compute_basis(bal, RATIONAL)
     assert verdict.cohen_macaulay
     assert [point.ids[m] for m in verdict.basis.members] == [""]
 
@@ -343,10 +342,10 @@ def test_basis_of_a_point():
 
 
 def test_verify_basis_examples(double_edge_sd):
-    target, bal = double_edge_sd.target, double_edge_sd.balancing
-    assert verify_basis(target, bal, RATIONAL, ["", "v", "alpha", "v_alpha"]).valid
-    assert verify_basis(target, bal, RATIONAL, ["", "w", "alpha", "v_alpha"]).valid
-    report = verify_basis(target, bal, RATIONAL, ["", "v", "w", "v_alpha"])
+    bal = double_edge_sd.balancing
+    assert verify_basis(bal, RATIONAL, ["", "v", "alpha", "v_alpha"]).valid
+    assert verify_basis(bal, RATIONAL, ["", "w", "alpha", "v_alpha"]).valid
+    report = verify_basis(bal, RATIONAL, ["", "v", "w", "v_alpha"])
     assert not report.valid
     diag = report.per_label_set[(1,)]
     assert diag["members"] == 3 and diag["facets"] == 2 and not diag["square"]
@@ -355,8 +354,8 @@ def test_verify_basis_examples(double_edge_sd):
 def test_verify_accepts_algorithm_output(disk, disk_balancing, triangle_sd):
     for c, bal in [(disk, disk_balancing),
                    (triangle_sd.target, triangle_sd.balancing)]:
-        verdict = compute_basis(c, bal, RATIONAL)
-        assert verify_basis(c, bal, RATIONAL,
+        verdict = compute_basis(bal, RATIONAL)
+        assert verify_basis(bal, RATIONAL,
                             [c.ids[m] for m in verdict.basis.members]).valid
 
 
@@ -371,65 +370,58 @@ def test_named_complexes_cm_in_every_test_characteristic(
              (double_edge_sd.target, double_edge_sd.balancing, 4),
              (triangle_sd.target, triangle_sd.balancing, 3)]
     for c, bal, bound in cases:
-        verdict = compute_basis(c, bal, field)
+        verdict = compute_basis(bal, field)
         assert verdict.cohen_macaulay
         for d in range(bound + 1):
             for m in graded_monomials(c, degree=d):
                 f = RingElement.monomial(c, field, m)
                 rep = represent_on_cell_basis(verdict.basis, f)
-                assert evaluate_cell_representation(c, bal, rep) == f
+                assert evaluate_cell_representation(verdict.basis, rep) == f
 
 
 # -- subspaces ----------------------------------------------------------------------
 
 
 def test_subspace_M_S_disk(disk, disk_balancing):
-    got = subspace_M_S(disk, disk_balancing, RATIONAL, [1])
-    expected = rref([dict(enumerate(facet_vector(disk, f, RATIONAL)))
+    got = subspace_M_S(disk_balancing, RATIONAL, [1])
+    expected = rref([dict(enumerate(facet_vector(disk, f)))
                      for f in ("s", "t")], RATIONAL, 3)
     assert [vec_values(r) for r in got] == [vec_values(r) for r in expected]
-    got23 = subspace_M_S(disk, disk_balancing, RATIONAL, [2, 3])
-    expected23 = rref([dict(enumerate(facet_vector(disk, f, RATIONAL)))
+    got23 = subspace_M_S(disk_balancing, RATIONAL, [2, 3])
+    expected23 = rref([dict(enumerate(facet_vector(disk, f)))
                        for f in ("epsilon", "zeta")], RATIONAL, 3)
     assert [vec_values(r) for r in got23] == [vec_values(r) for r in expected23]
-    assert [vec_values(r) for r in subspace_M_S(disk, disk_balancing, RATIONAL, [])] \
+    assert [vec_values(r) for r in subspace_M_S(disk_balancing, RATIONAL, [])] \
         == [[1, 1, 1]]
 
 
-def test_subspace_dimensions_decompose_when_cm(disk, disk_balancing,
-                                               double_edge_sd, triangle_sd):
-    cases = [(disk, disk_balancing),
-             (double_edge_sd.target, double_edge_sd.balancing),
-             (triangle_sd.target, triangle_sd.balancing)]
-    for c, bal in cases:
-        verdict = compute_basis(c, bal, RATIONAL)
+def test_subspace_dimensions_decompose_when_cm(disk_balancing, double_edge_sd,
+                                               triangle_sd):
+    for bal in [disk_balancing, double_edge_sd.balancing, triangle_sd.balancing]:
+        verdict = compute_basis(bal, RATIONAL)
         assert verdict.cohen_macaulay
         by_set = {}
         for m in verdict.basis.members:
-            key = frozenset(bal.label_set(m))
+            key = frozenset(bal.label_sets[m])
             by_set[key] = by_set.get(key, 0) + 1
         for r in range(bal.n + 1):
             for s in itertools.combinations(range(1, bal.n + 1), r):
-                dim = len(subspace_M_S(c, bal, RATIONAL, s))
+                dim = len(subspace_M_S(bal, RATIONAL, s))
                 inner = sum(count for t, count in by_set.items()
                             if t <= frozenset(s))
                 assert dim == inner
 
 
-def test_member_counts_match_fine_h_vector(disk, disk_balancing, double_edge,
-                                           double_edge_balancing,
+def test_member_counts_match_fine_h_vector(disk_balancing, double_edge_balancing,
                                            double_edge_sd, triangle_sd):
-    cases = [(disk, disk_balancing),
-             (double_edge, double_edge_balancing),
-             (double_edge_sd.target, double_edge_sd.balancing),
-             (triangle_sd.target, triangle_sd.balancing)]
-    for c, bal in cases:
-        verdict = compute_basis(c, bal, RATIONAL)
+    for bal in [disk_balancing, double_edge_balancing, double_edge_sd.balancing,
+                triangle_sd.balancing]:
+        verdict = compute_basis(bal, RATIONAL)
         assert verdict.cohen_macaulay
-        _, h = fine_vectors(c, bal)
+        _, h = fine_vectors(bal)
         counts = {s: 0 for s in h}
         for m in verdict.basis.members:
-            counts[tuple(sorted(bal.label_set(m)))] += 1
+            counts[tuple(sorted(bal.label_sets[m]))] += 1
         assert counts == h
 
 
@@ -442,7 +434,7 @@ def poly(n, terms):
 
 def test_representation_golden(double_edge_sd):
     target, bal = double_edge_sd.target, double_edge_sd.balancing
-    verdict = compute_basis(target, bal, RATIONAL)
+    verdict = compute_basis(bal, RATIONAL)
     basis = verdict.basis
     # y_w^2 y_beta in cell form is z_w * z_{w beta}
     f = RingElement.monomial(target, RATIONAL, (
@@ -455,12 +447,12 @@ def test_representation_golden(double_edge_sd):
         "v_alpha": poly(2, {(1, 0): 1}),
     }
     assert {target.ids[m]: p for m, p in rep.items()} == expected
-    assert evaluate_cell_representation(target, bal, rep) == f
+    assert evaluate_cell_representation(basis, rep) == f
 
 
 def test_representation_of_member_is_trivial(double_edge_sd):
     target, bal = double_edge_sd.target, double_edge_sd.balancing
-    basis = compute_basis(target, bal, RATIONAL).basis
+    basis = compute_basis(bal, RATIONAL).basis
     for member in basis.members:
         f = RingElement.monomial(target, RATIONAL, ((member, 1),))
         rep = represent_on_cell_basis(basis, f)
@@ -473,7 +465,7 @@ def test_representation_of_member_is_trivial(double_edge_sd):
 
 def test_representation_golden_z_wbeta(double_edge_sd):
     target, bal = double_edge_sd.target, double_edge_sd.balancing
-    basis = compute_basis(target, bal, RATIONAL).basis
+    basis = compute_basis(bal, RATIONAL).basis
     f = RingElement.monomial(target, RATIONAL, ((target.resolve("w_beta"), 1),))
     rep = represent_on_cell_basis(basis, f)
     expected = {
@@ -489,12 +481,12 @@ def test_representation_roundtrip(disk, disk_balancing, double_edge_sd):
     cases = [(disk, disk_balancing, 4), (double_edge_sd.target,
                                          double_edge_sd.balancing, 6)]
     for c, bal, bound in cases:
-        basis = compute_basis(c, bal, RATIONAL).basis
+        basis = compute_basis(bal, RATIONAL).basis
         for d in range(bound + 1):
             for m in graded_monomials(c, degree=d):
                 f = RingElement.monomial(c, RATIONAL, m)
                 rep = represent_on_cell_basis(basis, f)
-                assert evaluate_cell_representation(c, bal, rep) == f
+                assert evaluate_cell_representation(basis, rep) == f
 
 
 def test_representation_rejects_broken_basis(double_edge_sd):
@@ -509,7 +501,7 @@ def test_representation_rejects_broken_basis(double_edge_sd):
 
 def test_representation_checks_element_against_basis(double_edge, double_edge_sd):
     target, bal = double_edge_sd.target, double_edge_sd.balancing
-    basis = compute_basis(target, bal, RATIONAL).basis
+    basis = compute_basis(bal, RATIONAL).basis
     v = ((target.resolve("v"), 1),)
     with pytest.raises(InputError, match="face ring of this complex"):
         represent_on_cell_basis(basis, RingElement.monomial(
@@ -518,6 +510,24 @@ def test_representation_checks_element_against_basis(double_edge, double_edge_sd
         represent_on_cell_basis(basis, RingElement(target, RATIONAL, True, {v: 1}))
     with pytest.raises(FieldMismatch):
         represent_on_cell_basis(basis, RingElement.monomial(target, GF5, v))
+
+
+@pytest.mark.parametrize("field", [RATIONAL, GF5], ids=str)
+@pytest.mark.parametrize("case", ["double edge", "triangle"])
+def test_evaluation_reads_complex_and_field_off_the_basis(case, field,
+                                                         double_edge_sd,
+                                                         triangle_sd):
+    sd = {"double edge": double_edge_sd, "triangle": triangle_sd}[case]
+    basis = compute_basis(sd.balancing, field).basis
+    zero = RingElement.zero(sd.target, field)
+    assert evaluate_cell_representation(basis, {}) == zero
+    assert evaluate_cell_representation(
+        basis, represent_on_cell_basis(basis, zero)) == zero
+    monos = [m for d in range(4) for m in graded_monomials(sd.target, degree=d)]
+    f = RingElement(sd.target, field, False,
+                    {m: i - 3 for i, m in enumerate(monos)})
+    assert evaluate_cell_representation(
+        basis, represent_on_cell_basis(basis, f)) == f
 
 
 # -- linear algebra helper -----------------------------------------------------------
@@ -713,23 +723,23 @@ def test_row_rank_and_rref_match_references(field):
 def test_face_memo_bounded_and_fresh(case, field, double_edge_sd, triangle_sd):
     sd = double_edge_sd if case == "double-edge" else triangle_sd
     target, bal = sd.target, sd.balancing
-    basis = compute_basis(target, bal, field).basis
+    basis = compute_basis(bal, field).basis
     for d in range(4):
         for mono in graded_monomials(target, degree=d):
             basis.represent_monomial(mono)
             assert len(basis._by_face) <= len(target)
     assert len(basis._by_face) == len(target)  # every face is some monomial's top
     for face, entry in basis._by_face.items():
-        labels = bal.label_set(face)
-        members = [m for m in basis.members if bal.label_set(m) <= labels]
-        columns = _columns(selected_facets(target, bal, labels))
+        labels = bal.label_sets[face]
+        members = [m for m in basis.members if bal.label_sets[m] <= labels]
+        columns = _columns(selected_facets(bal, labels))
         fresh = RowSpan(field, len(columns[1]))
         for m in members:
             assert fresh.insert(m, _incidence(target, m, columns)) is None
         expected = fresh.represent(_incidence(target, face, columns))
         assert {m: c for m, _, c in entry} == expected
         for m, member_labels, _ in entry:
-            assert member_labels == tuple(int(j in bal.label_set(m))
+            assert member_labels == tuple(int(j in bal.label_sets[m])
                                           for j in range(1, bal.n + 1))
 
 
@@ -738,13 +748,13 @@ def test_concurrent_readers_share_cell_basis_memos(triangle_sd):
     single-thread results: its memos never expose a partial value."""
     target, bal = triangle_sd.target, triangle_sd.balancing
     monos = [m for d in range(4) for m in graded_monomials(target, degree=d)]
-    reference = compute_basis(target, bal, GF5).basis
+    reference = compute_basis(bal, GF5).basis
     expected = [reference.represent_monomial(m) for m in monos]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads often, to interleave writes
     try:
         for _ in range(5):
-            shared = compute_basis(target, bal, GF5).basis
+            shared = compute_basis(bal, GF5).basis
             barrier = threading.Barrier(4)
             results, errors = [[None] * len(monos) for _ in range(4)], []
 
@@ -778,10 +788,10 @@ def test_selected_facets_are_label_selected_facets(case, disk, disk_balancing):
     else:
         sd = barycentric_subdivision(build_from_facets([["0", "1", "2", "3"]]))
         c, bal = sd.target, sd.balancing
-    basis = compute_basis(c, bal, RATIONAL).basis
+    basis = compute_basis(bal, RATIONAL).basis
     for r in range(bal.n + 1):
         for s in itertools.combinations(range(1, bal.n + 1), r):
-            sub = label_selected(c, bal, s)
+            sub = label_selected(bal, s)
             expected = [c.index_of[sub.ids[f]] for f in sub.facets]
-            assert selected_facets(c, bal, frozenset(s)) == expected
+            assert selected_facets(bal, frozenset(s)) == expected
             assert basis.selected(s).facets == expected

@@ -317,7 +317,7 @@ def test_sd_single_vertex():
 
 def test_sd_is_balanced_by_ranks(double_edge_sd, triangle_sd):
     for sd in (double_edge_sd, triangle_sd):
-        assert validate_balancing(sd.target, sd.balancing)
+        assert validate_balancing(sd.balancing)
 
 
 def test_sd_facet_count_is_chain_count(double_edge, triangle):
@@ -420,7 +420,7 @@ def test_sd_simplex_flag_h_vector_counts_descents(d):
     # (Stanley, Balanced Cohen-Macaulay complexes, 1979)
     from facering.face_ring import fine_vectors
     sd = barycentric_subdivision(build_from_facets([[str(i) for i in range(d + 1)]]))
-    _, h_vec = fine_vectors(sd.target, sd.balancing)
+    _, h_vec = fine_vectors(sd.balancing)
     descents = _descent_set_counts(d + 1)
     assert h_vec == {s: descents.get(s, 0) for s in h_vec}
     assert sum(h_vec.values()) == factorial(d + 1)
@@ -428,13 +428,13 @@ def test_sd_simplex_flag_h_vector_counts_descents(d):
 
 def test_label_selected_examples(double_edge_sd):
     target, bal = double_edge_sd.target, double_edge_sd.balancing
-    sub = label_selected(target, bal, {1})
+    sub = label_selected(bal, {1})
     assert sorted(sub.ids) == ["", "v", "w"]
     assert len(sub.facets) == 2
-    empty_only = label_selected(target, bal, set())
+    empty_only = label_selected(bal, set())
     assert tuple(empty_only.ids) == ("",)
     assert [empty_only.ids[f] for f in empty_only.facets] == [""]
-    full = label_selected(target, bal, {1, 2})
+    full = label_selected(bal, {1, 2})
     assert sorted(full.ids) == sorted(target.ids)
 
 
@@ -442,35 +442,34 @@ def test_label_selected_functorial(disk, disk_balancing):
     import itertools
     for s in itertools.chain.from_iterable(
             itertools.combinations((1, 2, 3), r) for r in range(4)):
-        outer = label_selected(disk, disk_balancing, s)
+        outer = label_selected(disk_balancing, s)
         for r in range(len(s) + 1):
             for sub in itertools.combinations(s, r):
-                direct = label_selected(disk, disk_balancing, sub)
+                direct = label_selected(disk_balancing, sub)
                 outer_bal = Balancing(outer, {
                     outer.ids[v]: disk_balancing.vertex_label[disk.resolve(outer.ids[v])]
                     for v in outer.vertices()})
-                again = label_selected(outer, outer_bal, sub)
+                again = label_selected(outer_bal, sub)
                 assert sorted(again.ids) == sorted(direct.ids)
 
 
-def test_validate_balancing_examples(double_edge, disjoint_edges,
-                                     disjoint_edges_balancing):
+def test_validate_balancing_examples(double_edge, disjoint_edges_balancing):
     good = Balancing(double_edge, {"v": 1, "w": 2})
-    assert validate_balancing(double_edge, good)
-    assert validate_balancing(disjoint_edges, disjoint_edges_balancing)
+    assert validate_balancing(good)
+    assert validate_balancing(disjoint_edges_balancing)
     bad = Balancing(double_edge, {"v": 1, "w": 1})
-    assert not validate_balancing(double_edge, bad)
+    assert not validate_balancing(bad)
 
 
-def test_label_selected_carries_sub_collection(disk, disk_balancing):
-    sub = label_selected(disk, disk_balancing, {2, 3})
+def test_label_selected_carries_sub_collection(disk_balancing):
+    sub = label_selected(disk_balancing, {2, 3})
     sub_bal = Balancing(sub, {"u": 2, "v": 3})
-    assert validate_balancing(sub, sub_bal)
+    assert validate_balancing(sub_bal)
     assert not sub_bal.is_standard
     from facering.errors import InvalidBalancing
     from facering.face_ring import fine_vectors
     with pytest.raises(InvalidBalancing):
-        fine_vectors(sub, sub_bal)  # the vector machinery needs labels 1..n
+        fine_vectors(sub_bal)  # the vector machinery needs labels 1..n
 
 
 def test_is_pure(double_edge):

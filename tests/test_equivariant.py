@@ -141,9 +141,8 @@ def test_induced_subdivision_action(double_edge, double_edge_sd, edge_swap):
 
 @pytest.fixture(scope="module")
 def de_phi(double_edge_sd):
-    ctx = TransferContext(double_edge_sd, RATIONAL)
-    basis = compute_basis(double_edge_sd.target, double_edge_sd.balancing,
-                          RATIONAL).basis
+    ctx = TransferContext(double_edge_sd)
+    basis = compute_basis(double_edge_sd.balancing, RATIONAL).basis
     return build_phi(ctx, basis)
 
 
@@ -179,9 +178,8 @@ def test_phi_member_and_zero(double_edge, de_phi):
 
 def test_phi_equivariant_in_top_shape(double_edge, swap_group, de_phi,
                                       triangle, triangle_sd, s3_group):
-    tri_ctx = TransferContext(triangle_sd, RATIONAL)
-    tri_phi = build_phi(tri_ctx, compute_basis(
-        triangle_sd.target, triangle_sd.balancing, RATIONAL).basis)
+    tri_ctx = TransferContext(triangle_sd)
+    tri_phi = build_phi(tri_ctx, compute_basis(triangle_sd.balancing, RATIONAL).basis)
     for c, group, phi in [(double_edge, swap_group, de_phi),
                           (triangle, s3_group, tri_phi)]:
         for d in range(1, 5):
@@ -195,7 +193,7 @@ def test_phi_equivariant_in_top_shape(double_edge, swap_group, de_phi,
 
 
 def test_garsia_is_fully_equivariant(double_edge, double_edge_sd, swap_group):
-    ctx = TransferContext(double_edge_sd, RATIONAL)
+    ctx = TransferContext(double_edge_sd)
     for d in range(7):
         for m in graded_monomials(double_edge, degree=d):
             f = RingElement(double_edge, RATIONAL, True, {m: 1})
@@ -209,8 +207,8 @@ def test_average_with_trivial_group(double_edge, de_phi):
 
 
 def test_average_obstructed_mod_two(triangle, triangle_sd, s3_group):
-    ctx = TransferContext(triangle_sd, GF2)
-    basis = compute_basis(triangle_sd.target, triangle_sd.balancing, GF2).basis
+    ctx = TransferContext(triangle_sd)
+    basis = compute_basis(triangle_sd.balancing, GF2).basis
     phi = build_phi(ctx, basis)
     with pytest.raises(OrderNotInvertible):
         average(phi, s3_group)
@@ -228,7 +226,7 @@ def test_average_is_shape_filtered(double_edge, swap_group, de_phi):
 
 def test_average_agrees_with_transfer_in_top_shape(double_edge, double_edge_sd,
                                                    swap_group, de_phi):
-    ctx = TransferContext(double_edge_sd, RATIONAL)
+    ctx = TransferContext(double_edge_sd)
     averaged = average(de_phi, swap_group)
     for d in range(7):
         for m in graded_monomials(double_edge, degree=d):
@@ -249,20 +247,20 @@ def test_full_pipeline_on_tetrahedron():
     c = simplex_complex(3)
     sd = barycentric_subdivision(c)
     field = FieldSpec.gf(5)
-    verdict = compute_basis(sd.target, sd.balancing, field)
+    verdict = compute_basis(sd.balancing, field)
     assert verdict.cohen_macaulay and len(verdict.basis.members) == 24
     group = close_group(c, [
         automorphism_from_vertex_map(c, {"0": "1", "1": "0"}),
         automorphism_from_vertex_map(c, {"0": "1", "1": "2", "2": "3", "3": "0"})])
     assert group.order == 24
-    averaged = average(build_phi(TransferContext(sd, field), verdict.basis),
+    averaged = average(build_phi(TransferContext(sd), verdict.basis),
                        group)
     report = verify_morphism(averaged, group, degree_bound=5)
     assert report.equivariant and report.isomorphism
 
 
 def test_verify_identity_map(double_edge, double_edge_sd, swap_group):
-    ctx = TransferContext(double_edge_sd, RATIONAL)
+    ctx = TransferContext(double_edge_sd)
     report = verify_map(ctx.garsia, RATIONAL, swap_group, 6)
     assert report.equivariant and report.isomorphism and not report.failures
 
@@ -291,7 +289,7 @@ def test_verify_morphism_default_bound(double_edge, de_phi, swap_group):
 
 def test_verify_map_rejects_negative_bound(double_edge, double_edge_sd,
                                           swap_group):
-    ctx = TransferContext(double_edge_sd, RATIONAL)
+    ctx = TransferContext(double_edge_sd)
     with pytest.raises(InputError, match="degree bound"):
         verify_map(ctx.garsia, RATIONAL, swap_group, -1)
 
@@ -342,7 +340,7 @@ def test_hilbert_dimensions_agree(double_edge, double_edge_sd, triangle,
     # weighting each cell by the sum of its labels, against the face ring
     for c, sd in [(double_edge, double_edge_sd), (triangle, triangle_sd)]:
         bal = sd.balancing
-        weights = {f: sum(bal.label_set(f)) for f in range(1, len(sd.target))}
+        weights = {f: sum(bal.label_sets[f]) for f in range(1, len(sd.target))}
         for d in range(7):
             lhs = len(graded_monomials(c, degree=d))
             rhs = len(graded_monomials(sd.target, degree=d,
@@ -484,8 +482,8 @@ def test_generator_check_matches_every_element_check(triangle, triangle_sd,
     for c, sd, group in [(triangle, triangle_sd, s3_group),
                          (tetrahedron, tetrahedron_sd, s4_group)]:
         assert 0 < len(group.generators) < group.order
-        basis = compute_basis(sd.target, sd.balancing, RATIONAL).basis
-        phi = build_phi(TransferContext(sd, RATIONAL), basis)
+        basis = compute_basis(sd.balancing, RATIONAL).basis
+        phi = build_phi(TransferContext(sd), basis)
         for morphism, expected in [(average(phi, group), True), (phi, False)]:
             report = verify_morphism(morphism, group, degree_bound=4)
             verdict, first = reference_equivariant(morphism.apply, c, RATIONAL,
@@ -512,8 +510,8 @@ def test_generators_of_trivial_group(double_edge, edge_swap):
 @pytest.mark.parametrize("field", [RATIONAL, GF5], ids=["rational", "gf:5"])
 def test_product_memo_matches_reference(triangle, triangle_sd, s3_group, field):
     from facering.cm_basis import represent_on_cell_basis
-    ctx = TransferContext(triangle_sd, field)
-    basis = compute_basis(triangle_sd.target, triangle_sd.balancing, field).basis
+    ctx = TransferContext(triangle_sd)
+    basis = compute_basis(triangle_sd.balancing, field).basis
     morphism = average(build_phi(ctx, basis), s3_group)
     bound = 0
     for d in range(7):
@@ -540,8 +538,8 @@ def test_product_memo_entries_match_expansion(triangle, triangle_sd, s3_group,
     tetrahedron, tetrahedron_sd, s4_group = tetrahedron_with_s4()
     for c, sd, group, bound in [(triangle, triangle_sd, s3_group, 6),
                                 (tetrahedron, tetrahedron_sd, s4_group, 4)]:
-        basis = compute_basis(sd.target, sd.balancing, field).basis
-        phi = build_phi(TransferContext(sd, field), basis)
+        basis = compute_basis(sd.balancing, field).basis
+        phi = build_phi(TransferContext(sd), basis)
         averaged = average(phi, group)
         report = verify_morphism(averaged, group, bound)
         assert report.equivariant and report.isomorphism
@@ -566,7 +564,7 @@ def test_equivariance_failure_at_image_with_extra_term(double_edge,
                                                        swap_group):
     # images[sigma.m] holds every term of sigma.images[m] and one more, so
     # the check fails at m itself, not only at sigma.m
-    ctx = TransferContext(double_edge_sd, RATIONAL)
+    ctx = TransferContext(double_edge_sd)
     beta = ((double_edge.resolve("beta"), 1),)
     extra = straighten(double_edge, [("v", 2)], RATIONAL)
 

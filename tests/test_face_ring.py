@@ -26,6 +26,7 @@ from facering.errors import (
     FieldMismatch,
     InputError,
     InvalidBalancing,
+    UnknownFace,
 )
 from facering.face_ring import (
     ParameterPolynomial,
@@ -141,7 +142,7 @@ def _repeated_products(element, terms, variant, balancing):
     """The sum of c * P^a * element by repeated ``RingElement.__mul__`` with
     whole parameter elements: the reference the Horner evaluator must meet."""
     c, field = element.complex, element.field
-    params = [label_row_parameter(c, balancing, j, field) if variant == "omega"
+    params = [label_row_parameter(balancing, j, field) if variant == "omega"
               else rank_row_parameter(c, j, field, variant == "gamma")
               for j in range(1, c.n + 1)]
     total = RingElement.zero(c, field, element.discrete)
@@ -434,20 +435,19 @@ def test_multidegree_conventions_agree_on_subdivision(double_edge, double_edge_s
     # the rank-vector degree of a multichain equals the label-vector degree of
     # its cell form on the subdivision, face by face
     from facering.transfer import TransferContext
-    ctx = TransferContext(double_edge_sd, RATIONAL)
+    ctx = TransferContext(double_edge_sd)
     for d in range(7):
         for m in graded_monomials(double_edge, degree=d):
             cell = ctx.cell_mono_of_multichain(m)
             assert (mono_rank_multidegree(double_edge, m)
-                    == mono_label_multidegree(double_edge_sd.target,
-                                              double_edge_sd.balancing, cell))
+                    == mono_label_multidegree(double_edge_sd.balancing, cell))
 
 
 def test_multidegree_extremes(double_edge_sd):
     target, bal = double_edge_sd.target, double_edge_sd.balancing
-    assert mono_label_multidegree(target, bal, ()) == (0, 0)
+    assert mono_label_multidegree(bal, ()) == (0, 0)
     for eps in target.facets:
-        assert mono_label_multidegree(target, bal, ((eps, 1),)) == (1, 1)
+        assert mono_label_multidegree(bal, ((eps, 1),)) == (1, 1)
 
 
 def test_rank_row_parameters(double_edge):
@@ -460,7 +460,7 @@ def test_rank_row_parameters(double_edge):
 
 
 def test_label_row_parameter(disk, disk_balancing):
-    omega1 = label_row_parameter(disk, disk_balancing, 1, RATIONAL)
+    omega1 = label_row_parameter(disk_balancing, 1, RATIONAL)
     assert omega1 == el(disk, [("s", 1)]) + el(disk, [("t", 1)])
 
 
@@ -583,7 +583,7 @@ def test_graded_monomials_match_brute_force(name, request):
             upto2, lambda m: mono_shape(c, m) == sh(vec))
         assert graded_monomials(c, multidegree=vec, balancing=balancing) == \
             reference(upto2,
-                      lambda m: mono_label_multidegree(c, balancing, m) == vec)
+                      lambda m: mono_label_multidegree(balancing, m) == vec)
 
 
 def test_gamma_monomials_cover_shape_component(double_edge, triangle):
@@ -652,7 +652,7 @@ def test_homogeneous_terms_sit_under_distinct_facets(disk, disk_balancing):
 def test_omega_times_monomial_never_zero(disk, disk_balancing, double_edge_sd):
     cases = [(disk, disk_balancing), (double_edge_sd.target, double_edge_sd.balancing)]
     for c, bal in cases:
-        omegas = [label_row_parameter(c, bal, j, RATIONAL)
+        omegas = [label_row_parameter(bal, j, RATIONAL)
                   for j in range(1, bal.n + 1)]
         for d in range(4):
             for m in graded_monomials(c, degree=d):
@@ -724,8 +724,8 @@ def test_parameter_relation_on_double_edge(double_edge):
 
 
 def test_project_omega_to_facet(disk, disk_balancing):
-    omega1 = label_row_parameter(disk, disk_balancing, 1, RATIONAL)
-    verts, image = project_to_face(disk, "P", omega1)
+    omega1 = label_row_parameter(disk_balancing, 1, RATIONAL)
+    verts, image = project_to_face(omega1, "P")
     s = disk.resolve("s")
     assert s in verts
     expected_key = tuple(1 if v == s else 0 for v in verts)
@@ -734,13 +734,13 @@ def test_project_omega_to_facet(disk, disk_balancing):
 
 def test_project_kills_outside_support(disk):
     f = el(disk, [("zeta", 1)])
-    _, image = project_to_face(disk, "P", f)
+    _, image = project_to_face(f, "P")
     assert image == {}
 
 
 def test_project_facet_generator(disk):
     f = el(disk, [("P", 1)])
-    verts, image = project_to_face(disk, "P", f)
+    verts, image = project_to_face(f, "P")
     assert image == {(1,) * len(verts): 1}
 
 
@@ -750,14 +750,22 @@ def test_project_injective_on_sitting_monomials(disk):
                if all(disk.leq(f, eps) for f, _ in m)]
     images = set()
     for m in sitting:
-        _, image = project_to_face(disk, eps, RingElement.monomial(disk, RATIONAL, m))
+        _, image = project_to_face(RingElement.monomial(disk, RATIONAL, m), eps)
         assert len(image) == 1
         images.add(next(iter(image)))
     assert len(images) == len(sitting)
 
 
+def test_project_reads_the_face_off_the_element(double_edge):
+    f = el(double_edge, [("alpha", 1)]) + el(double_edge, [("beta", 1)])
+    for face in ["P", len(double_edge)]:  # a disk face, an index past the edge's
+        with pytest.raises(UnknownFace):
+            project_to_face(f, face)
+    assert project_to_face(f, "alpha")[1] == {(1, 1): 1}
+
+
 def test_fine_vectors_double_edge_sd(double_edge_sd):
-    f, h = fine_vectors(double_edge_sd.target, double_edge_sd.balancing)
+    f, h = fine_vectors(double_edge_sd.balancing)
     assert f == {(): 1, (1,): 2, (2,): 2, (1, 2): 4}
     assert h == {(): 1, (1,): 1, (2,): 1, (1, 2): 1}
 
@@ -766,13 +774,13 @@ def test_fine_vectors_single_vertex():
     from facering import build_from_facets
     c = build_from_facets([["x"]])
     bal = Balancing(c, {"x": 1})
-    f, h = fine_vectors(c, bal)
+    f, h = fine_vectors(bal)
     assert f == {(): 1, (1,): 1}
     assert h == {(): 1, (1,): 0}
 
 
-def test_fine_vectors_disk(disk, disk_balancing):
-    f, h = fine_vectors(disk, disk_balancing)
+def test_fine_vectors_disk(disk_balancing):
+    f, h = fine_vectors(disk_balancing)
     assert f == {(): 1, (1,): 2, (2,): 1, (3,): 1, (1, 2): 2, (1, 3): 2,
                  (2, 3): 2, (1, 2, 3): 3}
     assert {s: c for s, c in h.items() if c} == {(): 1, (1,): 1, (2, 3): 1}

@@ -14,7 +14,7 @@ from facering import (
     straighten,
 )
 from facering.coeff import normal
-from facering.errors import BasisInvalid, ComplexMismatch
+from facering.errors import BasisInvalid, ComplexMismatch, FieldMismatch
 from facering.face_ring import ParameterPolynomial, mono_shape
 from facering.linalg import RowSpan
 from facering.partitions import strictly_dominates
@@ -28,13 +28,12 @@ from conftest import GF5, RATIONAL
 
 @pytest.fixture(scope="module")
 def de_ctx(double_edge_sd):
-    return TransferContext(double_edge_sd, RATIONAL)
+    return TransferContext(double_edge_sd)
 
 
 @pytest.fixture(scope="module")
 def de_basis(double_edge_sd):
-    return compute_basis(double_edge_sd.target, double_edge_sd.balancing,
-                         RATIONAL).basis
+    return compute_basis(double_edge_sd.balancing, RATIONAL).basis
 
 
 def disc(c, pairs, coeff=1):
@@ -150,7 +149,7 @@ def test_express_golden(double_edge, double_edge_sd, de_ctx, de_basis):
 
 def test_express_member_image_is_trivial(double_edge_sd, de_ctx, de_basis):
     for member in de_basis.members:
-        g = de_ctx.member_image(member)
+        g = de_ctx.member_image(member, RATIONAL)
         result = express_on_transferred_basis(de_ctx, de_basis, g)
         for other, p in result.coefficients.items():
             if other == member:
@@ -160,20 +159,19 @@ def test_express_member_image_is_trivial(double_edge_sd, de_ctx, de_basis):
 
 
 def _reevaluate(ctx, basis, coefficients):
-    total = RingElement.zero(ctx.sd.source, ctx.field, False)
+    total = RingElement.zero(ctx.sd.source, basis.field, False)
     for member, p in coefficients.items():
         if not p.is_zero:
             total = total + p.evaluate(ctx.sd.source, "theta") \
-                * ctx.member_image(member)
+                * ctx.member_image(member, basis.field)
     return total
 
 
 def test_express_roundtrip_random(double_edge, de_ctx, de_basis,
                                   triangle, triangle_sd):
     rng = random.Random(99)
-    tri_ctx = TransferContext(triangle_sd, RATIONAL)
-    tri_basis = compute_basis(triangle_sd.target, triangle_sd.balancing,
-                              RATIONAL).basis
+    tri_ctx = TransferContext(triangle_sd)
+    tri_basis = compute_basis(triangle_sd.balancing, RATIONAL).basis
     for c, ctx, basis in [(double_edge, de_ctx, de_basis),
                           (triangle, tri_ctx, tri_basis)]:
         faces = list(range(1, len(c)))
@@ -189,7 +187,7 @@ def test_express_roundtrip_random(double_edge, de_ctx, de_basis,
 
 def test_transferred_basis_degreewise_independent(double_edge, de_ctx, de_basis):
     # no nonzero kernel vector in any degree component of the evaluation map
-    images = {m: de_ctx.member_image(m) for m in de_basis.members}
+    images = {m: de_ctx.member_image(m, RATIONAL) for m in de_basis.members}
     deg = {m: sum(e * double_edge.rank[f] for f, e in next(iter(images[m].terms)))
            for m in de_basis.members}
     for d in range(7):
@@ -233,8 +231,8 @@ def test_cell_form_is_a_ring_isomorphism(double_edge, de_ctx):
 def test_express_roundtrip_on_disk(disk):
     # three labels and a non-simplicial host with parallel edges
     sd = barycentric_subdivision(disk)
-    ctx = TransferContext(sd, RATIONAL)
-    basis = compute_basis(sd.target, sd.balancing, RATIONAL).basis
+    ctx = TransferContext(sd)
+    basis = compute_basis(sd.balancing, RATIONAL).basis
     rng = random.Random(31)
     faces = list(range(1, len(disk)))
     for _ in range(8):
@@ -249,16 +247,15 @@ def test_express_roundtrip_on_disk(disk):
 
 def test_express_over_prime_field(double_edge, double_edge_sd):
     from conftest import GF5
-    ctx = TransferContext(double_edge_sd, GF5)
-    basis = compute_basis(double_edge_sd.target, double_edge_sd.balancing,
-                          GF5).basis
+    ctx = TransferContext(double_edge_sd)
+    basis = compute_basis(double_edge_sd.balancing, GF5).basis
     g = straighten(double_edge, [("w", 2), ("beta", 1)], GF5)
     result = express_on_transferred_basis(ctx, basis, g)
     total = RingElement.zero(double_edge, GF5, False)
     for member, p in result.coefficients.items():
         if not p.is_zero:
             total = total + p.evaluate(double_edge, "theta") \
-                * ctx.member_image(member)
+                * ctx.member_image(member, GF5)
     assert total == g
     names = {double_edge_sd.target.ids[m]: p
              for m, p in result.coefficients.items()}
@@ -268,13 +265,21 @@ def test_express_over_prime_field(double_edge, double_edge_sd):
 
 def test_express_detects_broken_basis(double_edge, double_edge_sd, de_ctx):
     from facering.cm_basis import CellBasis
-    target, bal = double_edge_sd.target, double_edge_sd.balancing
-    good = compute_basis(target, bal, RATIONAL).basis
+    bal = double_edge_sd.balancing
+    good = compute_basis(bal, RATIONAL).basis
     # drop a member: representation of some faces must now fail
     broken = CellBasis(bal, RATIONAL, good.members[:-1])
     g = asl(double_edge, [("w", 2), ("beta", 1)])
     with pytest.raises(BasisInvalid):
         express_on_transferred_basis(de_ctx, broken, g)
+
+
+def test_express_works_in_the_basis_field(double_edge, de_ctx, de_basis):
+    # the basis is over Q: an element over GF(5) is refused by the first
+    # representation, before any pass is evaluated and subtracted
+    g = straighten(double_edge, [("w", 2), ("beta", 1)], GF5)
+    with pytest.raises(FieldMismatch, match="element and basis"):
+        express_on_transferred_basis(de_ctx, de_basis, g)
 
 
 def assert_canonical(element):
@@ -291,7 +296,7 @@ def test_canonical_copies_match_normalizing_constructor(double_edge, triangle,
     # without re-normalizing them; the results equal normalized ones
     rng = random.Random(5)
     for c in (double_edge, triangle):
-        ctx = TransferContext(barycentric_subdivision(c), field)
+        ctx = TransferContext(barycentric_subdivision(c))
         monos = [m for d in range(5) for m in graded_monomials(c, degree=d)]
         for _ in range(20):
             terms = {m: Fraction(rng.randint(-9, 9), rng.randint(1, 4))
