@@ -19,7 +19,7 @@ from .complexes import (
     label_selected,
     validate_balancing,
 )
-from .partitions import Dominance, Partition, compare_dominance, sh, sh_inverse
+from .partitions import Partition, sh, sh_inverse
 from .face_ring import (
     ParameterPolynomial,
     RingElement,

@@ -223,9 +223,6 @@ class BooleanComplex:
     def comparable(self, a: int, b: int) -> bool:
         return self.leq(a, b) or self.leq(b, a)
 
-    def downset(self, f: int) -> list[int]:
-        return list(mask_members(self.down[f]))
-
     def vertices(self) -> list[int]:
         return self.faces_of_rank(1)
 
@@ -240,10 +237,6 @@ class BooleanComplex:
     def n(self) -> int:
         """Maximal rank: the number of labels a balancing must use."""
         return len(self._by_rank) - 1
-
-    @property
-    def dim(self) -> int:
-        return len(self._by_rank) - 2
 
     def is_pure(self) -> bool:
         return len({self.rank[f] for f in self.facets}) <= 1

@@ -18,12 +18,7 @@ from math import comb
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .coeff import FieldSpec, inverse, is_unit_integer, normal
-from .complexes import (
-    EMPTY,
-    BooleanComplex,
-    SdMap,
-    face_id_of_vertex_set,
-)
+from .complexes import EMPTY, BooleanComplex, face_id_of_vertex_set
 from .errors import (
     ComplexMismatch,
     DomainError,
@@ -54,9 +49,6 @@ class Automorphism:
     complex: BooleanComplex
     perm: tuple[int, ...]
 
-    def __call__(self, face: int) -> int:
-        return self.perm[face]
-
     def compose(self, other: "Automorphism") -> "Automorphism":
         """self after other."""
         return Automorphism(self.complex,
@@ -72,17 +64,6 @@ class Automorphism:
     @property
     def is_identity(self) -> bool:
         return all(g == f for f, g in enumerate(self.perm))
-
-    def induce_on_subdivision(self, sd: SdMap) -> "Automorphism":
-        """The permutation of the subdivision's faces through chains."""
-        if sd.source is not self.complex:
-            raise ComplexMismatch("automorphism and subdivision disagree")
-        perm = [EMPTY] * len(sd.target)
-        for f in range(1, len(sd.target)):
-            image = tuple(sorted((self.perm[g] for g in sd.chain_of[f]),
-                                 key=lambda g: self.complex.rank[g]))
-            perm[f] = sd.face_of_chain[image]
-        return Automorphism(sd.target, tuple(perm))
 
 
 def _validate_automorphism(complex: BooleanComplex,
@@ -189,7 +170,8 @@ def act(sigma: Automorphism, element: RingElement) -> RingElement:
 
 class Morphism:
     """A parameter-linear map from the subdivision's ring to the face ring,
-    stored by its images of a cell basis, over the basis's field.
+    stored by its images of a cell basis, over the basis's field.  The basis
+    must live on the context's subdivision complex (``ComplexMismatch``).
 
     Three append-only memos serve ``apply``: the image of each standard
     monomial; each product theta^a * images[member] for an exponent vector
@@ -209,6 +191,8 @@ class Morphism:
 
     def __init__(self, ctx: TransferContext, basis: CellBasis,
                  images: Mapping[int, RingElement]):
+        if basis.complex is not ctx.sd.target:
+            raise ComplexMismatch("basis must live on the subdivision complex")
         self.ctx = ctx
         self.basis = basis
         self.images = {m: images[m] for m in basis.members}
@@ -225,11 +209,6 @@ class Morphism:
                 if not (mu == lam or strictly_dominates(lam, mu)):
                     raise InputError(
                         "image terms must have shape dominated by the source")
-
-    def member_element(self, member: int) -> RingElement:
-        """The basis member as an element of the subdivision's ring."""
-        mono = tuple((f, 1) for f in self.ctx.sd.chain_of[member])
-        return RingElement(self.ctx.sd.source, self.basis.field, True, {mono: 1})
 
     def apply(self, element: RingElement) -> RingElement:
         """Represent on the stored basis, then evaluate the coefficients with

@@ -12,7 +12,10 @@ That choice is the one product rule, :func:`_product_counts`, behind ``*``,
 :func:`straighten` and the parameter steps of :func:`times_parameter`.
 
 A standard monomial is a tuple of (face index, exponent) pairs sorted by
-rank; the empty tuple is the monomial 1.  Operations return new elements and
+rank; the empty tuple is the monomial 1.  They are enumerated by total
+degree (:func:`graded_monomials`); a monomial's shape and multidegrees are
+read off it (:func:`mono_shape`, :func:`mono_rank_multidegree`,
+:func:`mono_label_multidegree`).  Operations return new elements and
 never modify their inputs.  Straightening results and the steps
 x^m * theta_j have integer coefficients, so they are memoized on the complex
 once, as integer counts, and reduced into a prime field on use; the caches
@@ -27,13 +30,13 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .coeff import FieldSpec, Raw, normal
 from .complexes import (EMPTY, Balancing, BooleanComplex, mask_members,
                         require_valid_balancing)
 from .errors import ComplexMismatch, FieldMismatch, InputError, InvalidBalancing
-from .partitions import Partition, sh, sh_inverse
+from .partitions import Partition, sh
 
 Mono = tuple[tuple[int, int], ...]
 
@@ -211,11 +214,6 @@ class RingElement:
         return sorted(self.terms.items(),
                       key=lambda mc: term_sort_key(self.complex, mc[0]))
 
-    def shape_component(self, lam: Partition) -> "RingElement":
-        return RingElement(self.complex, self.field, self.discrete,
-                           {m: c for m, c in self.terms.items()
-                            if mono_shape(self.complex, m) == lam})
-
     def __repr__(self) -> str:
         from .expressions import format_element
         return f"<RingElement {format_element(self)}>"
@@ -246,29 +244,23 @@ def _rewrite_product(complex: BooleanComplex, mono: Mono,
     return [canonical_mono(complex, base + [(g, 1)]) for g in lub]
 
 
-def _straighten_counts(complex: BooleanComplex, mono: Mono,
-                       pick: Callable | None = None,
-                       memo: dict | None = None) -> dict[Mono, int]:
+def _straighten_counts(complex: BooleanComplex, mono: Mono) -> dict[Mono, int]:
     """Integer-coefficient normal form of a canonical exponent multiset.
 
     Depth first over an explicit stack of (monomial, children) frames, so
-    deep powers cannot exhaust the interpreter stack.  ``pick(pairs)``
-    chooses which incomparable support pair to rewrite; by default a pair
-    without common upper bound (the term dies at once), else the pair of
-    lowest combined rank.  ``memo`` defaults to the complex's cache, and a
-    key is written only once its result is complete.  Rewrite coefficients
-    are nonnegative integers, so one cache serves every coefficient field.
-    Terminates because each rewrite strictly lowers the term's shape in
-    dominance order.
+    deep powers cannot exhaust the interpreter stack.  Each step rewrites a
+    pair of incomparable support faces without common upper bound (the term
+    dies at once), else the pair of lowest combined rank.  Results go into
+    the complex's cache, a key only once its result is complete.  Rewrite
+    coefficients are nonnegative integers, so one cache serves every
+    coefficient field.  Terminates because each rewrite strictly lowers the
+    term's shape in dominance order.
     """
-    memo = complex._straighten_cache if memo is None else memo
+    memo = complex._straighten_cache
     hit = memo.get(mono)
     if hit is not None:
         return hit
-    if pick is None:
-        up, rank = complex.up, complex.rank
-        pick = lambda pairs: min(pairs, key=lambda p: (
-            bool(up[p[0]] & up[p[1]]), rank[p[0]] + rank[p[1]], p))
+    up, rank = complex.up, complex.rank
     stack: list[tuple[Mono, list[Mono] | None]] = [(mono, None)]
     while stack:
         m, children = stack.pop()
@@ -284,7 +276,9 @@ def _straighten_counts(complex: BooleanComplex, mono: Mono,
         if not pairs:
             memo.setdefault(m, {m: 1})
             continue
-        children = _rewrite_product(complex, m, *pick(pairs))
+        a, b = min(pairs, key=lambda p: (bool(up[p[0]] & up[p[1]]),
+                                         rank[p[0]] + rank[p[1]], p))
+        children = _rewrite_product(complex, m, a, b)
         stack.append((m, children))
         stack.extend((c, None) for c in children if c not in memo)
     return memo[mono]
@@ -318,21 +312,6 @@ def straighten(complex: BooleanComplex, raw: Iterable[tuple[int | str, int]],
     counts = _product_counts(complex, canonical_mono(complex, pairs), discrete)
     return RingElement(complex, field, discrete,
                        {m: coeff * k for m, k in counts.items()})
-
-
-def straighten_with_strategy(complex: BooleanComplex,
-                             raw: Iterable[tuple[int, int]],
-                             field: FieldSpec,
-                             choose: Callable) -> RingElement:
-    """Straightening with a caller-supplied incomparable-pair picker and a
-    fresh memo.
-
-    ``choose(pairs)`` receives the list of incomparable support pairs and
-    returns one of them.  Used to exercise confluence: every strategy must
-    produce the same element.
-    """
-    counts = _straighten_counts(complex, canonical_mono(complex, raw), choose, {})
-    return RingElement(complex, field, False, counts)
 
 
 # -- parameters ---------------------------------------------------------------------
@@ -479,15 +458,6 @@ class ParameterPolynomial:
             if len(a) != n:
                 raise InputError("exponent vector length mismatch")
 
-    @classmethod
-    def zero(cls, n, field) -> "ParameterPolynomial":
-        return cls(n, field)
-
-    @classmethod
-    def monomial(cls, n, field, exponents: Sequence[int],
-                 coeff: Raw = 1) -> "ParameterPolynomial":
-        return cls(n, field, {tuple(exponents): coeff})
-
     @property
     def is_zero(self) -> bool:
         return not self.terms
@@ -497,23 +467,6 @@ class ParameterPolynomial:
                 and self.field == other.field and self.terms == other.terms)
 
     __hash__ = None  # type: ignore[assignment]
-
-    def __add__(self, other: "ParameterPolynomial") -> "ParameterPolynomial":
-        if self.n != other.n or self.field != other.field:
-            raise FieldMismatch("parameter polynomials are incompatible")
-        return ParameterPolynomial(self.n, self.field,
-                                   add_terms(dict(self.terms), other.terms.items()))
-
-    def __neg__(self) -> "ParameterPolynomial":
-        return ParameterPolynomial(self.n, self.field,
-                                   {a: -c for a, c in self.terms.items()})
-
-    def __sub__(self, other: "ParameterPolynomial") -> "ParameterPolynomial":
-        return self + (-other)
-
-    def scale(self, coeff: Raw) -> "ParameterPolynomial":
-        return ParameterPolynomial(self.n, self.field,
-                                   {a: coeff * c for a, c in self.terms.items()})
 
     def evaluate(self, complex: BooleanComplex, variant: str,
                  balancing: Balancing | None = None) -> RingElement:
@@ -538,63 +491,26 @@ class ParameterPolynomial:
 # -- graded enumeration --------------------------------------------------------------
 
 
-def graded_monomials(complex: BooleanComplex, *, degree: int | None = None,
-                     shape: Partition | None = None,
-                     multidegree: Sequence[int] | None = None,
-                     balancing: Balancing | None = None,
-                     face_degree: Callable[[int], int] | None = None,
-                     ) -> list[Mono]:
-    """All standard monomials matching one selector, in canonical order.
+def graded_monomials(complex: BooleanComplex, degree: int) -> list[Mono]:
+    """All standard monomials of total degree ``degree``, a face weighing
+    its rank, in canonical order (:func:`term_sort_key`).
 
-    Selectors: total ``degree`` (weights are face ranks unless
-    ``face_degree`` overrides them), ``shape`` (rank convention), or
-    ``multidegree`` (rank convention, or label convention when a balancing
-    is supplied); a multidegree has length n.  Monomials are multichains:
-    chains with positive exponents; callers always bound the enumeration
-    through the selector.  One loop over an explicit stack serves every
-    selector, a total degree being a weight vector of length 1, and each
-    next face comes from the upset of the last one.
+    Monomials are multichains: chains with positive exponents.  One loop
+    over an explicit stack takes each next face from the upset of the last
+    one; every rank is positive, so each step uses up degree.
     """
-    selectors = [degree is not None, shape is not None, multidegree is not None]
-    if sum(selectors) != 1:
-        raise InputError("exactly one selector is required")
-    if shape is not None:
-        multidegree = sh_inverse(shape, complex.n)
-    faces = range(1, len(complex))
-    if multidegree is not None:
-        if len(multidegree) != complex.n:
-            raise InputError(f"multidegree {tuple(multidegree)} must have "
-                             f"length n = {complex.n}")
-        if balancing is not None:
-            if balancing.complex is not complex:
-                raise InvalidBalancing("balancing belongs to a different complex")
-            require_valid_balancing(balancing)
-            weight = {f: mono_label_multidegree(balancing, ((f, 1),))
-                      for f in faces}
-        else:
-            weight = {f: mono_rank_multidegree(complex, ((f, 1),)) for f in faces}
-        target = tuple(multidegree)
-    else:
-        fd = face_degree or (lambda f: complex.rank[f])
-        weight = {f: (fd(f),) for f in faces}
-        if any(w <= 0 for (w,) in weight.values()):
-            raise InputError("face degrees must be positive")
-        target = (degree,)
-    # every weight is nonzero and nonnegative, so each step uses up target
+    rank = complex.rank
     results: list[Mono] = []
-    stack: list[tuple[int, tuple[int, ...], Mono]] = [(EMPTY, target, ())]
+    stack: list[tuple[int, int, Mono]] = [(EMPTY, degree, ())]
     while stack:
         last, remaining, acc = stack.pop()
-        if not any(remaining):
+        if not remaining:
             results.append(acc)
             continue
         for f in mask_members(complex.up[last] ^ 1 << last):  # faces above last
-            w, e = weight[f], 1
-            rem = tuple(r - x for r, x in zip(remaining, w))
-            while min(rem) >= 0:
-                stack.append((f, rem, acc + ((f, e),)))
-                e += 1
-                rem = tuple(r - x for r, x in zip(rem, w))
+            w = rank[f]
+            for e in range(1, remaining // w + 1):
+                stack.append((f, remaining - e * w, acc + ((f, e),)))
     results.sort(key=lambda m: term_sort_key(complex, m))
     return results
 

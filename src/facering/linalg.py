@@ -85,10 +85,6 @@ class Echelon:
         c = inverse(residual[pivot], p)
         self.rows.append((pivot, {j: normal(c * x, p) for j, x in residual.items()}))
 
-    def contains(self, vec: Mapping[int, Raw]) -> bool:
-        """Whether ``vec`` lies in the span: no real column is left."""
-        return min(self.reduce(vec), default=self.width) >= self.width
-
 
 class RowSpan(Echelon):
     """An :class:`Echelon` that also represents vectors on the tagged ones
@@ -99,10 +95,6 @@ class RowSpan(Echelon):
     def __init__(self, field: FieldSpec, width: int):
         super().__init__(field, width)
         self.tags: list[Hashable] = []
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
 
     def _combination(self, residual: SparseRow) -> dict[Hashable, Raw] | None:
         """The vector behind ``residual`` on the tagged ones (the negated

@@ -10,7 +10,6 @@ comparison below.
 
 from __future__ import annotations
 
-import enum
 from typing import Iterable, Sequence
 
 from .errors import InputError, TooManyParts
@@ -48,14 +47,6 @@ class Partition(tuple):
 
     def __repr__(self) -> str:
         return f"Partition{str(self)}"
-
-
-class Dominance(enum.Enum):
-    EQUAL = "equal"
-    STRICTLY_ABOVE = "strictly_above"
-    STRICTLY_BELOW = "strictly_below"
-    INCOMPARABLE = "incomparable"
-    DIFFERENT_WEIGHT = "different_weight"
 
 
 def sh(vec: Sequence[int]) -> Partition:
@@ -99,29 +90,6 @@ def dominates(lam: Partition, mu: Partition) -> bool:
 
 def strictly_dominates(lam: Partition, mu: Partition) -> bool:
     return lam != mu and dominates(lam, mu)
-
-
-def compare_dominance(lam: Partition, mu: Partition) -> Dominance:
-    if lam.weight != mu.weight:
-        return Dominance.DIFFERENT_WEIGHT
-    if lam == mu:
-        return Dominance.EQUAL
-    if dominates(lam, mu):
-        return Dominance.STRICTLY_ABOVE
-    if dominates(mu, lam):
-        return Dominance.STRICTLY_BELOW
-    return Dominance.INCOMPARABLE
-
-
-def partitions_of(d: int, max_part: int | None = None):
-    """Yield all partitions of d (largest part first), decreasing lexicographically."""
-    if d == 0:
-        yield Partition()
-        return
-    top = d if max_part is None else min(d, max_part)
-    for first in range(top, 0, -1):
-        for rest in partitions_of(d - first, first):
-            yield Partition((first,) + tuple(rest))
 
 
 def count_partitions(d: int) -> int:

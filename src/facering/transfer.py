@@ -3,8 +3,8 @@
 Both rings share the multichain monomial basis over the original face poset,
 so the transfer map is the identity on monomials and only switches the
 presentation (discrete vs straightening).  The context also converts
-elements of the subdivision's ring between that multichain form and the
-cell form on the subdivision complex itself, where chains become single
+elements of the subdivision's ring one way, from that multichain form to
+the cell form on the subdivision complex itself, where chains become single
 generators; the cell form is what the basis machinery consumes.  The
 context holds no field: elements carry theirs, and the descent works in the
 cell basis's.
@@ -33,7 +33,8 @@ from .partitions import count_partitions
 
 @dataclass(frozen=True)
 class TransferContext:
-    """The subdivision dictionary, both ways."""
+    """The subdivision dictionary: Garsia's transfer both ways, and the
+    cell form of the subdivision's ring."""
 
     sd: SdMap
 
@@ -73,15 +74,6 @@ class TransferContext:
                 out.append((face, 1))
         return tuple(sorted(out, key=lambda fe: len(self.sd.chain_of[fe[0]])))
 
-    def multichain_of_cell_mono(self, mono: Mono) -> Mono:
-        counts: dict[int, int] = {}
-        for sd_face, e in mono:
-            for f in self.sd.chain_of[sd_face]:
-                counts[f] = counts.get(f, 0) + e
-        src = self.sd.source
-        return tuple(sorted(counts.items(),
-                            key=lambda fe: (src.rank[fe[0]], fe[0])))
-
     def to_cell_form(self, element: RingElement) -> RingElement:
         """Subdivision ring in multichain form -> same ring on the subdivision
         complex's own generators."""
@@ -91,13 +83,6 @@ class TransferContext:
                  for m, c in element.terms.items()}
         return RingElement._canonical(self.sd.target, element.field, False,
                                       terms)
-
-    def from_cell_form(self, element: RingElement) -> RingElement:
-        if element.complex is not self.sd.target or element.discrete:
-            raise ComplexMismatch("expected a cell-form element")
-        terms = add_terms({}, ((self.multichain_of_cell_mono(m), c)
-                               for m, c in element.terms.items()))
-        return RingElement(self.sd.source, element.field, True, terms)
 
     def member_image(self, member: int, field: FieldSpec) -> RingElement:
         """Transfer of a basis member's generator into the face ring over

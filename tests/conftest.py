@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import settings
 
@@ -10,7 +12,9 @@ from facering import (
     barycentric_subdivision,
     build_from_facets,
     build_from_poset,
+    graded_monomials,
 )
+from facering.face_ring import canonical_mono, mono_label_multidegree, mono_shape
 
 RATIONAL = FieldSpec.rational()
 GF2 = FieldSpec.gf(2)
@@ -35,6 +39,41 @@ def gf5():
 @pytest.fixture(scope="session", params=["rational", "gf:2", "gf:5"])
 def any_field(request):
     return FieldSpec.parse(request.param)
+
+
+def straighten_by(c, mono, pick):
+    """Reference normal form ``{monomial: count}`` of a canonical exponent
+    multiset, rewriting the incomparable support pair that ``pick(pairs)``
+    returns by x_a * x_b = x_(a meet b) * (sum of x_g over the minimal upper
+    bounds g of a and b), zero without an upper bound.  Recursive, so for
+    small inputs only."""
+    support = sorted(f for f, _ in mono)
+    pairs = [(a, b) for i, a in enumerate(support) for b in support[i + 1:]
+             if not c.comparable(a, b)]
+    if not pairs:
+        return {mono: 1}
+    a, b = pick(pairs)
+    lub = c.lub_set(a, b)
+    if not lub:
+        return {}
+    base = [(f, e - (f == a) - (f == b)) for f, e in mono] + [(c.meet(a, b), 1)]
+    counts = Counter()
+    for g in lub:
+        counts.update(straighten_by(c, canonical_mono(c, base + [(g, 1)]), pick))
+    return dict(counts)
+
+
+def monomials_of_shape(c, lam):
+    """The standard monomials of shape ``lam``, in canonical order."""
+    return [m for m in graded_monomials(c, degree=lam.weight)
+            if mono_shape(c, m) == lam]
+
+
+def monomials_of_label_multidegree(balancing, vec):
+    """The standard monomials of label multidegree ``vec``, in canonical
+    order; a face of a balanced complex has as many labels as its rank."""
+    return [m for m in graded_monomials(balancing.complex, degree=sum(vec))
+            if mono_label_multidegree(balancing, m) == tuple(vec)]
 
 
 def simplex_complex(d):

@@ -37,16 +37,13 @@ from facering.equivariant import (
     automorphism_from_vertex_map,
 )
 from facering.errors import OrderNotInvertible
-from facering.face_ring import (
-    ParameterPolynomial,
-    mono_shape,
-    straighten_with_strategy,
-)
+from facering.face_ring import ParameterPolynomial, canonical_mono, mono_shape
 from facering.linalg import rref
 from facering.partitions import sh, strictly_dominates
 from facering.transfer import TransferContext, express_on_transferred_basis
 
-from conftest import GF2, GF5, RATIONAL
+from conftest import (GF2, GF5, RATIONAL, monomials_of_label_multidegree,
+                      monomials_of_shape, straighten_by)
 
 FIELDS = (RATIONAL, GF2, GF5)
 
@@ -238,9 +235,9 @@ def test_criterion_10_property_suites(double_edge, double_edge_balancing,
                        for _ in range(rng.randint(2, 4))]
                 reference = straighten(c, raw, RATIONAL)
                 for _ in range(3):
-                    got = straighten_with_strategy(
-                        c, raw, RATIONAL, lambda pairs: rng.choice(pairs))
-                    assert got == reference
+                    got = straighten_by(c, canonical_mono(c, raw),
+                                        lambda pairs: rng.choice(pairs))
+                    assert RingElement(c, RATIONAL, False, got) == reference
 
         # dominance descent for products of monomial pairs of total degree <= 6
         for c in (double_edge, triangle):
@@ -293,15 +290,15 @@ def test_criterion_10_property_suites(double_edge, double_edge_balancing,
             gamma_mono = poly(2, dict([(exps, 1)])).evaluate(
                 double_edge, "gamma")
             assert sorted(gamma_mono.terms) == sorted(
-                graded_monomials(double_edge, shape=sh(exps)))
+                monomials_of_shape(double_edge, sh(exps)))
             assert all(c == 1 for c in gamma_mono.terms.values())
         for exps in itertools.product(range(3), repeat=3):
             if not 0 < sum(exps) <= 4:
                 continue
             omega_mono = poly(3, dict([(exps, 1)])).evaluate(
                 disk, "omega", balancing=disk_balancing)
-            assert sorted(omega_mono.terms) == sorted(graded_monomials(
-                disk, multidegree=exps, balancing=disk_balancing))
+            assert sorted(omega_mono.terms) == sorted(
+                monomials_of_label_multidegree(disk_balancing, exps))
             assert all(c == 1 for c in omega_mono.terms.values())
 
         # torsion-freeness witness
@@ -344,14 +341,16 @@ def test_criterion_10_property_suites(double_edge, double_edge_balancing,
                         counts[tuple(sorted(bal.label_sets[m]))] += 1
                     assert counts == h
 
-        # degreewise dimensions of the two rings agree
+        # degreewise dimensions of the two rings agree; a face's rank is at
+        # most its label sum, so degrees 0..d hold every label-sum weight d
         for c, sd in [(double_edge, double_edge_sd), (triangle, triangle_sd)]:
-            weights = {f: sum(sd.balancing.label_sets[f])
-                       for f in range(1, len(sd.target))}
+            label_sum = lambda m: sum(e * sum(sd.balancing.label_sets[f])
+                                      for f, e in m)
             for d in range(7):
-                assert len(graded_monomials(c, degree=d)) == len(
-                    graded_monomials(sd.target, degree=d,
-                                     face_degree=lambda f: weights[f]))
+                assert len(graded_monomials(c, degree=d)) == sum(
+                    1 for k in range(d + 1)
+                    for m in graded_monomials(sd.target, degree=k)
+                    if label_sum(m) == d)
 
 
 def test_criterion_11_scale(triangle_sd):

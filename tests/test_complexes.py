@@ -15,7 +15,7 @@ from facering import (
     label_selected,
     validate_balancing,
 )
-from facering.complexes import EMPTY
+from facering.complexes import EMPTY, mask_members
 from facering.documents import complex_from_document, load_json
 from facering.errors import (
     DuplicateFaceId,
@@ -209,12 +209,12 @@ def test_validation_matches_all_pairs_reference(covers):
     assert isinstance(expected, tuple)
     rank, down, atoms, chains = expected
     assert list(c.rank) == rank
-    assert [c.downset(f) for f in range(len(c))] == down
+    assert [list(mask_members(c.down[f])) for f in range(len(c))] == down
     assert list(c.atoms) == [sum(1 << g for g in a) for a in atoms]
     for r in range(-1, max(rank) + 2):
         assert c.faces_of_rank(r) == [f for f in range(len(c)) if rank[f] == r]
     assert c.vertices() == c.faces_of_rank(1)
-    assert c.n == max(rank) and c.dim == max(rank) - 1
+    assert c.n == max(rank)
     assert c.maximal_chain_count == chains
 
 
@@ -485,5 +485,5 @@ def test_lower_intervals_are_binomial(double_edge, disk, triangle_sd):
         for f in range(len(c)):
             r = c.rank[f]
             for k in range(r + 1):
-                count = sum(1 for g in c.downset(f) if c.rank[g] == k)
+                count = sum(1 for g in mask_members(c.down[f]) if c.rank[g] == k)
                 assert count == comb(r, k)

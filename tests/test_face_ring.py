@@ -37,14 +37,15 @@ from facering.face_ring import (
     mono_rank_multidegree,
     mono_shape,
     parameter_monomial,
-    straighten_with_strategy,
     term_sort_key,
     times_parameter,
 )
 from facering.linalg import RowSpan
 from facering.partitions import sh, strictly_dominates
 
-from conftest import GF2, GF5, RATIONAL, make_disk, make_double_edge
+from conftest import (GF2, GF5, RATIONAL, make_disk, make_double_edge,
+                      monomials_of_label_multidegree, monomials_of_shape,
+                      straighten_by)
 
 
 def el(c, pairs, field=RATIONAL, coeff=1, discrete=False):
@@ -332,9 +333,8 @@ def test_stored_scalars_are_canonical(field, double_edge, disk):
             for x in (a, a + b, a - b, -a, a * b, (a + b) * (a - b),
                       a.scale(k), k * a, a * k):
                 assert_canonical(x.terms.values(), p)
-            q1, q2 = random_polynomial(), random_polynomial()
-            for q in (q1, q1 + q2, q1 - q2, -q1, q1.scale(k)):
-                assert_canonical(q.terms.values(), p)
+            q1 = random_polynomial()
+            assert_canonical(q1.terms.values(), p)
             assert_canonical(q1.evaluate(c, "theta").terms.values(), p)
 
     # representations come out canonical from unreduced input rows
@@ -468,7 +468,7 @@ def test_label_row_parameter(disk, disk_balancing):
 
 
 def test_gamma_monomial_expansion(double_edge):
-    poly = ParameterPolynomial.monomial(2, RATIONAL, (2, 1))
+    poly = ParameterPolynomial(2, RATIONAL, {(2, 1): 1})
     got = poly.evaluate(double_edge, "gamma")
     expected = (el(double_edge, [("v", 2), ("alpha", 1)], discrete=True)
                 + el(double_edge, [("v", 2), ("beta", 1)], discrete=True)
@@ -478,13 +478,13 @@ def test_gamma_monomial_expansion(double_edge):
 
 
 def test_constant_parameter_poly(double_edge):
-    poly = ParameterPolynomial.monomial(2, RATIONAL, (0, 0))
+    poly = ParameterPolynomial(2, RATIONAL, {(0, 0): 1})
     assert poly.evaluate(double_edge, "theta") \
         == RingElement.one(double_edge, RATIONAL)
 
 
 def test_theta_monomial_matches_product(double_edge):
-    poly = ParameterPolynomial.monomial(2, RATIONAL, (2, 1))
+    poly = ParameterPolynomial(2, RATIONAL, {(2, 1): 1})
     theta1 = rank_row_parameter(double_edge, 1, RATIONAL)
     theta2 = rank_row_parameter(double_edge, 2, RATIONAL)
     assert poly.evaluate(double_edge, "theta") \
@@ -495,44 +495,23 @@ def test_parameter_poly_printing():
     poly = ParameterPolynomial(2, RATIONAL, {
         (2, 1): 1, (0, 2): -1})
     assert str(poly) == "t1^2*t2 - t2^2"
-    assert str(ParameterPolynomial.zero(2, RATIONAL)) == "0"
+    assert str(ParameterPolynomial(2, RATIONAL)) == "0"
 
 
 # -- graded enumeration ---------------------------------------------------------------
 
 
 def test_graded_monomials_by_shape(double_edge):
-    got = graded_monomials(double_edge, shape=Partition((3, 1)))
+    got = monomials_of_shape(double_edge, Partition((3, 1)))
     expected = {mono(double_edge, [(v, 2), (e, 1)])
                 for v in "vw" for e in ("alpha", "beta")}
     assert set(got) == expected
-    assert graded_monomials(double_edge, shape=Partition((1, 1))) == [
+    assert monomials_of_shape(double_edge, Partition((1, 1))) == [
         mono(double_edge, [("alpha", 1)]), mono(double_edge, [("beta", 1)])]
 
 
 def test_graded_monomials_degree_zero(double_edge):
     assert graded_monomials(double_edge, degree=0) == [()]
-
-
-def test_graded_monomials_selector_validation(double_edge):
-    with pytest.raises(InputError):
-        graded_monomials(double_edge)
-    with pytest.raises(InputError):
-        graded_monomials(double_edge, degree=1, shape=Partition((1,)))
-
-
-@pytest.mark.parametrize("vec", [(1,), (1, 0, 0), (0, 0, 1)])
-def test_graded_monomials_multidegree_of_wrong_length(double_edge,
-                                                      double_edge_balancing, vec):
-    # a truncated target was never used up by an edge's weight (0, 1)
-    for balancing in (None, double_edge_balancing):
-        with pytest.raises(InputError, match="length n = 2"):
-            graded_monomials(double_edge, multidegree=vec, balancing=balancing)
-
-
-def test_graded_monomials_face_degrees_must_be_positive(double_edge):
-    with pytest.raises(InputError, match="positive"):
-        graded_monomials(double_edge, degree=2, face_degree=lambda f: f - 2)
 
 
 def _multichains(c, bound):
@@ -567,21 +546,19 @@ def test_graded_monomials_match_brute_force(name, request):
 
     # a degree-d monomial has exponents at most d
     upto4 = _multichains(c, 4)
-    weights = {f: 1 + f % 2 for f in range(1, len(c))}
     for d in range(5):
         assert graded_monomials(c, degree=d) == reference(
             upto4, lambda m: mono_degree(c, m) == d)
-        assert graded_monomials(
-            c, degree=d, face_degree=lambda f: weights[f]) == reference(
-            upto4, lambda m: sum(e * weights[f] for f, e in m) == d)
     # every face weighs in some entry, so exponents are at most the largest
     upto2 = _multichains(c, 2)
     for vec in itertools.product(range(3), repeat=c.n):
-        assert graded_monomials(c, multidegree=vec) == reference(
+        degree = sum((j + 1) * a for j, a in enumerate(vec))
+        assert [m for m in graded_monomials(c, degree=degree)
+                if mono_rank_multidegree(c, m) == vec] == reference(
             upto2, lambda m: mono_rank_multidegree(c, m) == vec)
-        assert graded_monomials(c, shape=sh(vec)) == reference(
+        assert monomials_of_shape(c, sh(vec)) == reference(
             upto2, lambda m: mono_shape(c, m) == sh(vec))
-        assert graded_monomials(c, multidegree=vec, balancing=balancing) == \
+        assert monomials_of_label_multidegree(balancing, vec) == \
             reference(upto2,
                       lambda m: mono_label_multidegree(balancing, m) == vec)
 
@@ -594,10 +571,10 @@ def test_gamma_monomials_cover_shape_component(double_edge, triangle):
         for exps in itertools.product(range(3), repeat=n):
             if sum(exps) == 0 or sum(e * (j + 1) for j, e in enumerate(exps)) > 6:
                 continue
-            poly = ParameterPolynomial.monomial(n, RATIONAL, exps)
+            poly = ParameterPolynomial(n, RATIONAL, {exps: 1})
             got = poly.evaluate(c, "gamma")
             lam = sh(exps)
-            expected = graded_monomials(c, shape=lam)
+            expected = monomials_of_shape(c, lam)
             assert sorted(got.terms) == sorted(expected)
             assert all(coeff == 1 for coeff in got.terms.values())
 
@@ -610,10 +587,10 @@ def test_theta_monomials_dominate_shape_component(double_edge, triangle):
         for exps in itertools.product(range(3), repeat=n):
             if sum(exps) == 0 or sum(e * (j + 1) for j, e in enumerate(exps)) > 6:
                 continue
-            poly = ParameterPolynomial.monomial(n, RATIONAL, exps)
+            poly = ParameterPolynomial(n, RATIONAL, {exps: 1})
             got = poly.evaluate(c, "theta")
             lam = sh(exps)
-            top = set(graded_monomials(c, shape=lam))
+            top = set(monomials_of_shape(c, lam))
             for m, coeff in got.terms.items():
                 if m in top:
                     assert coeff == 1
@@ -629,9 +606,9 @@ def test_omega_monomials_cover_multidegree(disk, disk_balancing, double_edge_sd)
         for exps in itertools.product(range(3), repeat=n):
             if not 0 < sum(exps) <= 4:
                 continue
-            poly = ParameterPolynomial.monomial(n, RATIONAL, exps)
+            poly = ParameterPolynomial(n, RATIONAL, {exps: 1})
             got = poly.evaluate(c, "omega", balancing=bal)
-            expected = graded_monomials(c, multidegree=exps, balancing=bal)
+            expected = monomials_of_label_multidegree(bal, exps)
             assert sorted(got.terms) == sorted(expected)
             assert all(coeff == 1 for coeff in got.terms.values())
 
@@ -641,7 +618,7 @@ def test_homogeneous_terms_sit_under_distinct_facets(disk, disk_balancing):
     for exps in itertools.product(range(3), repeat=3):
         if not 0 < sum(exps) <= 5:
             continue
-        poly = ParameterPolynomial.monomial(3, RATIONAL, exps)
+        poly = ParameterPolynomial(3, RATIONAL, {exps: 1})
         got = poly.evaluate(disk, "omega", balancing=disk_balancing)
         for eps in disk.facets:
             under = [m for m in got.terms
@@ -673,9 +650,9 @@ def test_straightening_confluence(double_edge, triangle, disk):
                    for _ in range(rng.randint(2, 4))]
             reference = straighten(c, raw, RATIONAL)
             for _ in range(4):
-                strategy = lambda pairs: rng.choice(pairs)
-                got = straighten_with_strategy(c, raw, RATIONAL, strategy)
-                assert got == reference
+                got = straighten_by(c, canonical_mono(c, raw),
+                                    lambda pairs: rng.choice(pairs))
+                assert RingElement(c, RATIONAL, False, got) == reference
 
 
 def test_filtration_of_products(double_edge, disk):

@@ -5,15 +5,26 @@ from hypothesis import given, strategies as st
 
 from facering.errors import InputError, TooManyParts
 from facering.partitions import (
-    Dominance,
     Partition,
-    compare_dominance,
     count_partitions,
     dominates,
-    partitions_of,
     sh,
     sh_inverse,
 )
+
+
+def partitions_of(d):
+    """Every partition of d, over an explicit stack of (parts so far,
+    remainder, largest part allowed)."""
+    out, stack = [], [((), d, d)]
+    while stack:
+        parts, rest, top = stack.pop()
+        if rest == 0:
+            out.append(Partition(parts))
+            continue
+        stack.extend((parts + (k,), rest - k, k)
+                     for k in range(1, min(rest, top) + 1))
+    return out
 
 
 def test_constructor_normalizes():
@@ -67,12 +78,18 @@ def test_sh_roundtrip_exhaustive():
 
 
 def test_compare_dominance_examples():
-    assert compare_dominance(Partition((3,)), Partition((2, 1))) is Dominance.STRICTLY_ABOVE
-    assert compare_dominance(Partition((3, 1)), Partition((2, 2))) is Dominance.STRICTLY_ABOVE
-    assert compare_dominance(Partition((3, 3)), Partition((4, 1, 1))) is Dominance.INCOMPARABLE
-    assert compare_dominance(Partition((2, 1)), Partition((2, 1))) is Dominance.EQUAL
-    assert compare_dominance(Partition((2, 2)), Partition((3, 1))) is Dominance.STRICTLY_BELOW
-    assert compare_dominance(Partition((2,)), Partition((1,))) is Dominance.DIFFERENT_WEIGHT
+    def both(lam, mu):
+        return dominates(Partition(lam), Partition(mu)), \
+            dominates(Partition(mu), Partition(lam))
+
+    assert both((3,), (2, 1)) == (True, False)  # strictly above
+    assert both((3, 1), (2, 2)) == (True, False)  # strictly above
+    assert both((3, 3), (4, 1, 1)) == (False, False)  # incomparable
+    assert both((2, 1), (2, 1)) == (True, True)  # equal
+    assert both((2, 2), (3, 1)) == (False, True)  # strictly below
+    # different weights: neither dominates
+    assert Partition((2,)).weight != Partition((1,)).weight
+    assert both((2,), (1,)) == (False, False)
 
 
 small_partitions = st.integers(min_value=0, max_value=9).flatmap(
@@ -81,13 +98,14 @@ small_partitions = st.integers(min_value=0, max_value=9).flatmap(
 
 @given(small_partitions, small_partitions, small_partitions)
 def test_dominance_compatible_with_addition(lam, mu, nu):
-    if compare_dominance(mu, lam) in (Dominance.EQUAL, Dominance.STRICTLY_BELOW):
+    if dominates(lam, mu):
         assert dominates(lam + nu, mu + nu)
 
 
 def test_dominance_partial_order_exhaustive():
     for d in range(13):
-        parts = list(partitions_of(d))
+        parts = partitions_of(d)
+        assert len(set(parts)) == count_partitions(d)
         rel = {(a, b): dominates(a, b) for a in parts for b in parts}
         for a in parts:
             assert rel[(a, a)]
