@@ -22,18 +22,13 @@ from .complexes import EMPTY, BooleanComplex, face_id_of_vertex_set
 from .errors import (
     ComplexMismatch,
     DomainError,
+    FieldMismatch,
     GroupTooLarge,
     InputError,
     NotAnAutomorphism,
     OrderNotInvertible,
 )
-from .face_ring import (
-    Mono,
-    RingElement,
-    add_terms,
-    graded_monomials,
-    mono_shape,
-)
+from .face_ring import Mono, RingElement, add_terms, graded_monomials
 from .linalg import row_rank
 from .partitions import Partition, sh, strictly_dominates
 from .transfer import TransferContext
@@ -170,8 +165,13 @@ def act(sigma: Automorphism, element: RingElement) -> RingElement:
 
 class Morphism:
     """A parameter-linear map from the subdivision's ring to the face ring,
-    stored by its images of a cell basis, over the basis's field.  The basis
-    must live on the context's subdivision complex (``ComplexMismatch``).
+    stored by its images of a cell basis, over the basis's field.  Any images
+    define one (gamma^a * b maps to theta^a * images[b]); whether it is
+    equivariant or bijective is for :func:`verify_morphism` to say.  Checked
+    once: a basis on the context's subdivision complex and, for every
+    member, an image (``InputError``) in the source's face ring
+    (``ComplexMismatch``) over the basis's field (``FieldMismatch``);
+    ``apply`` takes the subdivision's ring over that field.
 
     Three append-only memos serve ``apply``: the image of each standard
     monomial; each product theta^a * images[member] for an exponent vector
@@ -193,28 +193,27 @@ class Morphism:
                  images: Mapping[int, RingElement]):
         if basis.complex is not ctx.sd.target:
             raise ComplexMismatch("basis must live on the subdivision complex")
+        for member in basis.members:
+            image = images.get(member)
+            if image is None:
+                raise InputError(f"no image for member {basis.complex.ids[member]!r}")
+            if image.complex is not ctx.sd.source or image.discrete:
+                raise ComplexMismatch("images must lie in the source's face ring")
+            if image.field != basis.field:
+                raise FieldMismatch("images and basis must agree on the field")
         self.ctx = ctx
         self.basis = basis
         self.images = {m: images[m] for m in basis.members}
         self._mono_cache: dict[Mono, RingElement] = {}
         self._product_cache: dict[tuple[int, tuple[int, ...]], RingElement] = {}
-        self._check_shape_filtered()
-
-    def _check_shape_filtered(self) -> None:
-        src = self.ctx.sd.source
-        for member in self.basis.members:
-            lam = mono_shape(src, tuple((f, 1) for f in self.ctx.sd.chain_of[member]))
-            for mono in self.images[member].terms:
-                mu = mono_shape(src, mono)
-                if not (mu == lam or strictly_dominates(lam, mu)):
-                    raise InputError(
-                        "image terms must have shape dominated by the source")
 
     def apply(self, element: RingElement) -> RingElement:
         """Represent on the stored basis, then evaluate the coefficients with
         the face-ring parameters against the images."""
         if element.complex is not self.ctx.sd.source or not element.discrete:
             raise ComplexMismatch("expected an element of the subdivision ring")
+        if element.field != self.basis.field:
+            raise FieldMismatch("element and morphism must agree on the field")
         if len(element.terms) == 1 and 1 in element.terms.values():
             return self._apply_mono(next(iter(element.terms)))
         terms: dict[Mono, object] = {}
@@ -319,7 +318,7 @@ def verify_map(apply_fn: Callable[[RingElement], RingElement],
     map, passing on the generators is passing on every group element.  The
     isomorphism check materializes the degreewise matrices and tests
     nonsingularity.  This is evidence up to the bound, not a proof.  A
-    negative bound checks nothing, so it is an input error.
+    negative bound and a map that does not preserve degree are input errors.
     """
     check_degree_bound(degree_bound)
     source = group.complex
@@ -328,28 +327,25 @@ def verify_map(apply_fn: Callable[[RingElement], RingElement],
     isomorphism = True
     for d in range(degree_bound + 1):
         monos = graded_monomials(source, degree=d)
-        images: dict[Mono, RingElement] = {}
-        for mono in monos:
-            f = RingElement(source, field, True, {mono: 1})
-            images[mono] = apply_fn(f)
+        images = {m: apply_fn(RingElement(source, field, True, {m: 1})) for m in monos}
         for sigma in group.generators:
             perm = sigma.perm
             for mono in monos:
-                # moved monomials are canonical and distinct (see map_faces):
-                # equal lengths and each moved term found mean equal elements
-                target = images[tuple((perm[g], e) for g, e in mono)].terms
-                image = images[mono].terms
-                if len(target) != len(image) or any(
-                        target.get(tuple((perm[g], e) for g, e in m)) != c
-                        for m, c in image.items()):
+                # sigma.mono is standard, of degree d (see RingElement.map_faces)
+                moved = tuple((perm[g], e) for g, e in mono)
+                if images[moved] != act(sigma, images[mono]):
                     equivariant = False
                     failures.append({
                         "kind": "equivariance", "degree": d,
                         "monomial": [[source.ids[g], e] for g, e in mono]})
                     break
         index = {m: i for i, m in enumerate(monos)}
-        rank = row_rank(({index[m]: c for m, c in images[mono].terms.items()}
-                         for mono in monos), field, len(monos))
+        try:
+            rows = [{index[m]: c for m, c in images[mono].terms.items()}
+                    for mono in monos]
+        except KeyError:
+            raise InputError(f"the map does not preserve degree {d}") from None
+        rank = row_rank(rows, field, len(monos))
         if rank != len(monos):
             isomorphism = False
             failures.append({"kind": "isomorphism", "degree": d,

@@ -372,10 +372,11 @@ def evaluate_parameters(element: RingElement,
                         terms: Mapping[tuple[int, ...], Raw],
                         variant: str = "theta",
                         balancing: Balancing | None = None) -> RingElement:
-    """The sum of c * P^a * element over the pairs (a, c) of ``terms`` (c a
-    canonical scalar), P the parameters of :func:`times_parameter`, by
-    Horner's rule: level i steps an accumulator by P_i from the largest
-    exponent down, adding level i + 1's sum at each exponent met."""
+    """The sum of c * P^a * element over the pairs (a, c) of ``terms``, P
+    the parameters of :func:`times_parameter`, by Horner's rule: level i
+    steps an accumulator by P_i from the largest exponent down, adding level
+    i + 1's sum at each exponent met.  An exponent vector may be shorter
+    than n, or carry zeros beyond P_n."""
     complex, field = element.complex, element.field
     if variant not in ("theta", "gamma", "omega"):
         raise InputError(f"unknown parameter variant {variant!r}")
@@ -390,9 +391,12 @@ def evaluate_parameters(element: RingElement,
     n = complex.n
     if any(min(a, default=0) < 0 or any(a[n:]) for a in terms):
         raise InputError(f"exponents must be nonnegative and vanish beyond P_{n}")
+    # one spelling per exponent vector: length n, equal keys merged
+    terms = add_terms({}, ((tuple(a[:n]) + (0,) * (n - len(a)), c)
+                           for a, c in terms.items()))
 
     def horner(layer: Mapping[tuple[int, ...], Raw], i: int) -> dict[Mono, Raw]:
-        if i == len(next(iter(layer))):
+        if i == n:
             (c,) = layer.values()
             return {m: x * c for m, x in element.terms.items()}
         acc: dict[Mono, Raw] = {}
@@ -451,12 +455,11 @@ class ParameterPolynomial:
                  terms: Mapping[tuple[int, ...], Raw] | None = None):
         self.n = n
         self.field = field
+        if any(len(a) != n for a in terms or ()):
+            raise InputError("exponent vector length mismatch")
         p = field.p
         self.terms: dict[tuple[int, ...], Raw] = {
             tuple(a): y for a, c in (terms or {}).items() if (y := normal(c, p))}
-        for a in self.terms:
-            if len(a) != n:
-                raise InputError("exponent vector length mismatch")
 
     @property
     def is_zero(self) -> bool:

@@ -29,6 +29,7 @@ from facering.equivariant import (
 from facering.errors import (
     ComplexMismatch,
     DomainError,
+    FieldMismatch,
     GroupTooLarge,
     InputError,
     NotAnAutomorphism,
@@ -39,6 +40,8 @@ from facering.coeff import FieldSpec
 from facering.face_ring import (
     add_terms,
     canonical_mono,
+    evaluate_parameters,
+    mono_degree,
     mono_shape,
     parameter_monomial,
 )
@@ -181,6 +184,64 @@ def test_morphism_needs_a_basis_on_the_subdivision(triangle_sd, de_phi):
         Morphism(ctx, de_phi.basis, de_phi.images)
 
 
+def test_morphism_of_images_that_are_not_shape_filtered(triangle, triangle_sd,
+                                                       s3_group):
+    # phi(b) + theta_1^deg(b) (0 for the empty member) defines a Morphism,
+    # though 9 of its image terms are not shape-dominated by their member
+    ctx = TransferContext(triangle_sd)
+    phi = build_phi(ctx, compute_basis(triangle_sd.balancing, RATIONAL).basis)
+    images, not_dominated = {}, 0
+    for b, image in phi.images.items():
+        chain = tuple((f, 1) for f in ctx.sd.chain_of[b])
+        deg = mono_degree(triangle, chain)
+        images[b] = image + evaluate_parameters(
+            RingElement.one(triangle, RATIONAL), {(deg, 0, 0): 1} if deg else {})
+        not_dominated += sum(not dominates(mono_shape(triangle, chain),
+                                           mono_shape(triangle, t))
+                             for t in images[b].terms)
+    assert not_dominated == 9
+    psi = Morphism(ctx, phi.basis, images)
+    # parameter-linear: Psi(gamma^a * y) = theta^a * Psi(y)
+    for d in range(4):
+        for m in graded_monomials(triangle, degree=d):
+            y = RingElement(triangle, RATIONAL, True, {m: 1})
+            for a in [(1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 1, 0)]:
+                assert psi.apply(evaluate_parameters(y, {a: 1}, "gamma")) \
+                    == evaluate_parameters(psi.apply(y), {a: 1})
+    report = verify_morphism(psi, s3_group, 4)
+    assert not report.equivariant and report.isomorphism
+    first = next(f["degree"] for f in report.failures
+                 if f["kind"] == "equivariance")
+    assert reference_equivariant(psi.apply, triangle, RATIONAL, s3_group, 4) \
+        == (report.equivariant, first) == (False, 1)
+
+
+@pytest.mark.parametrize("case, error", [
+    ("missing member", InputError),
+    ("image over gf:5", FieldMismatch),
+    ("image in the discrete presentation", ComplexMismatch),
+    ("image on another complex", ComplexMismatch),
+    ("apply over gf:5", FieldMismatch),
+])
+def test_morphism_contract_errors(case, error, double_edge, triangle, de_phi):
+    ctx, images = de_phi.ctx, dict(de_phi.images)
+    top = max(images, key=lambda b: len(ctx.sd.chain_of[b]))
+    if case == "missing member":
+        del images[top]
+    elif case == "image over gf:5":
+        images[top] = RingElement(double_edge, GF5, False, images[top].terms)
+    elif case == "image in the discrete presentation":
+        images[top] = ctx.garsia_inverse(images[top])
+    elif case == "image on another complex":
+        images[top] = RingElement.one(triangle, RATIONAL)
+    with pytest.raises(InputError) as info:
+        if case == "apply over gf:5":
+            de_phi.apply(straighten(double_edge, [("v", 1)], GF5, 1, True))
+        else:
+            Morphism(ctx, de_phi.basis, images)
+    assert info.type is error
+
+
 def test_phi_equivariant_in_top_shape(double_edge, swap_group, de_phi,
                                       triangle, triangle_sd, s3_group):
     tri_ctx = TransferContext(triangle_sd)
@@ -219,14 +280,24 @@ def test_average_obstructed_mod_two(triangle, triangle_sd, s3_group):
         average(phi, s3_group)
 
 
-def test_average_is_shape_filtered(double_edge, swap_group, de_phi):
-    averaged = average(de_phi, swap_group)
-    for d in range(7):
-        for m in graded_monomials(double_edge, degree=d):
-            lam = mono_shape(double_edge, m)
-            f = RingElement(double_edge, RATIONAL, True, {m: 1})
-            for t in averaged.apply(f).terms:
-                assert dominates(lam, mono_shape(double_edge, t))
+def test_average_is_shape_filtered(double_edge, swap_group, de_phi,
+                                   triangle, triangle_sd, s3_group):
+    # phi and its average send a monomial of shape lambda to terms of shapes
+    # dominated by lambda; a Morphism in general need not
+    tetrahedron, tetrahedron_sd, s4_group = tetrahedron_with_s4()
+    cases = [(double_edge, swap_group, de_phi, 6)]
+    for c, sd, group, bound in [(triangle, triangle_sd, s3_group, 5),
+                                (tetrahedron, tetrahedron_sd, s4_group, 4)]:
+        basis = compute_basis(sd.balancing, RATIONAL).basis
+        cases.append((c, group, build_phi(TransferContext(sd), basis), bound))
+    for c, group, phi, bound in cases:
+        for morphism in (phi, average(phi, group)):
+            for d in range(bound + 1):
+                for m in graded_monomials(c, degree=d):
+                    lam = mono_shape(c, m)
+                    f = RingElement(c, RATIONAL, True, {m: 1})
+                    for t in morphism.apply(f).terms:
+                        assert dominates(lam, mono_shape(c, t))
 
 
 def test_average_agrees_with_transfer_in_top_shape(double_edge, double_edge_sd,
@@ -290,6 +361,20 @@ def test_verify_morphism_default_bound(double_edge, de_phi, swap_group):
     report = verify_morphism(zero, swap_group)
     assert [f["degree"] for f in report.failures] == list(range(7))
     assert report == verify_morphism(zero, swap_group, 6)
+
+
+def test_verify_map_rejects_a_map_that_changes_degree(triangle, triangle_sd,
+                                                      s3_group):
+    # a Morphism may send a member to an element of mixed degree, which
+    # verify_map cannot check degree by degree
+    ctx = TransferContext(triangle_sd)
+    phi = build_phi(ctx, compute_basis(triangle_sd.balancing, RATIONAL).basis)
+    images = dict(phi.images)
+    top = max(images, key=lambda b: len(ctx.sd.chain_of[b]))
+    images[top] = images[top] + RingElement.one(triangle, RATIONAL)
+    psi = Morphism(ctx, phi.basis, images)
+    with pytest.raises(InputError, match="does not preserve degree 3"):
+        verify_morphism(psi, s3_group, 4)
 
 
 def test_verify_map_rejects_negative_bound(double_edge, double_edge_sd,

@@ -244,6 +244,31 @@ def test_zero_exponents_beyond_n_are_accepted():
         == parameter_monomial(EDGE, (1, 0), "theta", RATIONAL)
 
 
+def test_exponent_vectors_of_mixed_length():
+    # spellings of one exponent vector add up, as one-key evaluations do
+    for terms, field in [({(1,): 1, (1, 0): 2}, RATIONAL),
+                         ({(0, 1): 1, (0,): 1}, RATIONAL),
+                         ({(1, 0, 0): 1, (1,): 2, (0, 2): 1, (0, 2, 0): 3},
+                          RATIONAL),
+                         ({(1,): 2, (1, 0): 3, (0, 1, 0): 1}, GF5)]:
+        for discrete, variant in [(False, "theta"), (True, "gamma")]:
+            one = RingElement.one(EDGE, field, discrete)
+            expected = RingElement.zero(EDGE, field, discrete)
+            for a, c in terms.items():
+                expected = expected + evaluate_parameters(one, {a: c}, variant)
+            assert evaluate_parameters(one, terms, variant) == expected
+    assert evaluate_parameters(RingElement.one(EDGE, RATIONAL),
+                               {(1,): 1, (1, 0): 2}) \
+        == rank_row_parameter(EDGE, 1, RATIONAL).scale(3)
+
+
+def test_parameter_polynomial_checks_every_exponent_length():
+    # a zero coefficient does not hide a key of the wrong length
+    for terms in [{(1, 2, 3): 0, (1, 0): 1}, {(1,): 5}, {(1, 2, 3): 1}]:
+        with pytest.raises(InputError, match="length mismatch"):
+            ParameterPolynomial(2, GF5, terms)
+
+
 def test_empty_face_acts_as_one(double_edge):
     assert el(double_edge, [("", 2), ("v", 1)]) == el(double_edge, [("v", 1)])
 
