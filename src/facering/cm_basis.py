@@ -53,7 +53,6 @@ from .face_ring import (
     ParameterPolynomial,
     RingElement,
     add_terms,
-    evaluate_parameters,
     mono_label_multidegree,
 )
 from .linalg import Echelon, RowSpan, row_rank, rref
@@ -360,16 +359,3 @@ def represent_on_cell_basis(basis: CellBasis, element: RingElement,
     return {b: ParameterPolynomial(basis.balancing.n, basis.field, t)
             for b, t in out.items()}
 
-
-def evaluate_cell_representation(basis: CellBasis,
-                                 coefficients: dict[int, ParameterPolynomial],
-                                 ) -> RingElement:
-    """Expand sum of q_b(label rows) * z_b back into the face ring of the
-    basis's complex; the inverse of :func:`represent_on_cell_basis`."""
-    complex, field = basis.complex, basis.field
-    terms: dict[Mono, Raw] = {}
-    for member, poly in sorted(coefficients.items()):
-        z = RingElement.monomial(complex, field, ((member, 1),))
-        add_terms(terms, evaluate_parameters(z, poly.terms, "omega",
-                                             basis.balancing).terms.items())
-    return RingElement(complex, field, False, terms)

@@ -90,6 +90,7 @@ def automorphism_from_vertex_map(complex: BooleanComplex,
 
     Only valid when faces are determined by their vertex sets (simplicial
     complexes); a doubled edge, for instance, cannot be described this way.
+    Every key and value must name a vertex.
     """
     by_atoms: dict[int, int] = {}
     for f in range(len(complex)):
@@ -99,7 +100,12 @@ def automorphism_from_vertex_map(complex: BooleanComplex,
         by_atoms[complex.atoms[f]] = f
     vperm = {v: v for v in complex.vertices()}
     for src, dst in mapping.items():
-        vperm[complex.resolve(src)] = complex.resolve(dst)
+        v, w = complex.resolve(src), complex.resolve(dst)
+        for f in (v, w):
+            if complex.rank[f] != 1:
+                raise NotAnAutomorphism(
+                    f"vertex map names {complex.ids[f]!r}, which is not a vertex")
+        vperm[v] = w
     perm = []
     for f in range(len(complex)):
         mask = 0

@@ -8,8 +8,10 @@ share this basis: the face ring itself (products of incomparable generators
 straighten through the meet/minimal-upper-bound rewrite) and the associated
 discrete ring (such products vanish), which is how the ring of the
 barycentric subdivision is carried on the poset of the original complex.
-That choice is the one product rule, :func:`_product_counts`, behind ``*``,
-:func:`straighten` and the parameter steps of :func:`times_parameter`.
+That choice is the one product rule, :func:`_product_counts`, behind ``*``
+and :func:`straighten`.  The only parameters multiplied by here are the
+rank rows theta_j of the face ring, one straightened step at a time
+(:func:`times_parameter`).
 
 A standard monomial is a tuple of (face index, exponent) pairs sorted by
 rank; the empty tuple is the monomial 1.  They are enumerated by total
@@ -19,8 +21,8 @@ read off it (:func:`mono_shape`, :func:`mono_rank_multidegree`,
 never modify their inputs.  Straightening results and the steps
 x^m * theta_j have integer coefficients, so they are memoized on the complex
 once, as integer counts, and reduced into a prime field on use; the caches
-are field-independent.  Sums c * P^a * x over parameter monomials are formed
-by Horner's rule (:func:`evaluate_parameters`): no P^a is expanded.
+are field-independent.  Sums c * theta^a * x over parameter monomials are
+formed by Horner's rule (:func:`evaluate_parameters`): no theta^a is expanded.
 The memo caches are append-only and each key is stored once, with its
 finished value, by ``dict.setdefault``: concurrent readers may repeat work
 but never see a partial result, and all of them get the first stored value.
@@ -35,7 +37,7 @@ from typing import Iterable, Mapping, Sequence
 from .coeff import FieldSpec, Raw, normal
 from .complexes import (EMPTY, Balancing, BooleanComplex, mask_members,
                         require_valid_balancing)
-from .errors import ComplexMismatch, FieldMismatch, InputError, InvalidBalancing
+from .errors import ComplexMismatch, FieldMismatch, InputError
 from .partitions import Partition, sh
 
 Mono = tuple[tuple[int, int], ...]
@@ -125,10 +127,6 @@ class RingElement:
         return element
 
     @classmethod
-    def zero(cls, complex, field, discrete=False) -> "RingElement":
-        return cls(complex, field, discrete, {})
-
-    @classmethod
     def one(cls, complex, field, discrete=False) -> "RingElement":
         return cls(complex, field, discrete, {(): 1})
 
@@ -208,7 +206,7 @@ class RingElement:
         if self.discrete:
             raise ComplexMismatch("theta_j steps straighten: face ring only")
         return RingElement._canonical(self.complex, self.field, False, _step_terms(
-            self.complex, self.terms, j, "theta", None, self.field.p))
+            self.complex, self.terms, j, self.field.p))
 
     def sorted_terms(self) -> list[tuple[Mono, Raw]]:
         return sorted(self.terms.items(),
@@ -336,61 +334,42 @@ def label_row_parameter(balancing: Balancing, j: int,
         ((v, 1),): 1 for v in balancing.faces_by_label_set[frozenset((j,))]})
 
 
-def times_parameter(complex: BooleanComplex, mono: Mono, j: int,
-                    variant: str = "theta",
-                    balancing: Balancing | None = None) -> dict[Mono, int]:
-    """Integer normal form of x^mono * P_j as ``{monomial: count}``.  P_j is
-    theta_j (the faces of rank j, straightened), gamma_j (the faces of rank
-    j, dropping products that are not chains) or omega_j (the vertices
-    labelled j, straightened).  Theta steps are memoized on the complex, at
-    most n entries per monomial; nothing is validated here."""
-    if variant == "theta":
-        hit = complex._theta_step_cache.get((mono, j))
-        if hit is not None:
-            return hit
-    faces = (balancing.faces_by_label_set.get(frozenset((j,)), ())
-             if variant == "omega" else complex.faces_of_rank(j))
-    discrete = variant == "gamma"
+def times_parameter(complex: BooleanComplex, mono: Mono, j: int) -> dict[Mono, int]:
+    """Integer normal form of x^mono * theta_j as ``{monomial: count}``,
+    theta_j the sum of the faces of rank j, straightened.  Memoized on the
+    complex, at most n entries per monomial; nothing is validated here."""
+    cache = complex._theta_step_cache
+    hit = cache.get((mono, j))
+    if hit is not None:
+        return hit
     out: dict[Mono, int] = {}
-    for f in faces:
-        add_terms(out, _product_counts(
-            complex, canonical_mono(complex, mono + ((f, 1),)), discrete).items())
-    if variant == "theta":
-        out = complex._theta_step_cache.setdefault((mono, j), out)
-    return out
+    for f in complex.faces_of_rank(j):
+        add_terms(out, _straighten_counts(
+            complex, canonical_mono(complex, mono + ((f, 1),))).items())
+    return cache.setdefault((mono, j), out)
 
 
-def _step_terms(complex: BooleanComplex, terms: dict[Mono, Raw], j: int, variant: str,
-                balancing: Balancing | None, p: int | None) -> dict[Mono, Raw]:
-    """``terms`` times P_j, with canonical nonzero coefficients."""
-    out = add_terms({}, ((t, c * k) for m, c in terms.items() for t, k
-                         in times_parameter(complex, m, j, variant, balancing).items()))
+def _step_terms(complex: BooleanComplex, terms: dict[Mono, Raw], j: int,
+                p: int | None) -> dict[Mono, Raw]:
+    """``terms`` times theta_j, with canonical nonzero coefficients."""
+    out = add_terms({}, ((t, c * k) for m, c in terms.items()
+                         for t, k in times_parameter(complex, m, j).items()))
     return {m: y for m, c in out.items() if (y := normal(c, p))}
 
 
 def evaluate_parameters(element: RingElement,
-                        terms: Mapping[tuple[int, ...], Raw],
-                        variant: str = "theta",
-                        balancing: Balancing | None = None) -> RingElement:
-    """The sum of c * P^a * element over the pairs (a, c) of ``terms``, P
-    the parameters of :func:`times_parameter`, by Horner's rule: level i
-    steps an accumulator by P_i from the largest exponent down, adding level
-    i + 1's sum at each exponent met.  An exponent vector may be shorter
-    than n, or carry zeros beyond P_n."""
+                        terms: Mapping[tuple[int, ...], Raw]) -> RingElement:
+    """The sum of c * theta^a * element over the pairs (a, c) of ``terms``,
+    for a face-ring element, by Horner's rule: level i steps an accumulator
+    by theta_i (:func:`times_parameter`) from the largest exponent down,
+    adding level i + 1's sum at each exponent met.  An exponent vector may
+    be shorter than n, or carry zeros beyond theta_n."""
     complex, field = element.complex, element.field
-    if variant not in ("theta", "gamma", "omega"):
-        raise InputError(f"unknown parameter variant {variant!r}")
-    if element.discrete != (variant == "gamma"):
-        raise ComplexMismatch(f"element is in the wrong presentation for {variant}")
-    if variant == "omega":
-        if balancing is None:
-            raise InputError("the omega variant needs a balancing")
-        if balancing.complex is not complex:
-            raise InvalidBalancing("balancing belongs to a different complex")
-        require_valid_balancing(balancing)  # so balancing.n == n
+    if element.discrete:
+        raise ComplexMismatch("element is in the wrong presentation for theta")
     n = complex.n
     if any(min(a, default=0) < 0 or any(a[n:]) for a in terms):
-        raise InputError(f"exponents must be nonnegative and vanish beyond P_{n}")
+        raise InputError(f"exponents must be nonnegative and vanish beyond theta_{n}")
     # one spelling per exponent vector: length n, equal keys merged
     terms = add_terms({}, ((tuple(a[:n]) + (0,) * (n - len(a)), c)
                            for a, c in terms.items()))
@@ -401,22 +380,19 @@ def evaluate_parameters(element: RingElement,
             return {m: x * c for m, x in element.terms.items()}
         acc: dict[Mono, Raw] = {}
         for k in range(max(a[i] for a in layer), -1, -1):
-            acc = _step_terms(complex, acc, i + 1, variant, balancing, field.p)
+            acc = _step_terms(complex, acc, i + 1, field.p)
             if sub := {a: c for a, c in layer.items() if a[i] == k}:
                 add_terms(acc, horner(sub, i + 1).items())
         return acc
 
-    return RingElement(complex, field, element.discrete,
-                       horner(terms, 0) if terms else {})
+    return RingElement(complex, field, False, horner(terms, 0) if terms else {})
 
 
 def parameter_monomial(complex: BooleanComplex, exponents: Sequence[int],
-                       variant: str, field: FieldSpec,
-                       balancing: Balancing | None = None) -> RingElement:
-    """P^exponents on the monomial basis, for the ``theta``, ``gamma`` or
-    ``omega`` parameters (:func:`times_parameter`)."""
-    return evaluate_parameters(RingElement.one(complex, field, variant == "gamma"),
-                               {tuple(exponents): 1}, variant, balancing)
+                       field: FieldSpec) -> RingElement:
+    """theta^exponents on the monomial basis of the face ring."""
+    return evaluate_parameters(RingElement.one(complex, field),
+                               {tuple(exponents): 1})
 
 
 def signed_sum(terms: Iterable[tuple[Raw, Sequence[str]]]) -> str:
@@ -444,9 +420,9 @@ def signed_sum(terms: Iterable[tuple[Raw, Sequence[str]]]) -> str:
 class ParameterPolynomial:
     """A polynomial in n abstract parameters, as a sparse exponent-vector map.
 
-    The same polynomial can be evaluated with any parameter variant in any
-    ring; this mirrors the fact that the substitution of rank rows for label
-    rows is a renaming of parameters, not a ring map on elements.
+    A representation on a cell basis reads the parameters as label rows; the
+    transfer descent evaluates them as the rank rows theta (:meth:`evaluate`).
+    That substitution is a renaming of parameters, not a ring map on elements.
     """
 
     __slots__ = ("n", "field", "terms")
@@ -471,12 +447,11 @@ class ParameterPolynomial:
 
     __hash__ = None  # type: ignore[assignment]
 
-    def evaluate(self, complex: BooleanComplex, variant: str,
-                 balancing: Balancing | None = None) -> RingElement:
-        """This polynomial in the chosen parameters (:func:`evaluate_parameters`)."""
-        return evaluate_parameters(
-            RingElement.one(complex, self.field, variant == "gamma"),
-            self.terms, variant, balancing)
+    def evaluate(self, complex: BooleanComplex) -> RingElement:
+        """This polynomial in the rank rows theta of the face ring
+        (:func:`evaluate_parameters`)."""
+        return evaluate_parameters(RingElement.one(complex, self.field),
+                                   self.terms)
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Raw]]:
         return sorted(self.terms.items(),

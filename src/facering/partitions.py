@@ -92,10 +92,12 @@ def strictly_dominates(lam: Partition, mu: Partition) -> bool:
     return lam != mu and dominates(lam, mu)
 
 
-def count_partitions(d: int) -> int:
-    """Number of partitions of d, by the coin-change recurrence over part sizes."""
+def count_partitions(d: int, n: int) -> int:
+    """Number of partitions of d into at most n parts.  By conjugation these
+    are the partitions of d with parts at most n, counted by the coin-change
+    recurrence over the part sizes 1..n in O(n * d) steps."""
     ways = [1] + [0] * d
-    for part in range(1, d + 1):
+    for part in range(1, min(n, d) + 1):
         for total in range(part, d + 1):
             ways[total] += ways[total - part]
     return ways[d]

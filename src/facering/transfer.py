@@ -12,7 +12,9 @@ cell basis's.
 ``express_on_transferred_basis`` realizes the constructive half of basis
 transfer: repeatedly represent the pulled-back remainder on the subdivision
 basis, push the parameter coefficients to the face ring, and subtract; each
-pass strictly lowers the remainder's shapes in dominance order.  Each sum
+pass strictly lowers the remainder's shapes in dominance order, so the
+passes are at most the partitions of the remainder's degrees into at most n
+parts (shapes of length-n exponent vectors), plus one.  Each sum
 c_a theta^a * x_chain is formed by the face ring's Horner evaluator
 (:func:`facering.face_ring.evaluate_parameters`), one memoized theta_j step
 at a time, so no theta^a is expanded and no memo grows with the exponents.
@@ -109,11 +111,12 @@ def express_on_transferred_basis(ctx: TransferContext, sd_basis: CellBasis,
     Each pass pulls the remainder back to the subdivision ring, represents it
     on the cell basis there, re-evaluates the same parameter polynomials with
     the face-ring parameters against the transferred members, and subtracts.
-    Every term of the new remainder has strictly dominated shape, so the
-    pass count is bounded by the number of partitions of the degrees
-    involved; exceeding the bound means the proposed basis is broken.  The
-    field is the basis's: an element over another one fails
-    (``FieldMismatch``) on the first pass.
+    Every term of the new remainder has strictly dominated shape, and a
+    shape has at most n parts, so the pass count is bounded by the number
+    of partitions of the degrees involved into at most n parts; exceeding
+    the bound means the proposed basis is broken.  The field is the
+    basis's: an element over another one fails (``FieldMismatch``) on the
+    first pass.
     """
     if element.complex is not ctx.sd.source or element.discrete:
         raise ComplexMismatch("expected an element of the face ring")
@@ -122,7 +125,7 @@ def express_on_transferred_basis(ctx: TransferContext, sd_basis: CellBasis,
     field = sd_basis.field
     totals: dict[int, dict] = {b: {} for b in sd_basis.members}
     remainders: list[RingElement] = []
-    cap = 1 + sum(count_partitions(d) for d in
+    cap = 1 + sum(count_partitions(d, ctx.sd.source.n) for d in
                   {mono_degree(ctx.sd.source, m) for m in element.terms})
     remainder = element
     passes = 0

@@ -9,10 +9,13 @@ settings.load_profile("det")
 from facering import (
     Balancing,
     FieldSpec,
+    RingElement,
     barycentric_subdivision,
     build_from_facets,
     build_from_poset,
     graded_monomials,
+    label_row_parameter,
+    rank_row_parameter,
 )
 from facering.face_ring import canonical_mono, mono_label_multidegree, mono_shape
 
@@ -61,6 +64,41 @@ def straighten_by(c, mono, pick):
     for g in lub:
         counts.update(straighten_by(c, canonical_mono(c, base + [(g, 1)]), pick))
     return dict(counts)
+
+
+def parameter_products(element, terms, balancing=None):
+    """The sum of c * P^a * element over the pairs (a, c) of ``terms``, by
+    repeated ``RingElement.__mul__`` with whole parameter elements: P the
+    label rows omega of ``balancing`` when one is given, else the rank rows
+    of the element's presentation (theta in the face ring, gamma in the
+    discrete ring).  A reference that shares no code with the Horner
+    evaluator."""
+    c, field = element.complex, element.field
+    if balancing is not None:
+        params = [label_row_parameter(balancing, j, field)
+                  for j in range(1, balancing.n + 1)]
+    else:
+        params = [rank_row_parameter(c, j, field, element.discrete)
+                  for j in range(1, c.n + 1)]
+    total = RingElement(c, field, element.discrete, {})
+    for a, coeff in terms.items():
+        product = element
+        for param, e in zip(params, a):
+            for _ in range(e):
+                product = product * param
+        total = total + product.scale(coeff)
+    return total
+
+
+def evaluate_cell_representation(basis, coefficients):
+    """The sum of q_b(label rows) * z_b over the pairs (b, q_b) of
+    ``coefficients``, in the face ring of the basis's complex: the reference
+    inverse of ``represent_on_cell_basis``."""
+    total = RingElement(basis.complex, basis.field, False, {})
+    for member, poly in coefficients.items():
+        z = RingElement.monomial(basis.complex, basis.field, ((member, 1),))
+        total = total + parameter_products(z, poly.terms, basis.balancing)
+    return total
 
 
 def monomials_of_shape(c, lam):

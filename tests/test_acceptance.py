@@ -31,7 +31,7 @@ from facering import (
     subspace_M_S,
     verify_morphism,
 )
-from facering.cm_basis import evaluate_cell_representation, validate_processing_order
+from facering.cm_basis import validate_processing_order
 from facering.equivariant import (
     automorphism_from_face_map,
     automorphism_from_vertex_map,
@@ -42,8 +42,9 @@ from facering.linalg import rref
 from facering.partitions import sh, strictly_dominates
 from facering.transfer import TransferContext, express_on_transferred_basis
 
-from conftest import (GF2, GF5, RATIONAL, monomials_of_label_multidegree,
-                      monomials_of_shape, straighten_by)
+from conftest import (GF2, GF5, RATIONAL, evaluate_cell_representation,
+                      monomials_of_label_multidegree, monomials_of_shape,
+                      parameter_products, straighten_by)
 
 FIELDS = (RATIONAL, GF2, GF5)
 
@@ -75,15 +76,14 @@ def test_criterion_1_straightening_golden(double_edge):
 
 def test_criterion_2_parameter_expansions(double_edge):
     with criterion(2, "parameter expansion goldens"):
-        gamma_mono = poly(2, {(2, 1): 1}).evaluate(
-            double_edge, "gamma")
+        gamma_mono = parameter_products(
+            RingElement.one(double_edge, RATIONAL, True), {(2, 1): 1})
         assert gamma_mono == (
             el(double_edge, [("v", 2), ("alpha", 1)], discrete=True)
             + el(double_edge, [("v", 2), ("beta", 1)], discrete=True)
             + el(double_edge, [("w", 2), ("alpha", 1)], discrete=True)
             + el(double_edge, [("w", 2), ("beta", 1)], discrete=True))
-        theta_mono = poly(2, {(2, 1): 1}).evaluate(
-            double_edge, "theta")
+        theta_mono = poly(2, {(2, 1): 1}).evaluate(double_edge)
         assert theta_mono == (
             el(double_edge, [("v", 2), ("alpha", 1)])
             + el(double_edge, [("v", 2), ("beta", 1)])
@@ -91,8 +91,7 @@ def test_criterion_2_parameter_expansions(double_edge):
             + el(double_edge, [("w", 2), ("beta", 1)])
             + el(double_edge, [("alpha", 2)], coeff=2)
             + el(double_edge, [("beta", 2)], coeff=2))
-        mod_two = poly(2, {(2, 1): 1}, GF2).evaluate(
-            double_edge, "theta")
+        mod_two = poly(2, {(2, 1): 1}, GF2).evaluate(double_edge)
         assert mod_two == (
             el(double_edge, [("v", 2), ("alpha", 1)], field=GF2)
             + el(double_edge, [("v", 2), ("beta", 1)], field=GF2)
@@ -287,16 +286,16 @@ def test_criterion_10_property_suites(double_edge, double_edge_balancing,
         for exps in itertools.product(range(3), repeat=2):
             if not 0 < sum(a * (j + 1) for j, a in enumerate(exps)) <= 6:
                 continue
-            gamma_mono = poly(2, dict([(exps, 1)])).evaluate(
-                double_edge, "gamma")
+            gamma_mono = parameter_products(
+                RingElement.one(double_edge, RATIONAL, True), {exps: 1})
             assert sorted(gamma_mono.terms) == sorted(
                 monomials_of_shape(double_edge, sh(exps)))
             assert all(c == 1 for c in gamma_mono.terms.values())
         for exps in itertools.product(range(3), repeat=3):
             if not 0 < sum(exps) <= 4:
                 continue
-            omega_mono = poly(3, dict([(exps, 1)])).evaluate(
-                disk, "omega", balancing=disk_balancing)
+            omega_mono = parameter_products(
+                RingElement.one(disk, RATIONAL), {exps: 1}, disk_balancing)
             assert sorted(omega_mono.terms) == sorted(
                 monomials_of_label_multidegree(disk_balancing, exps))
             assert all(c == 1 for c in omega_mono.terms.values())

@@ -27,7 +27,6 @@ from facering.cm_basis import (
     _columns,
     _incidence,
     default_processing_order,
-    evaluate_cell_representation,
     selected_facets,
     validate_processing_order,
 )
@@ -37,7 +36,8 @@ from facering.errors import (BasisInvalid, FieldMismatch, InputError,
 from facering.face_ring import ParameterPolynomial
 from facering.linalg import RowSpan, row_rank, rref
 
-from conftest import GF2, GF5, RATIONAL, make_disk, simplex_complex
+from conftest import (GF2, GF5, RATIONAL, evaluate_cell_representation,
+                      make_disk, simplex_complex)
 
 FIELDS = (RATIONAL, GF2, GF5)
 
@@ -519,7 +519,7 @@ def test_evaluation_reads_complex_and_field_off_the_basis(case, field,
                                                          triangle_sd):
     sd = {"double edge": double_edge_sd, "triangle": triangle_sd}[case]
     basis = compute_basis(sd.balancing, field).basis
-    zero = RingElement.zero(sd.target, field)
+    zero = RingElement(sd.target, field, False, {})
     assert evaluate_cell_representation(basis, {}) == zero
     assert evaluate_cell_representation(
         basis, represent_on_cell_basis(basis, zero)) == zero

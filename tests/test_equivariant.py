@@ -48,7 +48,8 @@ from facering.face_ring import (
 from facering.partitions import Partition, dominates, strictly_dominates
 from facering.transfer import TransferContext
 
-from conftest import GF2, GF5, RATIONAL, monomials_of_shape, simplex_complex
+from conftest import (GF2, GF5, RATIONAL, monomials_of_shape,
+                      parameter_products, simplex_complex)
 
 
 @pytest.fixture(scope="module")
@@ -172,7 +173,7 @@ def test_phi_member_and_zero(double_edge, de_phi):
         element = RingElement(double_edge, RATIONAL, True,
                               {tuple((f, 1) for f in chain): 1})
         assert de_phi.apply(element) == de_phi.images[member]
-    assert de_phi.apply(RingElement.zero(double_edge, RATIONAL, True)).is_zero
+    assert de_phi.apply(RingElement(double_edge, RATIONAL, True, {})).is_zero
 
 
 def test_morphism_needs_a_basis_on_the_subdivision(triangle_sd, de_phi):
@@ -206,7 +207,7 @@ def test_morphism_of_images_that_are_not_shape_filtered(triangle, triangle_sd,
         for m in graded_monomials(triangle, degree=d):
             y = RingElement(triangle, RATIONAL, True, {m: 1})
             for a in [(1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 1, 0)]:
-                assert psi.apply(evaluate_parameters(y, {a: 1}, "gamma")) \
+                assert psi.apply(parameter_products(y, {a: 1})) \
                     == evaluate_parameters(psi.apply(y), {a: 1})
     report = verify_morphism(psi, s3_group, 4)
     assert not report.equivariant and report.isomorphism
@@ -343,7 +344,7 @@ def test_verify_identity_map(double_edge, double_edge_sd, swap_group):
 
 def test_verify_map_reports_singular_degrees(double_edge, swap_group):
     # the zero map is equivariant and singular in every degree
-    report = verify_map(lambda f: RingElement.zero(double_edge, RATIONAL),
+    report = verify_map(lambda f: RingElement(double_edge, RATIONAL, False, {}),
                         RATIONAL, swap_group, 2)
     assert report.equivariant and not report.isomorphism
     assert report.failures == [
@@ -356,7 +357,7 @@ def test_verify_morphism_default_bound(double_edge, de_phi, swap_group):
     # the default bound is n(n+1), 6 on the double edge: the zero morphism
     # fails in each degree 0..6
     zero = Morphism(de_phi.ctx, de_phi.basis,
-                    {m: RingElement.zero(double_edge, RATIONAL)
+                    {m: RingElement(double_edge, RATIONAL, False, {})
                      for m in de_phi.basis.members})
     report = verify_morphism(zero, swap_group)
     assert [f["degree"] for f in report.failures] == list(range(7))
@@ -400,6 +401,21 @@ def test_group_document_names_generator_with_unknown_face(double_edge):
                           {"map": {"q": "v"}}]}
     with pytest.raises(UnknownFace, match=r"^generator 1: unknown face 'q'$"):
         group_from_document(double_edge, doc)
+
+
+@pytest.mark.parametrize("vertex_map", [
+    {"0,1": "0,1"}, {"0": "1", "1": "0", "0,1": "1,2"}, {"0": "0,1"}],
+    ids=["edge to itself", "edge beside a transposition", "vertex to an edge"])
+def test_vertex_map_names_only_vertices(triangle, vertex_map):
+    # a face of higher rank in a vertex map is rejected, not ignored
+    from facering.documents import group_from_document
+
+    doc = {"generators": [{"vertex_map": vertex_map}]}
+    with pytest.raises(NotAnAutomorphism) as info:
+        group_from_document(triangle, doc)
+    assert info.type is NotAnAutomorphism
+    assert str(info.value) == ("generator 0: vertex map names '0,1', "
+                               "which is not a vertex")
 
 
 @pytest.mark.parametrize("case", ["triangle-S3", "tetrahedron-S4"])
@@ -612,9 +628,9 @@ def test_product_memo_matches_reference(triangle, triangle_sd, s3_group, field):
         for m in monos:
             f = RingElement(triangle, field, True, {m: 1})
             rep = represent_on_cell_basis(basis, ctx.to_cell_form(f))
-            expected = RingElement.zero(triangle, field)
+            expected = RingElement(triangle, field, False, {})
             for member, poly in rep.items():
-                expected = expected + (poly.evaluate(triangle, "theta")
+                expected = expected + (poly.evaluate(triangle)
                                        * morphism.images[member])
             assert morphism.apply(f) == expected
         assert len(morphism._product_cache) <= bound
@@ -638,7 +654,7 @@ def test_product_memo_entries_match_expansion(triangle, triangle_sd, s3_group,
         for morphism in (phi, averaged):
             assert any(sum(a) for _, a in morphism._product_cache)
             for (member, a), product in morphism._product_cache.items():
-                assert product == (parameter_monomial(c, a, "theta", field)
+                assert product == (parameter_monomial(c, a, field)
                                    * morphism.images[member])
 
 

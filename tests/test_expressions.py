@@ -68,12 +68,12 @@ def test_leading_minus(double_edge):
 def test_format_golden(double_edge):
     f = parse_element("x[v]*x[w]", lex(double_edge))
     assert format_element(f) == "x[alpha] + x[beta]"
-    assert format_element(RingElement.zero(double_edge, RATIONAL)) == "0"
+    assert format_element(RingElement(double_edge, RATIONAL, False, {})) == "0"
     assert format_element(RingElement.one(double_edge, RATIONAL)) == "1"
 
 
 def _random_element(c, field, rng, discrete=False):
-    total = RingElement.zero(c, field, discrete)
+    total = RingElement(c, field, discrete, {})
     faces = list(range(1, len(c)))
     for _ in range(rng.randint(1, 5)):
         raw = [(rng.choice(faces), rng.randint(1, 3))

@@ -25,7 +25,6 @@ from facering.errors import (
     ComplexMismatch,
     FieldMismatch,
     InputError,
-    InvalidBalancing,
     UnknownFace,
 )
 from facering.face_ring import (
@@ -45,7 +44,7 @@ from facering.partitions import sh, strictly_dominates
 
 from conftest import (GF2, GF5, RATIONAL, make_disk, make_double_edge,
                       monomials_of_label_multidegree, monomials_of_shape,
-                      straighten_by)
+                      parameter_products, straighten_by)
 
 
 def el(c, pairs, field=RATIONAL, coeff=1, discrete=False):
@@ -95,7 +94,7 @@ def test_deep_parameter_power_needs_no_recursion():
     k = 2 * (depth + 100)
     sys.setrecursionlimit(depth + 100)
     try:
-        got = parameter_monomial(c, (k,), "theta", RATIONAL)
+        got = parameter_monomial(c, (k,), RATIONAL)
     finally:
         sys.setrecursionlimit(limit)
     assert got == el(c, [("0", k)])
@@ -104,20 +103,16 @@ def test_deep_parameter_power_needs_no_recursion():
 
 
 def test_parameter_step_memo_is_bounded():
-    # only theta steps are memoized, at most n per monomial, and evaluating
-    # again adds no entries
-    c, disk = make_double_edge(), make_disk()
-    bal = Balancing(disk, DISK_LABELS)
+    # theta steps are memoized at most n per monomial, and evaluating again
+    # adds no entries
+    c = make_double_edge()
     poly = ParameterPolynomial(2, RATIONAL, {(3, 1): 1, (0, 2): -2, (1, 0): 3})
-    first = poly.evaluate(c, "theta")
+    first = poly.evaluate(c)
     entries = len(c._theta_step_cache)
     assert 0 < entries
     assert max(Counter(m for m, _ in c._theta_step_cache).values()) <= c.n
-    assert poly.evaluate(c, "theta") == first
-    poly.evaluate(c, "gamma")
-    parameter_monomial(disk, (2, 1, 1), "omega", RATIONAL, bal)
+    assert poly.evaluate(c) == first
     assert len(c._theta_step_cache) == entries
-    assert not disk._theta_step_cache
 
 
 THETA_STEP_COMPLEXES = {"double edge": make_double_edge(), "disk": make_disk(),
@@ -139,23 +134,6 @@ def test_times_parameter_matches_product(name, degree, data):
         RingElement(c, RATIONAL, True, {m: 1}).times_theta(j)
 
 
-def _repeated_products(element, terms, variant, balancing):
-    """The sum of c * P^a * element by repeated ``RingElement.__mul__`` with
-    whole parameter elements: the reference the Horner evaluator must meet."""
-    c, field = element.complex, element.field
-    params = [label_row_parameter(balancing, j, field) if variant == "omega"
-              else rank_row_parameter(c, j, field, variant == "gamma")
-              for j in range(1, c.n + 1)]
-    total = RingElement.zero(c, field, element.discrete)
-    for a, coeff in terms.items():
-        product = element
-        for param, e in zip(params, a):
-            for _ in range(e):
-                product = product * param
-        total = total + product.scale(coeff)
-    return total
-
-
 DISK_LABELS = {"s": 1, "t": 1, "u": 2, "v": 3}
 STEP_BALANCINGS = {"disk": Balancing(THETA_STEP_COMPLEXES["disk"], DISK_LABELS)}
 
@@ -163,25 +141,23 @@ STEP_BALANCINGS = {"disk": Balancing(THETA_STEP_COMPLEXES["disk"], DISK_LABELS)}
 @pytest.mark.parametrize("field", [RATIONAL, GF5], ids=["rational", "gf:5"])
 @given(data=st.data())
 def test_evaluate_parameters_matches_repeated_products(field, data):
-    variant, name = data.draw(st.sampled_from([
-        ("theta", "double edge"), ("gamma", "double edge"),
-        ("theta", "triangle"), ("gamma", "triangle"), ("omega", "disk")]))
-    c, bal = THETA_STEP_COMPLEXES[name], STEP_BALANCINGS.get(name)
-    discrete = variant == "gamma"
+    c = THETA_STEP_COMPLEXES[data.draw(st.sampled_from(
+        sorted(THETA_STEP_COMPLEXES)))]
     exponents = st.lists(st.integers(0, 5), min_size=c.n, max_size=c.n).filter(
         lambda a: sum(a) <= 5).map(tuple)
     scalars = st.sampled_from([-3, -1, 1, 2, Fraction(1, 2)])
     terms = ParameterPolynomial(c.n, field, data.draw(st.dictionaries(
         exponents, scalars, min_size=1, max_size=4))).terms
     monos = [m for d in range(3) for m in graded_monomials(c, degree=d)]
-    element = RingElement(c, field, discrete, data.draw(st.dictionaries(
+    element = RingElement(c, field, False, data.draw(st.dictionaries(
         st.sampled_from(monos), scalars, min_size=1, max_size=2)))
-    assert evaluate_parameters(element, terms, variant, bal) \
-        == _repeated_products(element, terms, variant, bal)
+    assert evaluate_parameters(element, terms) \
+        == parameter_products(element, terms)
 
 
 # expansions pinned from the implementation that multiplied whole parameter
-# elements, as an oracle that shares no code with the Horner evaluator
+# elements, as an oracle that shares no code with the Horner evaluator (theta)
+# or with the reference products (gamma, omega)
 PINNED_EXPANSIONS = [
     ("double edge", (4, 0), "theta", RATIONAL, {
         (("alpha", 2),): 6, (("beta", 2),): 6, (("v", 4),): 1, (("w", 4),): 1,
@@ -207,32 +183,22 @@ PINNED_EXPANSIONS = [
 def test_parameter_monomial_pinned_values(name, exponents, variant, field,
                                           expected):
     c = THETA_STEP_COMPLEXES[name]
-    got = parameter_monomial(c, exponents, variant, field,
-                             STEP_BALANCINGS.get(name))
+    if variant == "theta":
+        got = parameter_monomial(c, exponents, field)
+    else:
+        got = parameter_products(RingElement.one(c, field, variant == "gamma"),
+                                 {exponents: 1}, STEP_BALANCINGS.get(name))
     assert got.terms == {mono(c, pairs): y for pairs, y in expected.items()}
 
 
-EDGE, DISK = THETA_STEP_COMPLEXES["double edge"], THETA_STEP_COMPLEXES["disk"]
+EDGE = THETA_STEP_COMPLEXES["double edge"]
 
 
 @pytest.mark.parametrize("call, error", [
-    (lambda: parameter_monomial(EDGE, (1, 0), "delta", RATIONAL), InputError),
-    (lambda: parameter_monomial(DISK, (1, 0, 0), "omega", RATIONAL), InputError),
-    (lambda: parameter_monomial(DISK, (1, 0, 0), "omega", RATIONAL,
-                                Balancing(make_disk(), DISK_LABELS)),
-     InvalidBalancing),
-    (lambda: parameter_monomial(DISK, (1, 0, 0), "omega", RATIONAL, Balancing(
-        DISK, {"s": 1, "t": 2, "u": 2, "v": 3})), InvalidBalancing),
-    (lambda: parameter_monomial(EDGE, (0, 0, 1), "theta", RATIONAL), InputError),
-    (lambda: parameter_monomial(DISK, (0, 0, 0, 1), "omega", RATIONAL,
-                                STEP_BALANCINGS["disk"]), InputError),
+    (lambda: parameter_monomial(EDGE, (0, 0, 1), RATIONAL), InputError),
     (lambda: evaluate_parameters(RingElement.one(EDGE, RATIONAL, True),
                                  {(1, 0): 1}), ComplexMismatch),
-    (lambda: evaluate_parameters(RingElement.one(EDGE, RATIONAL),
-                                 {(1, 0): 1}, "gamma"), ComplexMismatch),
-], ids=["unknown variant", "omega without balancing", "foreign balancing",
-        "invalid balancing", "theta beyond n", "omega beyond n",
-        "theta on the discrete ring", "gamma on the face ring"])
+], ids=["theta beyond n", "theta on the discrete ring"])
 def test_evaluation_input_checks(call, error):
     with pytest.raises(InputError) as info:
         call()
@@ -240,8 +206,8 @@ def test_evaluation_input_checks(call, error):
 
 
 def test_zero_exponents_beyond_n_are_accepted():
-    assert parameter_monomial(EDGE, (1, 0, 0), "theta", RATIONAL) \
-        == parameter_monomial(EDGE, (1, 0), "theta", RATIONAL)
+    assert parameter_monomial(EDGE, (1, 0, 0), RATIONAL) \
+        == parameter_monomial(EDGE, (1, 0), RATIONAL)
 
 
 def test_exponent_vectors_of_mixed_length():
@@ -251,12 +217,11 @@ def test_exponent_vectors_of_mixed_length():
                          ({(1, 0, 0): 1, (1,): 2, (0, 2): 1, (0, 2, 0): 3},
                           RATIONAL),
                          ({(1,): 2, (1, 0): 3, (0, 1, 0): 1}, GF5)]:
-        for discrete, variant in [(False, "theta"), (True, "gamma")]:
-            one = RingElement.one(EDGE, field, discrete)
-            expected = RingElement.zero(EDGE, field, discrete)
-            for a, c in terms.items():
-                expected = expected + evaluate_parameters(one, {a: c}, variant)
-            assert evaluate_parameters(one, terms, variant) == expected
+        one = RingElement.one(EDGE, field)
+        expected = RingElement(EDGE, field, False, {})
+        for a, c in terms.items():
+            expected = expected + evaluate_parameters(one, {a: c})
+        assert evaluate_parameters(one, terms) == expected
     assert evaluate_parameters(RingElement.one(EDGE, RATIONAL),
                                {(1,): 1, (1, 0): 2}) \
         == rank_row_parameter(EDGE, 1, RATIONAL).scale(3)
@@ -340,7 +305,7 @@ def test_stored_scalars_are_canonical(field, double_edge, disk):
         faces = range(1, len(c))
 
         def random_element():
-            f = RingElement.zero(c, field)
+            f = RingElement(c, field, False, {})
             for _ in range(rng.randint(1, 3)):
                 pairs = [(rng.choice(faces), rng.randint(1, 2))
                          for _ in range(rng.randint(1, 2))]
@@ -360,7 +325,7 @@ def test_stored_scalars_are_canonical(field, double_edge, disk):
                 assert_canonical(x.terms.values(), p)
             q1 = random_polynomial()
             assert_canonical(q1.terms.values(), p)
-            assert_canonical(q1.evaluate(c, "theta").terms.values(), p)
+            assert_canonical(q1.evaluate(c).terms.values(), p)
 
     # representations come out canonical from unreduced input rows
     width = 4
@@ -394,10 +359,7 @@ def test_concurrent_readers_share_memos():
     tasks = [lambda c, raw=raw: straighten(c, raw, RATIONAL).terms
              for raw in products]
     for exps in itertools.product(range(4), repeat=disk.n):
-        tasks.append(lambda c, a=exps: parameter_monomial(c, a, "theta",
-                                                          GF5).terms)
-        tasks.append(lambda c, a=exps: parameter_monomial(c, a, "gamma",
-                                                          RATIONAL).terms)
+        tasks.append(lambda c, a=exps: parameter_monomial(c, a, GF5).terms)
     expected = [task(disk) for task in tasks]
 
     interval = sys.getswitchinterval()
@@ -494,7 +456,8 @@ def test_label_row_parameter(disk, disk_balancing):
 
 def test_gamma_monomial_expansion(double_edge):
     poly = ParameterPolynomial(2, RATIONAL, {(2, 1): 1})
-    got = poly.evaluate(double_edge, "gamma")
+    got = parameter_products(RingElement.one(double_edge, RATIONAL, True),
+                             poly.terms)
     expected = (el(double_edge, [("v", 2), ("alpha", 1)], discrete=True)
                 + el(double_edge, [("v", 2), ("beta", 1)], discrete=True)
                 + el(double_edge, [("w", 2), ("alpha", 1)], discrete=True)
@@ -504,7 +467,7 @@ def test_gamma_monomial_expansion(double_edge):
 
 def test_constant_parameter_poly(double_edge):
     poly = ParameterPolynomial(2, RATIONAL, {(0, 0): 1})
-    assert poly.evaluate(double_edge, "theta") \
+    assert poly.evaluate(double_edge) \
         == RingElement.one(double_edge, RATIONAL)
 
 
@@ -512,7 +475,7 @@ def test_theta_monomial_matches_product(double_edge):
     poly = ParameterPolynomial(2, RATIONAL, {(2, 1): 1})
     theta1 = rank_row_parameter(double_edge, 1, RATIONAL)
     theta2 = rank_row_parameter(double_edge, 2, RATIONAL)
-    assert poly.evaluate(double_edge, "theta") \
+    assert poly.evaluate(double_edge) \
         == theta1 * theta1 * theta2
 
 
@@ -596,8 +559,8 @@ def test_gamma_monomials_cover_shape_component(double_edge, triangle):
         for exps in itertools.product(range(3), repeat=n):
             if sum(exps) == 0 or sum(e * (j + 1) for j, e in enumerate(exps)) > 6:
                 continue
-            poly = ParameterPolynomial(n, RATIONAL, {exps: 1})
-            got = poly.evaluate(c, "gamma")
+            got = parameter_products(RingElement.one(c, RATIONAL, True),
+                                     {exps: 1})
             lam = sh(exps)
             expected = monomials_of_shape(c, lam)
             assert sorted(got.terms) == sorted(expected)
@@ -612,8 +575,7 @@ def test_theta_monomials_dominate_shape_component(double_edge, triangle):
         for exps in itertools.product(range(3), repeat=n):
             if sum(exps) == 0 or sum(e * (j + 1) for j, e in enumerate(exps)) > 6:
                 continue
-            poly = ParameterPolynomial(n, RATIONAL, {exps: 1})
-            got = poly.evaluate(c, "theta")
+            got = parameter_monomial(c, exps, RATIONAL)
             lam = sh(exps)
             top = set(monomials_of_shape(c, lam))
             for m, coeff in got.terms.items():
@@ -631,8 +593,8 @@ def test_omega_monomials_cover_multidegree(disk, disk_balancing, double_edge_sd)
         for exps in itertools.product(range(3), repeat=n):
             if not 0 < sum(exps) <= 4:
                 continue
-            poly = ParameterPolynomial(n, RATIONAL, {exps: 1})
-            got = poly.evaluate(c, "omega", balancing=bal)
+            got = parameter_products(RingElement.one(c, RATIONAL), {exps: 1},
+                                     bal)
             expected = monomials_of_label_multidegree(bal, exps)
             assert sorted(got.terms) == sorted(expected)
             assert all(coeff == 1 for coeff in got.terms.values())
@@ -643,8 +605,8 @@ def test_homogeneous_terms_sit_under_distinct_facets(disk, disk_balancing):
     for exps in itertools.product(range(3), repeat=3):
         if not 0 < sum(exps) <= 5:
             continue
-        poly = ParameterPolynomial(3, RATIONAL, {exps: 1})
-        got = poly.evaluate(disk, "omega", balancing=disk_balancing)
+        got = parameter_products(RingElement.one(disk, RATIONAL), {exps: 1},
+                                 disk_balancing)
         for eps in disk.facets:
             under = [m for m in got.terms
                      if all(disk.leq(f, eps) for f, _ in m)]

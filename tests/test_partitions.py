@@ -105,7 +105,7 @@ def test_dominance_compatible_with_addition(lam, mu, nu):
 def test_dominance_partial_order_exhaustive():
     for d in range(13):
         parts = partitions_of(d)
-        assert len(set(parts)) == count_partitions(d)
+        assert len(set(parts)) == count_partitions(d, d)
         rel = {(a, b): dominates(a, b) for a in parts for b in parts}
         for a in parts:
             assert rel[(a, a)]
@@ -122,5 +122,12 @@ def test_dominance_partial_order_exhaustive():
 
 
 def test_partition_counts():
-    assert [count_partitions(d) for d in [*range(8), 100]] == [
+    assert [count_partitions(d, d) for d in [*range(8), 100]] == [
         1, 1, 2, 3, 5, 7, 11, 15, 190569292]
+
+
+def test_partition_counts_with_at_most_n_parts():
+    for d in range(13):
+        parts = set(partitions_of(d))
+        for n in range(d + 2):
+            assert count_partitions(d, n) == sum(len(p) <= n for p in parts)
