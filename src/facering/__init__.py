@@ -17,7 +17,6 @@ from .complexes import (
     build_from_facets,
     build_from_poset,
     label_selected,
-    validate_balancing,
 )
 from .partitions import Partition, sh, sh_inverse
 from .face_ring import (

@@ -20,7 +20,7 @@ import sys
 from . import documents
 from .cm_basis import CMVerdict, compute_basis, verify_basis
 from .coeff import FieldSpec
-from .complexes import Balancing, BooleanComplex, barycentric_subdivision
+from .complexes import Balancing, BooleanComplex, SdMap, barycentric_subdivision
 from .equivariant import (
     CROSS_TERM_MAX_D,
     average,
@@ -29,7 +29,7 @@ from .equivariant import (
     odd_cross_term_witness,
     verify_morphism,
 )
-from .errors import DomainError, InputError
+from .errors import DomainError, InputError, InvalidBalancing
 from .expressions import RingLexicon, format_element, parse_element
 from .face_ring import fine_vectors
 from .transfer import TransferContext, express_on_transferred_basis
@@ -58,10 +58,17 @@ def _face_ids(text: str | None) -> list[str] | None:
     return [str(f) for f in ids]
 
 
+def _sd_balancing(sd: SdMap) -> Balancing:
+    if sd.balancing is None:
+        raise InvalidBalancing(
+            "the complex is not pure, so its subdivision has no balancing")
+    return sd.balancing
+
+
 def _balancing(args) -> Balancing:
     base = documents.complex_from_document(documents.load_json(args.input))
     if args.sd:
-        return barycentric_subdivision(base).balancing
+        return _sd_balancing(barycentric_subdivision(base))
     return documents.balancing_from_document(base, documents.load_json(args.balancing))
 
 
@@ -149,7 +156,7 @@ def _run_transfer(args) -> int:
 def _sd_basis_or_verdict(args, field: FieldSpec):
     base = _base_complex(args)
     sd = barycentric_subdivision(base)
-    verdict = compute_basis(sd.balancing, field, order=_face_ids(args.order))
+    verdict = compute_basis(_sd_balancing(sd), field, order=_face_ids(args.order))
     return base, sd, verdict
 
 
@@ -333,10 +340,7 @@ def run(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ZeroDivisionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except DomainError as exc:
+    except (DomainError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

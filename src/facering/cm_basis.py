@@ -40,13 +40,7 @@ from operator import sub
 from typing import Iterable, Sequence
 
 from .coeff import FieldSpec, Raw
-from .complexes import (
-    EMPTY,
-    Balancing,
-    BooleanComplex,
-    mask_members,
-    require_valid_balancing,
-)
+from .complexes import EMPTY, Balancing, BooleanComplex, mask_members
 from .errors import BasisInvalid, FieldMismatch, InputError, OrderNotCompatible
 from .face_ring import (
     Mono,
@@ -89,11 +83,11 @@ def selected_facets(balancing: Balancing, labels: frozenset[int]) -> list[int]:
     """Facets of ``label_selected(balancing, labels)`` as indices of the
     balanced complex, without building the subcomplex.
 
-    On a pure balanced complex these are exactly the faces whose label set is
-    ``labels`` (restricted to the labels in use), in index order; for the
+    Every facet sees each label once, so for a subset of 1..n these are
+    exactly the faces whose label set is ``labels``, in index order; for the
     empty set that is the empty face.
     """
-    return list(balancing.faces_by_label_set.get(labels & balancing.labels, ()))
+    return list(balancing.faces_by_label_set.get(labels, ()))
 
 
 def default_processing_order(balancing: Balancing) -> list[int]:
@@ -163,8 +157,9 @@ class CellBasis:
         self._by_face: dict[int, tuple[tuple[int, tuple[int, ...], Raw], ...]] = {}
 
     def selected(self, labels: Iterable[int]) -> _SelectedData:
-        """Members with label set inside ``labels``, with their facet vectors
-        row-reduced inside the label-selected subcomplex.
+        """Members with label set inside ``labels``, a subset of 1..n
+        (``InputError`` otherwise), with their facet vectors row-reduced
+        inside the label-selected subcomplex.
 
         The subcomplex is never built: its facets are the faces whose label
         set equals ``labels`` (:func:`selected_facets`), and the members'
@@ -174,6 +169,9 @@ class CellBasis:
         cached = self._selected.get(key)
         if cached is not None:
             return cached
+        if not key <= frozenset(range(1, self.balancing.n + 1)):
+            raise InputError(f"label set {sorted(key)} is not inside "
+                             f"1..{self.balancing.n}")
         members = [m for m in self.members
                    if self.balancing.label_sets[m] <= key]
         facets = selected_facets(self.balancing, key)
@@ -247,7 +245,6 @@ def compute_basis(balancing: Balancing, field: FieldSpec,
     local span there is all the members'), so the scan stops at the first
     facet met with the span full.
     """
-    require_valid_balancing(balancing)
     complex, label_sets = balancing.complex, balancing.label_sets
     if order is None:
         idx_order = default_processing_order(balancing)
@@ -304,7 +301,6 @@ def verify_basis(balancing: Balancing, field: FieldSpec,
     the facets of the label-selected subcomplex in number, and their
     incidence matrix there must be nonsingular.
     """
-    require_valid_balancing(balancing)
     complex = balancing.complex
     members = [complex.resolve(f) for f in candidate]
     n = balancing.n
@@ -333,7 +329,6 @@ def subspace_M_S(balancing: Balancing, field: FieldSpec,
     """Canonical row-space basis of the span of the facet vectors of the faces
     whose label set equals S (the image of their span inside the facet
     component)."""
-    require_valid_balancing(balancing)
     complex = balancing.complex
     columns = _columns(complex.facets)
     rows = [_incidence(complex, f, columns)

@@ -119,7 +119,11 @@ class FieldSpec:
             q = Fraction(text)
         except (ValueError, ZeroDivisionError):
             raise InputError(f"bad coefficient {text!r}") from None
-        return normal(q, self.p)
+        try:
+            return normal(q, self.p)
+        except ZeroDivisionError as exc:
+            raise InputError(f"coefficient {text!r} has no value in {self}: "
+                             f"{exc}") from None
 
     def __str__(self) -> str:
         return "rational" if self.p is None else f"gf:{self.p}"

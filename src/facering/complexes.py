@@ -263,15 +263,16 @@ class BooleanComplex:
 
 
 class Balancing:
-    """A vertex labeling of ``complex`` with the label set of every face.
+    """A balancing of ``complex``: a labeling of its vertices under which the
+    complex is pure and every facet sees each label 1..n exactly once, where
+    n = ``complex.n`` (Stanley, *Balanced Cohen-Macaulay complexes*, 1979).
 
-    Top-level balancings use the labels 1..n; label-selected subcomplexes
-    inherit sub-collections, which is why validation only asks that every
-    facet see each used label exactly once.  Label sets are built in rank
-    order from covers: a vertex's is its own label, and a face of rank at
-    least 2 takes the union of its first two covers' sets, which together
-    hold its vertices.  ``faces_by_label_set`` holds the faces of each label
-    set that occurs, in index order; it never changes.
+    It is checked once, here, and ``InvalidBalancing`` names what fails.
+    Label sets are built in rank order from covers: a vertex's is its own
+    label, and a face of rank at least 2 takes the union of its first two
+    covers' sets, which together hold its vertices.  ``faces_by_label_set``
+    holds the faces of each label set that occurs, in index order; it never
+    changes.
     """
 
     def __init__(self, complex: BooleanComplex, labels: Mapping[int | str, int]):
@@ -288,8 +289,7 @@ class Balancing:
         if missing:
             raise InvalidBalancing(f"unlabeled vertices: {missing}")
         self.vertex_label: dict[int, int] = got
-        self.labels: frozenset[int] = frozenset(got.values())
-        self.n: int = max(got.values(), default=0)
+        self.n: int = complex.n
         sets: list[frozenset[int]] = [frozenset()] * len(complex)
         for v in complex.vertices():
             sets[v] = frozenset((got[v],))
@@ -297,38 +297,22 @@ class Balancing:
             for f in complex.faces_of_rank(r):
                 c0, c1 = complex.covers[f][:2]
                 sets[f] = sets[c0] | sets[c1]
+        # a facet has as many vertices as its rank, at most n: it sees n
+        # labels iff it has rank n and sees each of its labels once
+        facet_sets = {sets[eps] for eps in complex.facets}
+        seen = facet_sets.pop()
+        if facet_sets or len(seen) != self.n:
+            raise InvalidBalancing("labeling is not a balancing of this complex")
+        if seen != frozenset(range(1, self.n + 1)):
+            raise InvalidBalancing(
+                f"a balancing of this complex needs labels exactly 1..{self.n}; "
+                f"got {sorted(seen)}")
         self.label_sets: tuple[frozenset[int], ...] = tuple(sets)
         grouped: dict[frozenset[int], list[int]] = {}
         for f, s in enumerate(self.label_sets):
             grouped.setdefault(s, []).append(f)
         self.faces_by_label_set: Mapping[frozenset[int], tuple[int, ...]] = {
             s: tuple(fs) for s, fs in grouped.items()}
-
-    @property
-    def is_standard(self) -> bool:
-        """Do the labels form the full collection 1..n?"""
-        return self.labels == frozenset(range(1, self.n + 1))
-
-
-def validate_balancing(balancing: Balancing) -> bool:
-    """True iff the labelled complex is pure of the right dimension and every
-    facet sees each label of the collection exactly once."""
-    complex, collection = balancing.complex, balancing.labels
-    if not complex.is_pure() or complex.n != len(collection):
-        return False
-    # every facet has rank n, so n vertices
-    return all(balancing.label_sets[eps] == collection for eps in complex.facets)
-
-
-def require_valid_balancing(balancing: Balancing, standard: bool = True) -> None:
-    """Raise unless the balancing is valid; the vector-graded machinery also
-    needs the label collection to be exactly 1..n."""
-    if not validate_balancing(balancing):
-        raise InvalidBalancing("labeling is not a balancing of this complex")
-    if standard and not balancing.is_standard:
-        raise InvalidBalancing(
-            f"this operation needs labels exactly 1..{balancing.n}; "
-            f"got {sorted(balancing.labels)}")
 
 
 # -- constructors ----------------------------------------------------------------
@@ -408,16 +392,17 @@ class SdMap:
     """The subdivision of a complex, with the chain dictionary both ways.
 
     ``chain_of[i]`` is the chain of source faces (ascending rank) that the
-    i-th face of the target represents; ``face_of_chain`` inverts it.  The
-    target carries the canonical balancing labeling each vertex by the rank
-    of the source face it subdivides.
+    i-th face of the target represents; ``face_of_chain`` inverts it.  When
+    the source is pure, ``balancing`` is the target's canonical balancing,
+    which labels each vertex by the rank of the source face it subdivides;
+    otherwise the target is not pure either, and ``balancing`` is ``None``.
     """
 
     source: BooleanComplex
     target: BooleanComplex
     chain_of: tuple[tuple[int, ...], ...]
     face_of_chain: Mapping[tuple[int, ...], int]
-    balancing: Balancing
+    balancing: Balancing | None
 
 
 def barycentric_subdivision(complex: BooleanComplex) -> SdMap:
@@ -457,7 +442,7 @@ def barycentric_subdivision(complex: BooleanComplex) -> SdMap:
     target = BooleanComplex._from_order_complex(ids, covers)
     chain_of = ((),) + tuple(chains)
     labels = {face_of_chain[(f,)]: complex.rank[f] for f in range(1, len(complex))}
-    balancing = Balancing(target, labels)
+    balancing = Balancing(target, labels) if complex.is_pure() else None
     sd = SdMap(complex, target, chain_of, face_of_chain, balancing)
     return complex._sd_cache.setdefault("sd", sd)
 
@@ -470,9 +455,10 @@ def label_selected(balancing: Balancing, labels: Iterable[int]) -> BooleanComple
 
     The face set is downward closed, so the induced Hasse diagram is the
     restriction of the original one.  Face ids are preserved; facets are the
-    maximal selected faces in original index order.
+    maximal selected faces in original index order.  The vertices keep their
+    labels, which balance the subcomplex only once mapped order-preservingly
+    onto 1..k.
     """
-    require_valid_balancing(balancing, standard=False)
     complex, selected = balancing.complex, frozenset(labels)
     member = [f for f in range(1, len(complex))
               if balancing.label_sets[f] <= selected]

@@ -44,10 +44,6 @@ class _Scanner:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
             self.pos += 1
 
-    @property
-    def column(self) -> int:
-        return self.pos + 1
-
     def peek(self) -> str:
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
@@ -57,7 +53,9 @@ class _Scanner:
         return ch
 
     def error(self, message: str, expected: tuple[str, ...] = ()) -> ParseError:
-        return ParseError(message, 1, self.column, expected)
+        line_start = self.text.rfind("\n", 0, self.pos) + 1
+        return ParseError(message, self.text.count("\n", 0, self.pos) + 1,
+                          self.pos - line_start + 1, expected)
 
     def integer(self) -> int:
         start = self.pos

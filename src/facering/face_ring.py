@@ -35,8 +35,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .coeff import FieldSpec, Raw, normal
-from .complexes import (EMPTY, Balancing, BooleanComplex, mask_members,
-                        require_valid_balancing)
+from .complexes import EMPTY, Balancing, BooleanComplex, mask_members
 from .errors import ComplexMismatch, FieldMismatch, InputError
 from .partitions import Partition, sh
 
@@ -327,7 +326,6 @@ def rank_row_parameter(complex: BooleanComplex, j: int, field: FieldSpec,
 def label_row_parameter(balancing: Balancing, j: int,
                         field: FieldSpec) -> RingElement:
     """Sum of the vertex generators with label j on the balanced complex."""
-    require_valid_balancing(balancing)
     if not 1 <= j <= balancing.n:
         raise InputError(f"label {j} out of range 1..{balancing.n}")
     return RingElement(balancing.complex, field, False, {
@@ -529,7 +527,6 @@ def fine_vectors(balancing: Balancing,
     Keys are sorted label tuples over every subset of 1..n; the empty face
     contributes 1 at the empty set.
     """
-    require_valid_balancing(balancing)
     n = balancing.n
     subsets = []
     for r in range(n + 1):

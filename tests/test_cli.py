@@ -114,6 +114,18 @@ def test_parse_error_exit_code(docs, capsys):
     assert "column 6" in err
 
 
+@pytest.mark.parametrize("field, code, out, err", [
+    ("gf:2", 2, "", "error: coefficient '1/2' has no value in gf:2: "
+                    "denominator 2 is not invertible mod 2\n"),
+    ("gf:3", 0, "2*x[v]\n", ""),
+], ids=["gf:2", "gf:3"])
+def test_coefficient_outside_the_field_exit_2(field, code, out, err, capsys):
+    assert run(["straighten", "--input", os.path.join(DATA, "double_edge.json"),
+                "--field", field, "--expr", "1/2*x[v]"]) == code
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (out, err)
+
+
 def test_unknown_face_exit_code(docs, capsys):
     code = run(["straighten", "--input", docs["double_edge"], "--expr", "x[zz]"])
     assert code == 2
@@ -282,6 +294,31 @@ def test_not_cm_subdivision_is_a_result(command, tmp_path, capsys):
     assert code == 0
     assert payload["verdict"] == "not-cm"
     assert payload["witness"] == "a,c"
+
+
+NOT_PURE = {"kind": "simplicial", "facets": [["a", "b"], ["c"]]}
+
+
+@pytest.mark.parametrize("argv", [["check-cm", "--sd"],
+                                  ["represent", "--expr", "x[a]"],
+                                  ["fine-vectors", "--sd"]])
+def test_subdivision_of_a_complex_that_is_not_pure_has_no_balancing(
+        argv, tmp_path, capsys):
+    path = tmp_path / "not_pure.json"
+    path.write_text(json.dumps(NOT_PURE))
+    assert run([*argv, "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: the complex is not pure, so its "
+                            "subdivision has no balancing\n")
+
+
+def test_subdivision_of_a_complex_that_is_not_pure_straightens(tmp_path, capsys):
+    path = tmp_path / "not_pure.json"
+    path.write_text(json.dumps(NOT_PURE))
+    assert run(["straighten", "--sd", "--input", str(path),
+                "--expr", "x[a]*x[a_a,b]"]) == 0
+    assert capsys.readouterr().out == "x[a]*x[a_a,b]\n"
 
 
 # documents that cannot be decoded: not UTF-8, or nested past the decoder

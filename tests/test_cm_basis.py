@@ -794,3 +794,5 @@ def test_selected_facets_are_label_selected_facets(case, disk, disk_balancing):
             expected = [c.index_of[sub.ids[f]] for f in sub.facets]
             assert selected_facets(bal, frozenset(s)) == expected
             assert basis.selected(s).facets == expected
+    with pytest.raises(InputError, match=rf"label set \[1, {bal.n + 1}\] is not inside"):
+        basis.selected({1, bal.n + 1})

@@ -13,13 +13,13 @@ from facering import (
     build_from_facets,
     build_from_poset,
     label_selected,
-    validate_balancing,
 )
 from facering.complexes import EMPTY, mask_members
 from facering.documents import complex_from_document, load_json
 from facering.errors import (
     DuplicateFaceId,
     EmptyInput,
+    InvalidBalancing,
     InvalidComplex,
     LowerIntervalNotBoolean,
     NoCommonUpperBound,
@@ -317,7 +317,16 @@ def test_sd_single_vertex():
 
 def test_sd_is_balanced_by_ranks(double_edge_sd, triangle_sd):
     for sd in (double_edge_sd, triangle_sd):
-        assert validate_balancing(sd.balancing)
+        bal = sd.balancing
+        assert bal.n == sd.source.n
+        assert all(bal.vertex_label[sd.face_of_chain[(f,)]] == sd.source.rank[f]
+                   for f in range(1, len(sd.source)))
+        assert all(bal.label_sets[eps] == frozenset(range(1, bal.n + 1))
+                   for eps in sd.target.facets)
+    # a complex that is not pure has a subdivision that is not pure either
+    mixed = barycentric_subdivision(build_from_facets([["a", "b"], ["c"]]))
+    assert not mixed.target.is_pure()
+    assert mixed.balancing is None
 
 
 def test_sd_facet_count_is_chain_count(double_edge, triangle):
@@ -370,7 +379,14 @@ def _assert_matches_validated_rebuild(sd):
         assert getattr(target, attr) == getattr(rebuilt, attr)
     for r in range(target.n + 2):
         assert target.faces_of_rank(r) == rebuilt.faces_of_rank(r)
-    balancing = Balancing(rebuilt, sd.balancing.vertex_label)
+    ranks = {sd.face_of_chain[(f,)]: sd.source.rank[f]
+             for f in range(1, len(sd.source))}
+    if not sd.source.is_pure():
+        assert sd.balancing is None
+        with pytest.raises(InvalidBalancing):
+            Balancing(rebuilt, ranks)
+        return
+    balancing = Balancing(rebuilt, ranks)
     assert balancing.label_sets == sd.balancing.label_sets
     assert balancing.faces_by_label_set == sd.balancing.faces_by_label_set
 
@@ -439,37 +455,53 @@ def test_label_selected_examples(double_edge_sd):
 
 
 def test_label_selected_functorial(disk, disk_balancing):
-    import itertools
+    # the labels of S, mapped order-preservingly onto 1..|S|, balance the
+    # subcomplex selected by S
     for s in itertools.chain.from_iterable(
             itertools.combinations((1, 2, 3), r) for r in range(4)):
         outer = label_selected(disk_balancing, s)
+        relabel = {label: k for k, label in enumerate(s, 1)}
+        outer_bal = Balancing(outer, {
+            outer.ids[v]: relabel[disk_balancing.vertex_label[disk.resolve(outer.ids[v])]]
+            for v in outer.vertices()})
         for r in range(len(s) + 1):
             for sub in itertools.combinations(s, r):
                 direct = label_selected(disk_balancing, sub)
-                outer_bal = Balancing(outer, {
-                    outer.ids[v]: disk_balancing.vertex_label[disk.resolve(outer.ids[v])]
-                    for v in outer.vertices()})
-                again = label_selected(outer_bal, sub)
+                again = label_selected(outer_bal, [relabel[j] for j in sub])
                 assert sorted(again.ids) == sorted(direct.ids)
 
 
 def test_validate_balancing_examples(double_edge, disjoint_edges_balancing):
     good = Balancing(double_edge, {"v": 1, "w": 2})
-    assert validate_balancing(good)
-    assert validate_balancing(disjoint_edges_balancing)
-    bad = Balancing(double_edge, {"v": 1, "w": 1})
-    assert not validate_balancing(bad)
+    assert good.n == 2
+    assert disjoint_edges_balancing.n == 2
+    with pytest.raises(InvalidBalancing):
+        Balancing(double_edge, {"v": 1, "w": 1})
 
 
 def test_label_selected_carries_sub_collection(disk_balancing):
+    # the subcomplex keeps the labels 2 and 3, which are not 1..2
     sub = label_selected(disk_balancing, {2, 3})
-    sub_bal = Balancing(sub, {"u": 2, "v": 3})
-    assert validate_balancing(sub_bal)
-    assert not sub_bal.is_standard
-    from facering.errors import InvalidBalancing
-    from facering.face_ring import fine_vectors
     with pytest.raises(InvalidBalancing):
-        fine_vectors(sub_bal)  # the vector machinery needs labels 1..n
+        Balancing(sub, {"u": 2, "v": 3})
+    from facering.face_ring import fine_vectors
+    f_vec, _ = fine_vectors(Balancing(sub, {"u": 1, "v": 2}))
+    assert f_vec == {(): 1, (1,): 1, (2,): 1, (1, 2): 2}
+
+
+@pytest.mark.parametrize("facets, labels, message", [
+    ([["a", "b"], ["c"]], {"a": 1, "b": 2, "c": 1},
+     "labeling is not a balancing of this complex"),
+    ([["a", "b"], ["b", "c"]], {"a": 1, "b": 2, "c": 2},
+     "labeling is not a balancing of this complex"),
+    ([["0", "1", "2"]], {"0": 2, "1": 3, "2": 4},
+     "a balancing of this complex needs labels exactly 1..3; got [2, 3, 4]"),
+], ids=["not-pure", "facet-missing-a-label", "labels-2-3-4-on-triangle"])
+def test_balancing_construction_errors(facets, labels, message):
+    with pytest.raises(InvalidBalancing) as info:
+        Balancing(build_from_facets(facets), labels)
+    assert type(info.value) is InvalidBalancing
+    assert str(info.value) == message
 
 
 def test_is_pure(double_edge):

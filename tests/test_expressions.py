@@ -35,6 +35,17 @@ def test_parse_error_position(double_edge):
         parse_element("x[v]^", lex(double_edge))
 
 
+def test_parse_error_position_on_later_lines(double_edge):
+    # the q sits on line 2 after two spaces; columns restart at each line
+    with pytest.raises(ParseError) as err:
+        parse_element("x[v] +\n  q", lex(double_edge))
+    assert (err.value.line, err.value.column) == (2, 3)
+    assert "at line 2, column 3" in str(err.value)
+    with pytest.raises(ParseError) as err:
+        parse_element("x[v] +\n", lex(double_edge))
+    assert (err.value.line, err.value.column) == (2, 1)
+
+
 def test_parse_unknown_face(double_edge):
     with pytest.raises(UnknownFace):
         parse_element("x[q]", lex(double_edge))
