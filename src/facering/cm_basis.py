@@ -303,6 +303,9 @@ def verify_basis(balancing: Balancing, field: FieldSpec,
     """
     complex = balancing.complex
     members = [complex.resolve(f) for f in candidate]
+    if len(set(members)) < len(members):
+        m = next(m for i, m in enumerate(members) if m in members[:i])
+        raise InputError(f"candidate lists face {complex.ids[m]!r} more than once")
     n = balancing.n
     per: dict[tuple[int, ...], dict] = {}
     valid = True

@@ -128,11 +128,3 @@ class FieldSpec:
     def __str__(self) -> str:
         return "rational" if self.p is None else f"gf:{self.p}"
 
-
-def is_unit_integer(spec: FieldSpec, n: int) -> bool:
-    """Is the image of the positive integer ``n`` invertible in the field?"""
-    if n < 1:
-        raise InputError("n must be a positive integer")
-    if spec.p is None:
-        return True
-    return n % spec.p != 0

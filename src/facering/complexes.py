@@ -131,23 +131,21 @@ class BooleanComplex:
 
     def _derive_tables(self, order: Sequence[int]) -> None:
         """Every derived table from a topological order of the covers, which
-        are not checked: ranks, downsets, atom sets and chain counts in one
-        pass up it, upsets in one pass down it, then the faces of each rank,
-        the facets (the maximal faces in index order) and empty memos."""
+        are not checked: ranks, downsets and atom sets in one pass up it,
+        upsets in one pass down it, then the faces of each rank, the facets
+        (the maximal faces in index order) and empty memos."""
         covers, size = self.covers, len(self.ids)
         rank = [0] * size
         down = [1 << f for f in range(size)]
         atoms = [0] * size
-        chains = [1] * size
         for f in order[1:]:
             cs = covers[f]
             r = rank[f] = rank[cs[0]] + 1
-            d, a, k = down[f], 0, 0
+            d, a = down[f], 0
             for c in cs:
                 d |= down[c]
                 a |= atoms[c]
-                k += chains[c]
-            down[f], atoms[f], chains[f] = d, a if r > 1 else 1 << f, k
+            down[f], atoms[f] = d, a if r > 1 else 1 << f
         up = [1 << f for f in range(size)]
         for f in reversed(order):
             u = up[f]
@@ -162,7 +160,6 @@ class BooleanComplex:
         self.up: tuple[int, ...] = tuple(up)
         self.atoms: tuple[int, ...] = tuple(atoms)
         self._by_rank = tuple(map(tuple, by_rank))
-        self.maximal_chain_count: int = sum(chains[f] for f in maximal)
         self.facets: tuple[int, ...] = tuple(maximal)
         # memo tables for ring arithmetic and the subdivision; append-only,
         # each key stored once with its finished value by setdefault

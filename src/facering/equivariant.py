@@ -6,7 +6,9 @@ on the basis, then re-evaluate the coefficients with the face-ring
 parameters against the stored images.  Averaging such a morphism over a
 finite automorphism group keeps the parameter-linearity (the parameters are
 invariant) and produces the equivariant isomorphism whenever the group
-order is invertible in the field.
+order is invertible in the field.  A morphism memoizes only the products
+theta^a * image; ``average`` remembers, for one call, the image of each
+chain monomial it meets.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from itertools import groupby
 from math import comb
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .coeff import FieldSpec, inverse, is_unit_integer, normal
+from .coeff import FieldSpec, inverse, normal
 from .complexes import EMPTY, BooleanComplex, face_id_of_vertex_set
 from .errors import (
     ComplexMismatch,
@@ -28,7 +30,7 @@ from .errors import (
     NotAnAutomorphism,
     OrderNotInvertible,
 )
-from .face_ring import Mono, RingElement, add_terms, graded_monomials
+from .face_ring import Mono, RingElement, _step_terms, add_terms, graded_monomials
 from .linalg import row_rank
 from .partitions import Partition, sh, strictly_dominates
 from .transfer import TransferContext
@@ -179,20 +181,19 @@ class Morphism:
     (``ComplexMismatch``) over the basis's field (``FieldMismatch``);
     ``apply`` takes the subdivision's ring over that field.
 
-    Three append-only memos serve ``apply``: the image of each standard
-    monomial; each product theta^a * images[member] for an exponent vector
-    a met in a cell-basis representation, or on the way down to one; and
-    the cell basis's per-face representations
-    (:meth:`CellBasis.represent_monomial`, at most one entry per face of the
-    subdivision).  A monomial's image is the sum of c * product over its
-    (member, a, c) triples, by bilinearity, and a product is peeled one
-    theta_j at a time (:meth:`RingElement.times_theta`), so no theta
-    polynomial is expanded and multiplied as a whole.  The face ring is free
-    over the theta parameters on the transferred members, which have the
-    members' degrees, so the pairs (a, member) of one total degree are
-    exactly as many as the standard monomials of that degree: the product
-    memo never holds more entries than the standard monomials of degree up
-    to the largest one applied.
+    One append-only memo serves ``apply``: the terms of each product
+    theta^a * images[member] for an exponent vector a met in a cell-basis
+    representation, or on the way down to one.  A monomial's image is the
+    sum of c * product over its (member, a, c) triples
+    (:meth:`CellBasis.represent_monomial`, which keeps its own memo of at
+    most one entry per face of the subdivision), by bilinearity, and a
+    product is peeled one theta_j step at a time, so no theta polynomial is
+    expanded and multiplied as a whole.  The face ring is free over the
+    theta parameters on the transferred members, which have the members'
+    degrees, so the pairs (a, member) of one total degree are exactly as
+    many as the standard monomials of that degree: the product memo never
+    holds more entries than the standard monomials of degree up to the
+    largest one applied.
     """
 
     def __init__(self, ctx: TransferContext, basis: CellBasis,
@@ -210,8 +211,7 @@ class Morphism:
         self.ctx = ctx
         self.basis = basis
         self.images = {m: images[m] for m in basis.members}
-        self._mono_cache: dict[Mono, RingElement] = {}
-        self._product_cache: dict[tuple[int, tuple[int, ...]], RingElement] = {}
+        self._product_cache: dict[tuple[int, tuple[int, ...]], dict[Mono, object]] = {}
 
     def apply(self, element: RingElement) -> RingElement:
         """Represent on the stored basis, then evaluate the coefficients with
@@ -220,31 +220,20 @@ class Morphism:
             raise ComplexMismatch("expected an element of the subdivision ring")
         if element.field != self.basis.field:
             raise FieldMismatch("element and morphism must agree on the field")
-        if len(element.terms) == 1 and 1 in element.terms.values():
-            return self._apply_mono(next(iter(element.terms)))
         terms: dict[Mono, object] = {}
         for mono, coeff in element.terms.items():
-            add_terms(terms, ((m, coeff * x) for m, x
-                              in self._apply_mono(mono).terms.items()))
+            cell = self.ctx.cell_mono_of_multichain(mono)
+            for member, a, c in self.basis.represent_monomial(cell):
+                add_terms(terms, ((m, coeff * c * x) for m, x
+                                  in self._product(a, member).items()))
         return RingElement(self.ctx.sd.source, self.basis.field, False, terms)
 
-    def _apply_mono(self, mono: Mono) -> RingElement:
-        cached = self._mono_cache.get(mono)
-        if cached is None:
-            cell = self.ctx.cell_mono_of_multichain(mono)
-            terms: dict[Mono, object] = {}
-            for member, a, c in self.basis.represent_monomial(cell):
-                add_terms(terms, ((m, c * x) for m, x
-                                  in self._product(a, member).terms.items()))
-            cached = self._mono_cache.setdefault(mono, RingElement(
-                self.ctx.sd.source, self.basis.field, False, terms))
-        return cached
-
-    def _product(self, exponents: tuple[int, ...], member: int) -> RingElement:
-        """theta^exponents * images[member], memoized under (member,
-        exponents), one theta_j step at a time: walks down the keys, lowering
-        the first nonzero exponent, to the first one memoized, then steps back
-        up in a loop, so no exponent is deep enough to exhaust the
+    def _product(self, exponents: tuple[int, ...],
+                 member: int) -> dict[Mono, object]:
+        """The terms of theta^exponents * images[member], memoized under
+        (member, exponents), one theta_j step at a time: walks down the keys,
+        lowering the first nonzero exponent, to the first one memoized, then
+        steps back up in a loop, so no exponent is deep enough to exhaust the
         interpreter stack."""
         cache = self._product_cache
         exps = list(exponents)
@@ -252,13 +241,14 @@ class Morphism:
         while (key := (member, tuple(exps))) not in cache:
             j = next((i for i, e in enumerate(exps) if e > 0), None)
             if j is None:
-                cache.setdefault(key, self.images[member])
+                cache.setdefault(key, self.images[member].terms)
                 break
             pending.append((key, j))
             exps[j] -= 1
         product = cache[key]
+        complex, p = self.ctx.sd.source, self.basis.field.p
         for key, j in reversed(pending):
-            product = cache.setdefault(key, product.times_theta(j + 1))
+            product = cache.setdefault(key, _step_terms(complex, product, j + 1, p))
         return product
 
 
@@ -275,18 +265,23 @@ def average(morphism: Morphism, group: Group) -> Morphism:
     if group.complex is not ctx.sd.source:
         raise ComplexMismatch("group acts on a different complex")
     field = morphism.basis.field
-    if not is_unit_integer(field, group.order):
+    if field.p is not None and group.order % field.p == 0:
         raise OrderNotInvertible(
             f"group order {group.order} is zero in {field}")
     scale = inverse(normal(group.order, field.p), field.p)
     pairs = [(sigma.perm, sigma.inverse().perm) for sigma in group]
     images: dict[int, RingElement] = {}
+    # chain monomial -> its image, at most one per face of the subdivision
+    seen: dict[Mono, RingElement] = {}
     for member in morphism.basis.members:
         chain = ctx.sd.chain_of[member]
         terms: dict[Mono, object] = {}
         for perm, inv in pairs:
             # canonical already: see RingElement.map_faces
-            image = morphism._apply_mono(tuple((inv[f], 1) for f in chain))
+            mono = tuple((inv[f], 1) for f in chain)
+            if (image := seen.get(mono)) is None:
+                image = seen[mono] = morphism.apply(
+                    RingElement(ctx.sd.source, field, True, {mono: 1}))
             add_terms(terms, ((tuple((perm[f], e) for f, e in m), c)
                               for m, c in image.terms.items()))
         images[member] = RingElement(ctx.sd.source, field, False,

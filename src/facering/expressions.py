@@ -58,18 +58,16 @@ class _Scanner:
                           self.pos - line_start + 1, expected)
 
     def integer(self) -> int:
-        start = self.pos
+        sign = 1
         if self.peek() == "-":
             self.pos += 1
-        if not self.peek().isdigit():
-            raise self.error("malformed integer", ("digit",))
-        while self.peek().isdigit():
-            self.pos += 1
-        return int(self.text[start:self.pos])
+            sign = -1
+        return sign * self.natural("integer")
 
-    def natural(self) -> int:
+    def natural(self, what: str) -> int:
+        """The digits at the cursor; ``what`` names them in the error."""
         if not self.peek().isdigit():
-            raise self.error("malformed exponent", ("digit",))
+            raise self.error(f"malformed {what}", ("digit",))
         start = self.pos
         while self.peek().isdigit():
             self.pos += 1
@@ -104,7 +102,7 @@ def _parse_term(sc: _Scanner, lexicon: RingLexicon, negate: bool) -> RingElement
         coeff = sc.integer()
         if sc.peek() == "/":
             sc.take()
-            coeff = field.parse_coefficient(f"{coeff}/{sc.integer()}")
+            coeff = field.parse_coefficient(f"{coeff}/{sc.natural('denominator')}")
         sc.skip_ws()
         if sc.peek() != "*":
             # bare constant term
@@ -128,7 +126,8 @@ def _parse_factor(sc: _Scanner, lexicon: RingLexicon) -> tuple[str, int]:
     sc.skip_ws()
     ch = sc.peek()
     if ch not in ("x", "y", "z"):
-        raise sc.error(f"expected a generator, found {ch!r}",
+        found = repr(ch) if ch else "end of input"
+        raise sc.error(f"expected a generator, found {found}",
                        ("'x'", "'y'", "'z'", "coefficient"))
     if ch != lexicon.letter:
         raise sc.error(f"generator letter {ch!r} does not match this ring "
@@ -147,7 +146,7 @@ def _parse_factor(sc: _Scanner, lexicon: RingLexicon) -> tuple[str, int]:
     exp = 1
     if sc.peek() == "^":
         sc.take()
-        exp = sc.natural()
+        exp = sc.natural("exponent")
     return face_id, exp
 
 

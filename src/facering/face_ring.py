@@ -199,14 +199,6 @@ class RingElement:
                                       {tuple((perm[f], e) for f, e in m): c
                                        for m, c in self.terms.items()})
 
-    def times_theta(self, j: int) -> "RingElement":
-        """This face-ring element times the rank-j parameter theta_j, one
-        memoized :func:`times_parameter` step per term."""
-        if self.discrete:
-            raise ComplexMismatch("theta_j steps straighten: face ring only")
-        return RingElement._canonical(self.complex, self.field, False, _step_terms(
-            self.complex, self.terms, j, self.field.p))
-
     def sorted_terms(self) -> list[tuple[Mono, Raw]]:
         return sorted(self.terms.items(),
                       key=lambda mc: term_sort_key(self.complex, mc[0]))

@@ -126,6 +126,15 @@ def test_coefficient_outside_the_field_exit_2(field, code, out, err, capsys):
     assert (captured.out, captured.err) == (out, err)
 
 
+def test_repeated_candidate_face_exit_2(capsys):
+    # one distinct face, given twice, is not two members
+    assert run(["verify", "--input", os.path.join(DATA, "double_edge.json"),
+                "--sd", "--candidate", '["v", "v"]']) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", "error: candidate lists face 'v' more than once\n")
+
+
 def test_unknown_face_exit_code(docs, capsys):
     code = run(["straighten", "--input", docs["double_edge"], "--expr", "x[zz]"])
     assert code == 2

@@ -4,6 +4,7 @@ import sys
 import threading
 from collections import Counter
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -315,7 +316,8 @@ def test_subdivision_of_nonsimplicial_disk(disk, disk_balancing):
     # subdividing a complex with parallel edges exercises the chain machinery
     # on a non-simplicial source; each facet contributes 3! maximal chains
     sd = barycentric_subdivision(disk)
-    assert len(sd.target.facets) == disk.maximal_chain_count == 18
+    assert len(sd.target.facets) == sum(factorial(disk.rank[f])
+                                        for f in disk.facets) == 18
     verdict = compute_basis(sd.balancing, RATIONAL)
     assert verdict.cohen_macaulay
     _, h = fine_vectors(sd.balancing)

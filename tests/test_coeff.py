@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from facering.coeff import FieldSpec, inverse, is_unit_integer, normal
+from facering.coeff import FieldSpec, inverse, normal
 from facering.errors import InputError
 
 Q = FieldSpec.rational()
@@ -41,14 +41,6 @@ def test_invert_examples():
         inverse(0, Q.p)
     with pytest.raises(ZeroDivisionError):
         inverse(0, F2.p)
-
-
-def test_is_unit_integer_examples():
-    assert not is_unit_integer(F2, 6)
-    assert is_unit_integer(F5, 6)
-    assert is_unit_integer(Q, 24)
-    with pytest.raises(InputError):
-        is_unit_integer(Q, 0)
 
 
 def test_composite_modulus_rejected():

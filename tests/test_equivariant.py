@@ -652,10 +652,12 @@ def test_product_memo_entries_match_expansion(triangle, triangle_sd, s3_group,
         report = verify_morphism(averaged, group, bound)
         assert report.equivariant and report.isomorphism
         for morphism in (phi, averaged):
+            assert [k for k in vars(morphism) if k.startswith("_")] \
+                == ["_product_cache"]
             assert any(sum(a) for _, a in morphism._product_cache)
             for (member, a), product in morphism._product_cache.items():
                 assert product == (parameter_monomial(c, a, field)
-                                   * morphism.images[member])
+                                   * morphism.images[member]).terms
 
 
 def test_product_of_deep_exponent(double_edge, de_phi):
@@ -664,7 +666,7 @@ def test_product_of_deep_exponent(double_edge, de_phi):
                  if not de_phi.ctx.sd.chain_of[m])
     assert de_phi._product((0, 1100), empty) == (
         straighten(double_edge, [("alpha", 1100)], RATIONAL)
-        + straighten(double_edge, [("beta", 1100)], RATIONAL))
+        + straighten(double_edge, [("beta", 1100)], RATIONAL)).terms
 
 
 def test_equivariance_failure_at_image_with_extra_term(double_edge,

@@ -46,6 +46,17 @@ def test_parse_error_position_on_later_lines(double_edge):
     assert (err.value.line, err.value.column) == (2, 1)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("2/-3*x[v]", "malformed denominator at line 1, column 3 (expected digit)"),
+    ("x[v]*", "expected a generator, found end of input at line 1, column 6 "
+              "(expected 'x' | 'y' | 'z' | coefficient)"),
+], ids=["signed denominator", "trailing star"])
+def test_parse_error_messages(double_edge, text, message):
+    with pytest.raises(ParseError) as err:
+        parse_element(text, lex(double_edge))
+    assert str(err.value) == message
+
+
 def test_parse_unknown_face(double_edge):
     with pytest.raises(UnknownFace):
         parse_element("x[q]", lex(double_edge))

@@ -128,10 +128,11 @@ def test_times_parameter_matches_product(name, degree, data):
     x = RingElement(c, RATIONAL, False, {m: 1})
     assert times_parameter(c, m, j) == (x * rank_row_parameter(c, j, RATIONAL)).terms
     x5 = RingElement(c, GF5, False, {m: 3})
-    assert x5.times_theta(j) == x5 * rank_row_parameter(c, j, GF5)
+    e_j = tuple(int(i == j) for i in range(1, c.n + 1))
+    assert evaluate_parameters(x5, {e_j: 1}) == x5 * rank_row_parameter(c, j, GF5)
     assert max(Counter(m for m, _ in c._theta_step_cache).values()) <= c.n
     with pytest.raises(ComplexMismatch):
-        RingElement(c, RATIONAL, True, {m: 1}).times_theta(j)
+        evaluate_parameters(RingElement(c, RATIONAL, True, {m: 1}), {e_j: 1})
 
 
 DISK_LABELS = {"s": 1, "t": 1, "u": 2, "v": 3}
