@@ -153,22 +153,16 @@ def _run_transfer(args) -> int:
     return 0
 
 
-def _sd_basis_or_verdict(args, field: FieldSpec):
-    base = _base_complex(args)
-    sd = barycentric_subdivision(base)
-    verdict = compute_basis(_sd_balancing(sd), field, order=_face_ids(args.order))
-    return base, sd, verdict
-
-
 def _run_represent(args) -> int:
     field = FieldSpec.parse(args.field)
-    base, sd, verdict = _sd_basis_or_verdict(args, field)
+    base = _base_complex(args)
+    element = parse_element(args.expr, RingLexicon(base, field, letter="x"))
+    sd = barycentric_subdivision(base)
+    verdict = compute_basis(_sd_balancing(sd), field, order=_face_ids(args.order))
     if not verdict.cohen_macaulay:
         _emit(args, _verdict_payload(sd.target, verdict))
         return 0
     ctx = TransferContext(sd)
-    lexicon = RingLexicon(base, field, letter="x")
-    element = parse_element(args.expr, lexicon)
     rep = express_on_transferred_basis(ctx, verdict.basis, element)
     coefficients = [
         {"member": sd.target.ids[m],
@@ -184,11 +178,13 @@ def _run_equivariant_iso(args) -> int:
     field = FieldSpec.parse(args.field)
     if args.degree_bound is not None:
         check_degree_bound(args.degree_bound)
-    base, sd, verdict = _sd_basis_or_verdict(args, field)
+    base = _base_complex(args)
+    group = documents.group_from_document(base, documents.load_json(args.group))
+    sd = barycentric_subdivision(base)
+    verdict = compute_basis(_sd_balancing(sd), field, order=_face_ids(args.order))
     if not verdict.cohen_macaulay:
         _emit(args, _verdict_payload(sd.target, verdict))
         return 0
-    group = documents.group_from_document(base, documents.load_json(args.group))
     averaged = average(build_phi(TransferContext(sd), verdict.basis), group)
     report = verify_morphism(averaged, group, args.degree_bound)
     payload = {

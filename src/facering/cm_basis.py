@@ -198,7 +198,8 @@ class CellBasis:
 
         Every factor but one copy of the top face x_top absorbs into t, and
         x_top is solved against the facet vectors of the members selected by
-        its label set; that solution is memoized per face.  A member's
+        its label set, which :meth:`selected` has checked to be a basis of
+        its columns; that solution is memoized per face.  A member's
         exponents are the label multidegree of mono less its own labels.
         """
         top = mono[-1][0] if mono else EMPTY
@@ -207,10 +208,6 @@ class CellBasis:
             data = self.selected(self.balancing.label_sets[top])
             combo = data.span.represent(
                 _incidence(self.complex, top, data.columns))
-            if combo is None:
-                raise BasisInvalid(
-                    f"generator of face {self.complex.ids[top]!r} is outside "
-                    f"the span of the selected members")
             rep = self._by_face.setdefault(top, tuple(
                 (m, mono_label_multidegree(self.balancing, ((m, 1),)), combo[m])
                 for m in data.members if m in combo))

@@ -113,18 +113,6 @@ class FieldSpec:
             return cls.gf(p)
         raise InputError(f"bad field selector {text!r}")
 
-    def parse_coefficient(self, text: str) -> Raw:
-        """Parse ``3`` or ``3/2`` into a canonical scalar of this field."""
-        try:
-            q = Fraction(text)
-        except (ValueError, ZeroDivisionError):
-            raise InputError(f"bad coefficient {text!r}") from None
-        try:
-            return normal(q, self.p)
-        except ZeroDivisionError as exc:
-            raise InputError(f"coefficient {text!r} has no value in {self}: "
-                             f"{exc}") from None
-
     def __str__(self) -> str:
         return "rational" if self.p is None else f"gf:{self.p}"
 

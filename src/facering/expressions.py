@@ -1,23 +1,25 @@
 """Parser and printer for the ring-element expression grammar.
 
-    element := ['-'] term (('+'|'-') term)*
-    term    := coeff | [coeff '*'] factor ('*' factor)*
+    element := term (('+'|'-') term)*
+    term    := '-'* (coeff | [coeff '*'] factor ('*' factor)*)
     factor  := ('x'|'y'|'z') '[' face-id ']' ['^' nat]
-    coeff   := integer | integer '/' integer
+    coeff   := nat ['/' nat]
 
-``x[]`` is the empty face, i.e. the monomial 1.  Raw products are legal
-input and are normalized onto the standard-monomial basis.  Printing uses
-the canonical (degree, shape, support) term order and round-trips through
-the parser.
+Each ``-`` before a term flips its sign (``x[w] + -x[v]``, ``- -3``); a
+coefficient is unsigned and a zero denominator is a parse error.  ``x[]`` is
+the empty face, i.e. the monomial 1.  Raw products are legal input and are
+normalized onto the standard-monomial basis.  Printing uses the canonical
+(degree, shape, support) term order and round-trips through the parser.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .coeff import FieldSpec
+from .coeff import FieldSpec, normal
 from .complexes import BooleanComplex
-from .errors import ParseError
+from .errors import InputError, ParseError
 from .face_ring import RingElement, signed_sum, straighten
 
 
@@ -57,13 +59,6 @@ class _Scanner:
         return ParseError(message, self.text.count("\n", 0, self.pos) + 1,
                           self.pos - line_start + 1, expected)
 
-    def integer(self) -> int:
-        sign = 1
-        if self.peek() == "-":
-            self.pos += 1
-            sign = -1
-        return sign * self.natural("integer")
-
     def natural(self, what: str) -> int:
         """The digits at the cursor; ``what`` names them in the error."""
         if not self.peek().isdigit():
@@ -79,37 +74,43 @@ def parse_element(text: str, lexicon: RingLexicon) -> RingElement:
     sc.skip_ws()
     if sc.peek() == "":
         raise sc.error("empty expression", ("term",))
-    negate_first = False
-    if sc.peek() == "-":
-        sc.take()
-        negate_first = True
-    total = _parse_term(sc, lexicon, negate_first)
+    total = _parse_term(sc, lexicon, 1)
     sc.skip_ws()
     while sc.peek() in ("+", "-"):
-        op = sc.take()
-        total = total + _parse_term(sc, lexicon, op == "-")
+        total = total + _parse_term(sc, lexicon, -1 if sc.take() == "-" else 1)
         sc.skip_ws()
     if sc.peek() != "":
         raise sc.error(f"unexpected {sc.peek()!r}", ("'+'", "'-'", "end of input"))
     return total
 
 
-def _parse_term(sc: _Scanner, lexicon: RingLexicon, negate: bool) -> RingElement:
+def _parse_term(sc: _Scanner, lexicon: RingLexicon, sign: int) -> RingElement:
+    """One term times ``sign``; each leading ``-`` flips it."""
     sc.skip_ws()
+    while sc.peek() == "-":
+        sc.take()
+        sign = -sign
+        sc.skip_ws()
     field = lexicon.field
     coeff = 1
-    if sc.peek().isdigit() or sc.peek() == "-":
-        coeff = sc.integer()
+    if sc.peek().isdigit():
+        coeff = sc.natural("coefficient")
         if sc.peek() == "/":
             sc.take()
-            coeff = field.parse_coefficient(f"{coeff}/{sc.natural('denominator')}")
+            at = sc.pos
+            den = sc.natural("denominator")
+            if not den:
+                sc.pos = at
+                raise sc.error("zero denominator")
+            try:
+                coeff = normal(Fraction(coeff, den), field.p)
+            except ZeroDivisionError as exc:
+                raise InputError(f"coefficient '{coeff}/{den}' has no value "
+                                 f"in {field}: {exc}") from None
         sc.skip_ws()
-        if sc.peek() != "*":
-            # bare constant term
-            if negate:
-                coeff = -coeff
+        if sc.peek() != "*":  # a bare constant
             return RingElement(lexicon.complex, field, lexicon.discrete,
-                               {(): coeff})
+                               {(): sign * coeff})
         sc.take()
     raw = [_parse_factor(sc, lexicon)]
     sc.skip_ws()
@@ -117,9 +118,7 @@ def _parse_term(sc: _Scanner, lexicon: RingLexicon, negate: bool) -> RingElement
         sc.take()
         raw.append(_parse_factor(sc, lexicon))
         sc.skip_ws()
-    if negate:
-        coeff = -coeff
-    return straighten(lexicon.complex, raw, field, coeff, lexicon.discrete)
+    return straighten(lexicon.complex, raw, field, sign * coeff, lexicon.discrete)
 
 
 def _parse_factor(sc: _Scanner, lexicon: RingLexicon) -> tuple[str, int]:

@@ -1,7 +1,7 @@
 from collections import Counter
 
 import pytest
-from hypothesis import settings
+from hypothesis import settings, strategies as st
 
 settings.register_profile("det", derandomize=True, max_examples=60)
 settings.load_profile("det")
@@ -187,3 +187,42 @@ def triangle():
 @pytest.fixture(scope="session")
 def triangle_sd(triangle):
     return barycentric_subdivision(triangle)
+
+
+# Expression strings on the double edge (faces v, w, alpha, beta), for the
+# parser and CLI property tests.
+COEFFICIENT = (st.sampled_from(["1/2", "-3/4", "4/2", "0/5", "0", "-1"])
+               | st.integers(-10**30, 10**30).map(str))
+FACE = st.sampled_from(["v", "w", "alpha", "beta", ""])
+# malformed pieces: other letters and faces, bad fractions and exponents
+BAD_COEFFICIENT = st.sampled_from(["1/0", "2/-3", "1/", "/2"])
+BAD_FACE = st.sampled_from(["v_alpha", "q", "0", " v ", "v]", "v[", "["])
+BAD_LETTER = st.sampled_from("yzwX")
+BAD_POWER = st.sampled_from(["^", "^-1", "^x", "^^2"])
+
+
+@st.composite
+def terms(draw, malformed=False):
+    """One term whose exponents sum to at most 40 (a run-time cap only)."""
+    def piece(good, bad):
+        return draw(good | bad if malformed else good)
+
+    budget = draw(st.integers(0, 40))
+    factors = []
+    for _ in range(draw(st.integers(0, 3))):
+        e = draw(st.integers(0, budget))
+        budget -= e
+        power = piece(st.sampled_from(["", f"^{e}", f"^{e}"]), BAD_POWER)
+        factors.append(f"{piece(st.just('x'), BAD_LETTER)}"
+                       f"[{piece(FACE, BAD_FACE)}]{power}")
+    if not factors or draw(st.booleans()):
+        factors.insert(0, piece(COEFFICIENT, BAD_COEFFICIENT))
+    return "*".join(factors)
+
+
+def sums(malformed):
+    ops = st.sampled_from([" + ", "-", " - ", "+-", "*", " "] if malformed
+                          else [" + ", " - ", "-"])
+    return st.builds(lambda first, rest: first + "".join(o + t for o, t in rest),
+                     terms(malformed),
+                     st.lists(st.tuples(ops, terms(malformed)), max_size=2))

@@ -12,6 +12,8 @@ from hypothesis import given, strategies as st
 
 from facering.cli import run
 
+from conftest import sums
+
 DOUBLE_EDGE = {
     "kind": "poset",
     "faces": [
@@ -303,6 +305,20 @@ def test_not_cm_subdivision_is_a_result(command, tmp_path, capsys):
     assert code == 0
     assert payload["verdict"] == "not-cm"
     assert payload["witness"] == "a,c"
+
+
+@pytest.mark.parametrize("extra, err", [
+    (["represent", "--expr", "x[nope]"], "error: unknown face 'nope'\n"),
+    (["equivariant-iso", "--group", "/nonexistent.json"],
+     "error: cannot read /nonexistent.json: [Errno 2] No such file or "
+     "directory: '/nonexistent.json'\n"),
+], ids=["represent", "equivariant-iso"])
+def test_not_cm_subdivision_still_reads_every_input(extra, err, capsys):
+    # a malformed expression or group is an input error before any verdict
+    assert run([extra[0], "--input", os.path.join(DATA, "disjoint_edges.json"),
+                *extra[1:]]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", err)
 
 
 NOT_PURE = {"kind": "simplicial", "facets": [["a", "b"], ["c"]]}
@@ -635,43 +651,6 @@ def run_with_document(argv, flag, doc) -> int:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
         return run_quiet(argv + [flag, path])
-
-
-COEFFICIENT = (st.sampled_from(["1/2", "-3/4", "4/2", "0/5", "0", "-1"])
-               | st.integers(-10**30, 10**30).map(str))
-FACE = st.sampled_from(["v", "w", "alpha", "beta", ""])
-# malformed pieces: other letters and faces, bad fractions and exponents
-BAD_COEFFICIENT = st.sampled_from(["1/0", "2/-3", "1/", "/2"])
-BAD_FACE = st.sampled_from(["v_alpha", "q", "0", " v ", "v]", "v[", "["])
-BAD_LETTER = st.sampled_from("yzwX")
-BAD_POWER = st.sampled_from(["^", "^-1", "^x", "^^2"])
-
-
-@st.composite
-def terms(draw, malformed=False):
-    """One term whose exponents sum to at most 40 (a run-time cap only)."""
-    def piece(good, bad):
-        return draw(good | bad if malformed else good)
-
-    budget = draw(st.integers(0, 40))
-    factors = []
-    for _ in range(draw(st.integers(0, 3))):
-        e = draw(st.integers(0, budget))
-        budget -= e
-        power = piece(st.sampled_from(["", f"^{e}", f"^{e}"]), BAD_POWER)
-        factors.append(f"{piece(st.just('x'), BAD_LETTER)}"
-                       f"[{piece(FACE, BAD_FACE)}]{power}")
-    if not factors or draw(st.booleans()):
-        factors.insert(0, piece(COEFFICIENT, BAD_COEFFICIENT))
-    return "*".join(factors)
-
-
-def sums(malformed):
-    ops = st.sampled_from([" + ", "-", " - ", "+-", "*", " "] if malformed
-                          else [" + ", " - ", "-"])
-    return st.builds(lambda first, rest: first + "".join(o + t for o, t in rest),
-                     terms(malformed),
-                     st.lists(st.tuples(ops, terms(malformed)), max_size=2))
 
 
 EXPRESSIONS = (sums(False) | sums(True)

@@ -123,16 +123,3 @@ def test_rational_arithmetic_exact(q1, q2):
     c, d = q2.numerator, q2.denominator
     total = normal(normal(q1, None) + normal(q2, None), None)
     assert total * b * d == a * d + c * b
-
-
-def test_coefficient_parsing():
-    assert Q.parse_coefficient("3/2") == Fraction(3, 2)
-    assert Q.parse_coefficient("6/2") == 3
-    assert type(Q.parse_coefficient("6/2")) is int
-    assert F5.parse_coefficient("3/2") == (3 * pow(2, -1, 5)) % 5
-    with pytest.raises(InputError, match=r"coefficient '1/2' has no value in gf:2"):
-        F2.parse_coefficient("1/2")
-    with pytest.raises(InputError):
-        Q.parse_coefficient("x")
-    with pytest.raises(InputError):
-        Q.parse_coefficient("1/0")
